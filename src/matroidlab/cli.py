@@ -2,7 +2,8 @@
 
 Every run prints one JSON report (or CSV where a table shape exists) built
 from the same envelope: tool version, echoed config, seed.  Exit codes:
-0 success, 2 bad input, 3 resource bound hit, 64 usage.
+0 success, 2 bad input (including input lacking the structure a certificate
+needs), 3 resource bound hit, 64 usage.
 """
 
 from __future__ import annotations
@@ -270,12 +271,6 @@ def cmd_bean(args):
     return {"holds": True, **witness}, None
 
 
-def cmd_psi_spectrum(args):
-    fam = _family_arg(args.family)
-    report = spectrum_search(fam, _glue_arg(args.glue, fam), _profile(args))
-    return report.to_dict(), spectrum_csv(report)
-
-
 def cmd_thin(args):
     spec = load_matrix_family(read_json(args.matrix_family))
     count, rows = nearly_thin_count(spec, args.depth)
@@ -337,7 +332,7 @@ HANDLERS = {
     "rays": cmd_rays,
     "dominate": cmd_dominate,
     "bean": cmd_bean,
-    "psi-spectrum": cmd_psi_spectrum,
+    "psi-spectrum": cmd_spectrum,  # the family branch, with --glue required
     "thin": cmd_thin,
     "scan": cmd_scan,
 }
@@ -470,7 +465,7 @@ def main(argv=None) -> int:
     config = _config_echo(args)
     try:
         payload, table = HANDLERS[args.cmd](args)
-    except InputError as exc:
+    except (InputError, StructuralMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable
 
 from .errors import InputError, ResourceLimitError
-from .util import iter_bits, submasks
+from .util import iter_bits, spanning_forest, submasks
 
 ENUM_CAP = 24
 SWEEP_CAP = 16
@@ -160,10 +160,8 @@ def explicit_system(ground: GroundSet, subsets, check: bool = True) -> ExplicitS
     if check:
         if 0 not in masks:
             raise InputError("family does not contain the empty set")
-        for s in masks:
-            for e in iter_bits(s):
-                if s ^ (1 << e) not in masks:
-                    raise InputError("family is not downward closed")
+        if not _downward_closed(masks):
+            raise InputError("family is not downward closed")
     return sys_
 
 
@@ -197,25 +195,7 @@ def graphic_matroid(n_vertices: int, edges: Collection[tuple[int, int]], labels=
         raise InputError("ground size must match edge count")
 
     def rk(mask: int) -> int:
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        r = 0
-        for i in iter_bits(mask):
-            u, v = edges[i]
-            for w in (u, v):
-                if w not in parent:
-                    parent[w] = w
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                r += 1
-        return r
+        return len(spanning_forest([edges[i] for i in iter_bits(mask)]))
 
     return OracleMatroid(ground, rk, label=f"graphic(n={n_vertices},m={len(edges)})")
 
@@ -285,8 +265,9 @@ def rank_of(sys_: System, subset=None, cap: int | None = None) -> int:
     return best
 
 
-def _downward_closed(fam: list[int], fam_set: set[int]) -> bool:
-    return all(s ^ (1 << e) in fam_set for s in fam for e in iter_bits(s))
+def _downward_closed(fam_set) -> bool:
+    """Does every member of the set of masks keep all its one-smaller subsets?"""
+    return all(s ^ (1 << e) in fam_set for s in fam_set for e in iter_bits(s))
 
 
 def maximal_masks(fam: list[int]) -> list[int]:
@@ -297,7 +278,7 @@ def maximal_masks(fam: list[int]) -> list[int]:
     quadratic test; such families are hand-built counterexamples and small.
     """
     fam_set = set(fam)
-    if _downward_closed(fam, fam_set):
+    if _downward_closed(fam_set):
         width = max(fam).bit_length() if fam else 0
         return [
             s
@@ -610,10 +591,10 @@ def contract(sys_: System, subset) -> System:
 
 
 def _expand(mask: int, keep: list[int]) -> int:
+    """Move bit i of mask to bit keep[i]."""
     out = 0
-    for new_bit, old_bit in enumerate(keep):
-        if mask & (1 << new_bit):
-            out |= 1 << old_bit
+    for i in iter_bits(mask):
+        out |= 1 << keep[i]
     return out
 
 

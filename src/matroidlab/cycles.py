@@ -19,13 +19,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .errors import InputError, ResourceLimitError, StructuralMismatchError
 from .ops import SpectrumReport
 from .periodic import (
     PeriodicGraphSpec,
     UPEdgeSet,
+    _lane_ends,
+    _live_lanes,
     contains_finite_cycle,
     corridor_width,
     edges_by_role,
@@ -36,7 +36,7 @@ from .periodic import (
     surviving_classes,
     truncate_graph,
 )
-from .util import INF, sort_key
+from .util import INF, adjacency, bfs_path, disjoint_paths, sort_key, spanning_forest
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +136,6 @@ def edge_set_is_empty(s: UPEdgeSet) -> bool:
     return not (s.prefix_present or s.explicit or s.pattern)
 
 
-def _slot_counts(g):
-    return {
-        "win": len(g.window_edges),
-        "spl": len(g.splice_edges),
-        "apx": len(g.apex_edges),
-    }
-
-
 def absent_representatives(g: PeriodicGraphSpec, s: UPEdgeSet):
     """Finitely many absent instances standing for all of them.
 
@@ -158,8 +150,8 @@ def absent_representatives(g: PeriodicGraphSpec, s: UPEdgeSet):
     for i in range(len(g.prefix_edges)):
         if i not in s.prefix_present:
             reps.append(("pre", i))
-    for kind in ("win", "spl", "apx"):
-        for j in range(_slot_counts(g)[kind]):
+    for kind, n in g.slot_counts().items():
+        for j in range(n):
             for w in range(s.p):
                 if not s.has(kind, j, w):
                     reps.append((kind, j, w))
@@ -187,19 +179,13 @@ def present_representatives(g: PeriodicGraphSpec, s: UPEdgeSet, context: UPEdgeS
 def _glued_slots(g, s, point_map):
     """Ray slots of s whose end class is glued: one entry per disjoint ray.
 
-    Returns (slots, truncation); each slot has the unglued component id, the
-    glue point, and its ray's vertex path inside the truncation.
+    Returns (slots, adjacency of the truncation); each slot has the unglued
+    component id, the glue point, and its ray's vertex path inside the
+    truncation.
     """
     full = run_machine(g, s)
-    lane_cid = {}
-    for cid, cls in enumerate(full.live):
-        for tok in cls:
-            if tok[0] == "R":
-                lane_cid[tok[1]] = cid
-    lane_end = {}
-    for label, lanes in ends_of(g).items():
-        for lane in lanes:
-            lane_end[lane] = label
+    lane_cid = _live_lanes(full)
+    lane_end = _lane_ends(g)
     pieces = []
     for piece in surviving_classes(g, s):
         label = lane_end[min(piece)]
@@ -213,63 +199,42 @@ def _glued_slots(g, s, point_map):
     stab2 = run_machine(g, s, use_prefix=False, use_apex=False).depth
     start = max(full.depth, stab2, s.p) + 1
     depth = start + max(len(p) for p, _, _ in pieces) + sum(w for _, _, w in pieces) + 4
-    trunc = truncate_graph(g, s, depth)
+    nodes, edges = truncate_graph(g, s, depth)
     slots = []
     for piece, point, width in pieces:
-        for path in _disjoint_forward_paths(trunc, piece, start, depth, width):
+        for path in _disjoint_forward_paths(edges, piece, start, depth, width):
             slots.append(
                 {"cid": lane_cid[min(piece)], "point": point, "path": path}
             )
     if len(slots) > 12:
         raise ResourceLimitError("too many glued ray slots to arrange")
-    return slots, trunc
+    return slots, adjacency(nodes, edges)
 
 
-def _disjoint_forward_paths(trunc, lanes, start, depth, width):
+def _disjoint_forward_paths(edges, lanes, start, depth, width):
     """width vertex-disjoint paths from window `start` to the last window,
     inside the given lanes; realizes the corridor width in the truncation."""
-    D = nx.DiGraph()
-    big = len(lanes) * depth + 2
+    lanes = sorted(lanes)
     nodes = {(l, w) for l in lanes for w in range(start, depth)}
-    for n in nodes:
-        D.add_edge((n, "i"), (n, "o"), capacity=1)
-    for a, b in trunc.edges():
-        if a in nodes and b in nodes:
-            D.add_edge((a, "o"), (b, "i"), capacity=big)
-            D.add_edge((b, "o"), (a, "i"), capacity=big)
-    for l in lanes:
-        D.add_edge("S", ((l, start), "i"), capacity=1)
-        D.add_edge(((l, depth - 1), "o"), "T", capacity=big)
-    value, flow = nx.maximum_flow(D, "S", "T")
-    if value < width:
+    strip = [e for e in edges if e[0] in nodes and e[1] in nodes]
+    paths = disjoint_paths(
+        adjacency(nodes, strip), [(l, start) for l in lanes], [(l, depth - 1) for l in lanes]
+    )
+    if len(paths) < width:
         raise ResourceLimitError(
-            f"expected {width} forward paths, packed {value} in the truncation"
+            f"expected {width} forward paths, packed {len(paths)} in the truncation"
         )
-    # decompose unit flow into vertex paths
-    residual = {u: dict(vs) for u, vs in flow.items()}
-    paths = []
-    for _ in range(width):
-        node = "S"
-        path = []
-        while node != "T":
-            nxt = next(k for k, f in residual[node].items() if f >= 1)
-            residual[node][nxt] -= 1
-            if isinstance(nxt, tuple) and nxt[1] == "i":
-                path.append(nxt[0])
-            node = nxt
-        paths.append(path)
-    return paths
+    return paths[:width]
 
 
-def _minimal_arc(trunc, slot_a, slot_b):
+def _minimal_arc(adj, slot_a, slot_b):
     """Least vertex set realizing a double ray through the two slots' rays.
 
     Only valid inside a finite-cycle-free set: the component is a tree, so the
     bridge between the two rays is unique and every realization contains it.
     """
-    try:
-        walk = nx.shortest_path(trunc, slot_a["path"][0], slot_b["path"][0])
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
+    walk = bfs_path(adj, slot_a["path"][0], slot_b["path"][0])
+    if walk is None:
         return None
     set_a, set_b = set(slot_a["path"]), set(slot_b["path"])
     last_a = max(i for i, v in enumerate(walk) if v in set_a)
@@ -287,7 +252,7 @@ def _find_circle(g, s, glue):
     point_map = glue.as_map()
     if not point_map:
         return None
-    slots, trunc = _glued_slots(g, s, point_map)
+    slots, adj = _glued_slots(g, s, point_map)
     if not slots:
         return None
     # one segment: two rays to the same point inside one component; the tree
@@ -311,7 +276,7 @@ def _find_circle(g, s, glue):
         for b in slots[i + 1 :]:
             if a["cid"] != b["cid"] or a["point"] == b["point"]:
                 continue
-            vertices = _minimal_arc(trunc, a, b)
+            vertices = _minimal_arc(adj, a, b)
             if vertices is not None:
                 arcs.append({"pts": (a["point"], b["point"]), "vertices": vertices, "cid": a["cid"]})
     if not arcs:
@@ -440,11 +405,7 @@ def extend_to_fin_base(g: PeriodicGraphSpec, s: UPEdgeSet):
 
 
 def _candidate_sets(g, p):
-    slots = sorted(
-        [("win", j) for j in range(len(g.window_edges))]
-        + [("spl", j) for j in range(len(g.splice_edges))]
-        + [("apx", j) for j in range(len(g.apex_edges))]
-    )
+    slots = sorted(full_edge_set(g).pattern)
     bits = len(slots) * (p + 1) + len(g.prefix_edges)
     if bits > 16:
         raise ResourceLimitError(
@@ -525,7 +486,7 @@ def spectrum_search(
     for spec, maps in split_components(g):
         if spec is None:
             # a finite all-prefix piece: its bases are its spanning forests
-            forest = _finite_piece_forest(g, maps)
+            forest = _prefix_forest(g, maps["pre"])
             values = {
                 d: {"parts": info["parts"] + [{"pre_forest": forest}]}
                 for d, info in values.items()
@@ -592,14 +553,10 @@ def _project_glue(glue: GluingSpec, local_ends) -> GluingSpec:
     return GluingSpec(tuple(groups), tuple(psi))
 
 
-def _finite_piece_forest(g, maps):
-    G = nx.Graph()
-    for i in maps["pre"]:
-        u, v, _ = g.prefix_edges[i]
-        G.add_edge(("p", u), ("p", v), idx=i)
-    return sorted(
-        d["idx"] for _, _, d in nx.minimum_spanning_edges(G, data=True)
-    )
+def _prefix_forest(g, ids):
+    """The prefix edges among ids that a spanning forest keeps, ascending."""
+    ids = sorted(ids)
+    return [ids[i] for i in spanning_forest([g.prefix_edges[i][:2] for i in ids])]
 
 
 def _instance_stream(s: UPEdgeSet):
@@ -679,19 +636,10 @@ def hat_check(
     for spec, maps in split_components(g):
         if spec is None:
             # a forest avoiding s exists iff dropping s's edges keeps the
-            # piece connected; take a spanning forest of what remains
-            G = nx.Graph()
-            for i in maps["pre"]:
-                u, v, _ = g.prefix_edges[i]
-                G.add_edge(("p", u), ("p", v), idx=i)
-            H = nx.Graph()
-            H.add_nodes_from(G.nodes)
-            for a, b, d in G.edges(data=True):
-                if d["idx"] not in s.prefix_present:
-                    H.add_edge(a, b, idx=d["idx"])
-            if nx.number_connected_components(H) != nx.number_connected_components(G):
+            # piece connected, i.e. its spanning forests keep their size
+            ids = _prefix_forest(g, [i for i in maps["pre"] if i not in s.prefix_present])
+            if len(ids) != len(_prefix_forest(g, maps["pre"])):
                 return False, None
-            ids = [d["idx"] for _, _, d in nx.minimum_spanning_edges(H, data=True)]
             chosen.append(UPEdgeSet(0, frozenset(ids), frozenset(), frozenset()))
             continue
         local_glue = _project_glue(glue, spec.ends)

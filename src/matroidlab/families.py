@@ -33,12 +33,6 @@ from .periodic import (
 from .util import INF
 
 
-def _slot_len(g: PeriodicGraphSpec, kind: str) -> int:
-    return len(
-        {"win": g.window_edges, "spl": g.splice_edges, "apx": g.apex_edges}[kind]
-    )
-
-
 def _collect_finite(g: PeriodicGraphSpec, instances) -> UPEdgeSet:
     """Validate an iterable of single edge instances; reject recurring slots."""
     pre = set()
@@ -55,7 +49,7 @@ def _collect_finite(g: PeriodicGraphSpec, instances) -> UPEdgeSet:
                 f"{inst!r} names a recurring slot; finite edits take single instances"
             )
         kind, j, w = inst
-        if kind not in ("win", "spl", "apx") or not 0 <= j < _slot_len(g, kind):
+        if kind not in ("win", "spl", "apx") or not 0 <= j < g.slot_counts()[kind]:
             raise InputError(f"no such edge slot: {inst!r}")
         if not isinstance(w, int) or w < 0:
             raise InputError(f"window index must be a natural number: {inst!r}")

@@ -43,6 +43,14 @@ def _require(obj, key, context):
     return obj[key]
 
 
+def _number(value, what, field=None):
+    """value as a Fraction when field is Q, else as an int."""
+    try:
+        return Fraction(str(value)) if field == Q else int(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InputError(f"{what} must be a number: {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # independence systems
 
@@ -61,9 +69,9 @@ def load_system(obj):
         return explicit_system(ground, masks)
     if kind == "uniform":
         rank = _require(obj, "rank", "uniform system")
-        return uniform_matroid(int(rank), ground.size, labels=labels)
+        return uniform_matroid(_number(rank, "uniform rank"), ground.size, labels=labels)
     if kind == "graphic":
-        n = int(_require(obj, "vertices", "graphic system"))
+        n = _number(_require(obj, "vertices", "graphic system"), "vertex count")
         edges = _require(obj, "edges", "graphic system")
         if len(edges) != ground.size:
             raise InputError("graphic ground size must match the edge count")
@@ -122,7 +130,8 @@ def load_matrix(obj) -> MatrixRep:
             raise InputError(f"matrix entry must be [row, col, value]: {entry!r}")
         r, c, val = entry
         r, c = resolve(r, rows, "row"), resolve(c, cols, "column")
-        dense[(r, c)] = int(val) % 2 if field == GF2 else Fraction(str(val))
+        val = _number(val, "matrix entry", field)
+        dense[(r, c)] = val % 2 if field == GF2 else val
     return MatrixRep(
         field=field,
         row_labels=tuple(rows),
@@ -155,9 +164,6 @@ def load_matrix_family(obj) -> PeriodicMatrixSpec:
     if field not in (GF2, Q):
         raise InputError(f"unknown field {field!r}")
 
-    def value(v):
-        return int(v) if field == GF2 else Fraction(str(v))
-
     cols = []
     for pattern in _require(obj, "block_cols", "matrix family file"):
         entries = []
@@ -172,7 +178,7 @@ def load_matrix_family(obj) -> PeriodicMatrixSpec:
                 ref = ("b", str(ref[1]), int(ref[2]))
             else:
                 raise InputError(f"row reference must be ['p', row] or ['b', row, 0|1]: {ref!r}")
-            entries.append((ref, value(val)))
+            entries.append((ref, _number(val, "matrix entry", field)))
         cols.append(tuple(entries))
     return PeriodicMatrixSpec(
         field=field,
@@ -204,8 +210,11 @@ def _pref_ref(ref):
 
 
 def load_family(obj) -> PeriodicGraphSpec:
-    prefix = obj.get("prefix", {})
     repeat = _require(obj, "repeat", "family file")
+    prefix = obj.get("prefix", {})
+    for name, section in (("repeat", repeat), ("prefix", prefix)):
+        if not isinstance(section, dict):
+            raise InputError(f"family {name} section must be an object")
     pre_edges = tuple(
         (_pref_ref(u), _pref_ref(v), str(role))
         for u, v, role in (

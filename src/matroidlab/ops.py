@@ -18,6 +18,8 @@ from .core import (
     GroundSet,
     OracleMatroid,
     System,
+    _downward_closed,
+    _expand,
     check_axioms,
     dual,
     enumerate_bases,
@@ -27,7 +29,7 @@ from .core import (
     uniform_matroid,
 )
 from .errors import InputError
-from .util import INF, is_inf, iter_bits, sort_key, submasks
+from .util import is_inf, sort_key, submasks
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,6 @@ class SpectrumReport:
 # union
 
 
-def _remap(mask: int, mapping: list[int]) -> int:
-    out = 0
-    for i in iter_bits(mask):
-        out |= 1 << mapping[i]
-    return out
-
-
 def union(m1: System, m2: System, cap: int | None = None) -> ExplicitSystem:
     """Independence union: sets S1 | S2 with Si independent in mi.
 
@@ -101,15 +96,10 @@ def union(m1: System, m2: System, cap: int | None = None) -> ExplicitSystem:
     ground = GroundSet(labels)
     map1 = [ground.index(l) for l in m1.ground.labels]
     map2 = [ground.index(l) for l in m2.ground.labels]
-    fam1 = [_remap(s, map1) for s in family_masks(m1, cap)]
-    fam2 = [_remap(s, map2) for s in family_masks(m2, cap)]
-
-    def closed(fam):
-        fs = set(fam)
-        return all(s ^ (1 << e) in fs for s in fam for e in iter_bits(s))
-
+    fam1 = [_expand(s, map1) for s in family_masks(m1, cap)]
+    fam2 = [_expand(s, map2) for s in family_masks(m2, cap)]
     out: set[int] = set()
-    if closed(fam1) and closed(fam2):
+    if _downward_closed(set(fam1)) and _downward_closed(set(fam2)):
         for b1 in maximal_masks(sorted(fam1)):
             for b2 in maximal_masks(sorted(fam2)):
                 out.update(submasks(b1 | b2))

@@ -26,10 +26,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import networkx as nx
-
 from .errors import InputError, ResourceLimitError
-from .util import INF
+from .util import INF, UnionFind, adjacency, bfs_path, disjoint_paths
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +101,14 @@ class PeriodicGraphSpec:
     @property
     def apexes(self) -> tuple[str, ...]:
         return tuple(sorted({a for a, _, _ in self.apex_edges}))
+
+    def slot_counts(self) -> dict:
+        """Number of declared slots per recurring edge kind."""
+        return {
+            "win": len(self.window_edges),
+            "spl": len(self.splice_edges),
+            "apx": len(self.apex_edges),
+        }
 
     def roles(self) -> set[str]:
         out = set()
@@ -208,11 +214,7 @@ class UPEdgeSet:
 
 
 def validate_edge_set(g: PeriodicGraphSpec, s: UPEdgeSet):
-    counts = {
-        "win": len(g.window_edges),
-        "spl": len(g.splice_edges),
-        "apx": len(g.apex_edges),
-    }
+    counts = g.slot_counts()
     for i in s.prefix_present:
         if not 0 <= i < len(g.prefix_edges):
             raise InputError(f"prefix edge index {i} undeclared")
@@ -225,11 +227,7 @@ def validate_edge_set(g: PeriodicGraphSpec, s: UPEdgeSet):
 
 
 def full_edge_set(g: PeriodicGraphSpec) -> UPEdgeSet:
-    pattern = (
-        {("win", j) for j in range(len(g.window_edges))}
-        | {("spl", j) for j in range(len(g.splice_edges))}
-        | {("apx", j) for j in range(len(g.apex_edges))}
-    )
+    pattern = {(kind, j) for kind, n in g.slot_counts().items() for j in range(n)}
     return UPEdgeSet(0, frozenset(range(len(g.prefix_edges))), frozenset(), frozenset(pattern))
 
 
@@ -298,6 +296,8 @@ def run_machine(
     if hit is not None:
         return hit
 
+    # class id per token plus member sets, not util.UnionFind: retiring a
+    # window's tokens needs to delete them from their class
     parent: dict = {}
     members: dict = {}
     next_id = itertools.count()
@@ -306,9 +306,6 @@ def run_machine(
         cid = next(next_id)
         parent[tok] = cid
         members[cid] = {tok}
-
-    def find(tok):
-        return parent[tok]
 
     closed = 0
     cycle_event = None
@@ -439,13 +436,7 @@ def corridors(g: PeriodicGraphSpec) -> tuple[frozenset, ...]:
     finiteness it carries a ray; distinct corridors cannot be joined by any
     finite vertex set, which is exactly the end relation.
     """
-    res = run_machine(g, full_edge_set(g), use_prefix=False, use_apex=False)
-    out = []
-    for cls in res.live:
-        lanes = frozenset(tok[1] for tok in cls if tok[0] == "R")
-        if lanes:
-            out.append(lanes)
-    return tuple(sorted(out, key=lambda lanes: sorted(lanes)))
+    return surviving_classes(g, full_edge_set(g))
 
 
 def ends_of(g: PeriodicGraphSpec) -> dict:
@@ -454,16 +445,16 @@ def ends_of(g: PeriodicGraphSpec) -> dict:
     return dict(zip(g.ends, cors))
 
 
-def _undirected_capacity_graph(nodes, undirected_edges):
-    """Vertex-split digraph: each node capacity 1, edges both ways."""
-    G = nx.DiGraph()
-    big = len(nodes) + len(undirected_edges) + 3
-    for n in nodes:
-        G.add_edge((n, "i"), (n, "o"), capacity=1)
-    for u, v in undirected_edges:
-        G.add_edge((u, "o"), (v, "i"), capacity=big)
-        G.add_edge((v, "o"), (u, "i"), capacity=big)
-    return G, big
+def _lane_ends(g: PeriodicGraphSpec) -> dict:
+    """Lane -> the end label of its corridor."""
+    return {lane: label for label, lanes in ends_of(g).items() for lane in lanes}
+
+
+def _live_lanes(res: MachineResult) -> dict:
+    """Lane -> index in res.live of the class holding it, for live lanes."""
+    return {
+        tok[1]: cid for cid, cls in enumerate(res.live) for tok in cls if tok[0] == "R"
+    }
 
 
 @lru_cache(maxsize=4096)
@@ -475,16 +466,6 @@ def corridor_width(g: PeriodicGraphSpec, lanes: frozenset, s: UPEdgeSet | None =
     limit.  Only pattern-zone edges matter: widths describe tails.
     """
     s = full_edge_set(g) if s is None else s
-    if len(lanes) == 1:
-        # a surviving single lane is one forward path, nothing to pack
-        (lane,) = lanes
-        return int(
-            any(
-                ("spl", j) in s.pattern
-                for j, (u, v, _) in enumerate(g.splice_edges)
-                if u == lane and v == lane
-            )
-        )
     lane_list = sorted(lanes)
     win_present = [
         (u, v)
@@ -505,12 +486,10 @@ def corridor_width(g: PeriodicGraphSpec, lanes: frozenset, s: UPEdgeSet | None =
             edges += [((u, w), (v, w)) for u, v in win_present]
         for w in range(k - 1):
             edges += [((u, w), (v, w + 1)) for u, v in spl_present]
-        G, big = _undirected_capacity_graph(nodes, edges)
-        for l in lane_list:
-            G.add_edge("S", ((l, 0), "i"), capacity=big)
-            G.add_edge(((l, k - 1), "o"), "T", capacity=big)
-        value, _ = nx.maximum_flow(G, "S", "T")
-        history.append(value)
+        paths = disjoint_paths(
+            adjacency(nodes, edges), [(l, 0) for l in lane_list], [(l, k - 1) for l in lane_list]
+        )
+        history.append(len(paths))
         if len(history) >= needed and len(set(history[-needed:])) == 1:
             return history[-1]
     raise ResourceLimitError("corridor width flow did not plateau")
@@ -525,17 +504,8 @@ def ray_bearing_lanes(g: PeriodicGraphSpec, s: UPEdgeSet) -> tuple[dict, int]:
     """Lanes that carry a ray of s, mapped to their end label, plus the
     certification depth (sweep depth of the repeat-only machine on s)."""
     res = run_machine(g, s, use_prefix=False, use_apex=False)
-    ends = ends_of(g)
-    lane_end = {}
-    for label, lanes in ends.items():
-        for lane in lanes:
-            lane_end[lane] = label
-    out = {}
-    for cls in res.live:
-        for tok in cls:
-            if tok[0] == "R":
-                out[tok[1]] = lane_end[tok[1]]
-    return out, res.depth
+    lane_end = _lane_ends(g)
+    return {lane: lane_end[lane] for lane in _live_lanes(res)}, res.depth
 
 
 def surviving_classes(g: PeriodicGraphSpec, s: UPEdgeSet) -> tuple[frozenset, ...]:
@@ -591,7 +561,6 @@ def component_summary(g: PeriodicGraphSpec, s: UPEdgeSet, gluing: dict | None = 
     one more window reproduces it exactly.
     """
     res = _glued_run(g, s, gluing)
-    class_ids = {}
     interface = {}
     for cid, cls in enumerate(res.live):
         for tok in sorted(cls, key=str):
@@ -601,7 +570,6 @@ def component_summary(g: PeriodicGraphSpec, s: UPEdgeSet, gluing: dict | None = 
                 interface[tok[1]] = cid
             else:
                 interface[f"point:{tok[1]}"] = cid
-        class_ids[cls] = cid
     return ComponentSummary(
         count=res.component_count(),
         interface=interface,
@@ -614,40 +582,37 @@ def component_summary(g: PeriodicGraphSpec, s: UPEdgeSet, gluing: dict | None = 
 # explicit truncations (testing backend and witness extraction)
 
 
-def truncate_graph(g: PeriodicGraphSpec, s: UPEdgeSet, depth: int) -> nx.MultiGraph:
-    """Explicit finite graph over windows 0..depth-1, edges restricted to s.
+def truncate_graph(g: PeriodicGraphSpec, s: UPEdgeSet, depth: int) -> tuple[list, list]:
+    """Explicit finite multigraph over windows 0..depth-1, edges restricted to s.
 
-    Nodes are ("p", name) and (lane, w).  Edge keys are instance ids, so
-    parallel copies stay distinguishable.
+    Returns (nodes, edges).  Nodes are ("p", name) and (lane, w); edges are
+    (u, v, instance) triples, so parallel copies stay distinguishable.
     """
     validate_edge_set(g, s)
-    G = nx.MultiGraph()
-    for name in g.prefix_vertices:
-        G.add_node(("p", name))
-    for w in range(depth):
-        for lane in g.repeat_vertices:
-            G.add_node((lane, w))
+    nodes = [("p", name) for name in g.prefix_vertices]
+    nodes += [(lane, w) for w in range(depth) for lane in g.repeat_vertices]
 
     def node_of(ref):
         if isinstance(ref, str):
             return ("p", ref)
         return (ref[1], 0)
 
+    edges = []
     for i in sorted(s.prefix_present):
         u, v, _ = g.prefix_edges[i]
-        G.add_edge(node_of(u), node_of(v), key=("pre", i))
+        edges.append((node_of(u), node_of(v), ("pre", i)))
     for w in range(depth):
         for j, (u, v, _) in enumerate(g.window_edges):
             if s.has("win", j, w):
-                G.add_edge((u, w), (v, w), key=("win", j, w))
+                edges.append(((u, w), (v, w), ("win", j, w)))
         for j, (a, v, _) in enumerate(g.apex_edges):
             if s.has("apx", j, w):
-                G.add_edge(("p", a), (v, w), key=("apx", j, w))
+                edges.append((("p", a), (v, w), ("apx", j, w)))
     for w in range(depth - 1):
         for j, (u, v, _) in enumerate(g.splice_edges):
             if s.has("spl", j, w):
-                G.add_edge((u, w), (v, w + 1), key=("spl", j, w))
-    return G
+                edges.append(((u, w), (v, w + 1), ("spl", j, w)))
+    return nodes, edges
 
 
 # ---------------------------------------------------------------------------
@@ -665,41 +630,16 @@ def contains_finite_cycle(g: PeriodicGraphSpec, s: UPEdgeSet):
     if res.cycle_event is None:
         return False, None
     instance, window = res.cycle_event
-    G = truncate_graph(g, s, window + 2)
-    kind = instance[0]
-    if kind == "pre":
-        u, v, _ = g.prefix_edges[instance[1]]
-        a = ("p", u) if isinstance(u, str) else (u[1], 0)
-        b = ("p", v) if isinstance(v, str) else (v[1], 0)
-    elif kind == "win":
-        _, j, w = instance
-        du, dv, _ = g.window_edges[j]
-        a, b = (du, w), (dv, w)
-    elif kind == "spl":
-        _, j, w = instance
-        du, dv, _ = g.splice_edges[j]
-        a, b = (du, w), (dv, w + 1)
-    else:
-        _, j, w = instance
-        da, dv, _ = g.apex_edges[j]
-        a, b = ("p", da), (dv, w)
-    H = G.copy()
-    H.remove_edge(a, b, key=instance)
-    if a == b:
-        path = [a]
-    else:
-        path = nx.shortest_path(H, a, b)
+    nodes, edges = truncate_graph(g, s, window + 2)
+    a, b, _ = next(e for e in edges if e[2] == instance)
+    rest = [e for e in edges if e[2] != instance]
+    path = [a] if a == b else bfs_path(adjacency(nodes, rest), a, b)
     return True, {"closing_edge": instance, "cycle_vertices": path}
 
 
 def contains_double_ray(g: PeriodicGraphSpec, s: UPEdgeSet):
     """(present, witness): true iff one component of s can seat two disjoint rays."""
-    full = run_machine(g, s)
-    lane_class = {}
-    for cid, cls in enumerate(full.live):
-        for tok in cls:
-            if tok[0] == "R":
-                lane_class[tok[1]] = cid
+    lane_class = _live_lanes(run_machine(g, s))
     per_class: dict[int, list] = {}
     for piece in surviving_classes(g, s):
         width = corridor_width(g, piece, s)
@@ -777,33 +717,14 @@ def domination_witness(g: PeriodicGraphSpec, v, k: int):
         horizon = max(horizon, v[1] + 1)
     src = ("p", v) if isinstance(v, str) else (v[0], v[1])
     for depth in range(horizon + 1, horizon + max(4 * k, 32) + 1):
-        G = truncate_graph(g, s, depth)
-        D = nx.DiGraph()
-        big = G.number_of_nodes() + 2
-        for n in G.nodes:
-            if n == src:
-                continue
-            D.add_edge((n, "i"), (n, "o"), capacity=1)
-        for a, b in G.edges():
-            if a == b:
-                continue
-            if a == src:
-                D.add_edge("SRC", (b, "i"), capacity=big)
-            elif b == src:
-                D.add_edge("SRC", (a, "i"), capacity=big)
-            else:
-                D.add_edge((a, "o"), (b, "i"), capacity=big)
-                D.add_edge((b, "o"), (a, "i"), capacity=big)
-        for lane in g.repeat_vertices:
-            for w in range(horizon, depth):
-                node = (lane, w)
-                if node == src:
-                    continue
-                D.add_edge((node, "o"), "SINK", capacity=big)
-        if "SRC" not in D or "SINK" not in D:
-            continue
-        value, _ = nx.maximum_flow(D, "SRC", "SINK")
-        if value >= k:
+        nodes, edges = truncate_graph(g, s, depth)
+        adj = adjacency(nodes, edges)
+        # paths leave v through distinct neighbours and never return to it
+        starts = list(dict.fromkeys(n for n in adj.pop(src) if n != src))
+        for n in starts:
+            adj[n] = [m for m in adj[n] if m != src]
+        deep = [(lane, w) for lane in g.repeat_vertices for w in range(horizon, depth)]
+        if len(disjoint_paths(adj, starts, [n for n in deep if n != src])) >= k:
             return depth
     return None
 
@@ -900,29 +821,16 @@ def split_components(g: PeriodicGraphSpec):
     of parent indices in the order the component spec declares them.
     """
     nodes = list(g.prefix_vertices) + list(g.repeat_vertices)
-    parent = {n: n for n in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def join(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+    uf = UnionFind()
 
     def name_of(ref):
         return ref if isinstance(ref, str) else ref[1]
 
-    for u, v, _ in g.prefix_edges:
-        join(name_of(u), name_of(v))
-    for u, v, _ in g.window_edges + g.splice_edges + g.apex_edges:
-        join(name_of(u), name_of(v))
+    for u, v, _ in g.prefix_edges + g.window_edges + g.splice_edges + g.apex_edges:
+        uf.union(name_of(u), name_of(v))
     groups: dict = {}
     for n in nodes:
-        groups.setdefault(find(n), []).append(n)
+        groups.setdefault(uf.find(n), []).append(n)
     comps = []
     end_map = ends_of(g)
     for root in sorted(groups, key=lambda r: sorted(groups[r])[0]):

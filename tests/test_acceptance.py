@@ -116,8 +116,17 @@ def random_edge_set(g, rng: random.Random) -> UPEdgeSet:
     return UPEdgeSet(p, prefix, explicit, pattern)
 
 
+def trunc_multigraph(g, s, depth: int) -> nx.MultiGraph:
+    nodes, edges = truncate_graph(g, s, depth)
+    G = nx.MultiGraph()
+    G.add_nodes_from(nodes)
+    for u, v, key in edges:
+        G.add_edge(u, v, key=key)
+    return G
+
+
 def trunc_components(g, s, depth: int) -> int:
-    return nx.number_connected_components(truncate_graph(g, s, depth))
+    return nx.number_connected_components(trunc_multigraph(g, s, depth))
 
 
 def brute_double_ray(g, s, w1: int, w2: int) -> bool:
@@ -129,7 +138,7 @@ def brute_double_ray(g, s, w1: int, w2: int) -> bool:
     disjoint crossings of a strip longer than the stabilization horizon pumps
     into two disjoint rays of the same component.
     """
-    G = nx.Graph(truncate_graph(g, s, w2))
+    G = nx.Graph(trunc_multigraph(g, s, w2))
     comp_of = {}
     for cid, comp in enumerate(nx.connected_components(G)):
         for v in comp:

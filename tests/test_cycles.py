@@ -395,6 +395,23 @@ def test_empty_set_always_fits():
     assert hat_check(LADDER, GA, UPEdgeSet())[0]
 
 
+def test_parallel_prefix_copy_avoids_a_fixed_edge():
+    # a prefix-only piece joined by two parallel copies: fixing either copy
+    # leaves the other to span the piece, fixing both disconnects it
+    g = PeriodicGraphSpec(
+        prefix_vertices=("x", "y"),
+        repeat_vertices=LADDER.repeat_vertices,
+        prefix_edges=(("x", "y", "link"), ("x", "y", "link")),
+        window_edges=LADDER.window_edges,
+        splice_edges=LADDER.splice_edges,
+        ends=LADDER.ends,
+    )
+    for fixed, other in (({0}, 1), ({1}, 0)):
+        ok, wit = hat_check(g, glue_all(g), UPEdgeSet(0, frozenset(fixed)), (1, 1))
+        assert ok and wit["raw"].prefix_present == {other}
+    assert hat_check(g, glue_all(g), UPEdgeSet(0, frozenset({0, 1})), (1, 1)) == (False, None)
+
+
 # ---------------------------------------------------------------------------
 # the engineered exchange failure
 

@@ -40,12 +40,21 @@ RAILS = UPEdgeSet(pattern=frozenset({("spl", 0), ("spl", 1)}))
 COMB = UPEdgeSet(pattern=frozenset({("spl", 0), ("win", 0)}))
 
 
+def trunc_multigraph(g, s, depth):
+    nodes, edges = truncate_graph(g, s, depth)
+    G = nx.MultiGraph()
+    G.add_nodes_from(nodes)
+    for u, v, key in edges:
+        G.add_edge(u, v, key=key)
+    return G
+
+
 def trunc_components(g, s, depth):
-    return nx.number_connected_components(truncate_graph(g, s, depth))
+    return nx.number_connected_components(trunc_multigraph(g, s, depth))
 
 
 def trunc_has_cycle(g, s, depth):
-    G = truncate_graph(g, s, depth)
+    G = trunc_multigraph(g, s, depth)
     return G.number_of_edges() > G.number_of_nodes() - nx.number_connected_components(G)
 
 
@@ -361,7 +370,7 @@ def test_domination_input_validation():
 
 
 def test_truncation_shape():
-    G = truncate_graph(LADDER, full_edge_set(LADDER), 4)
+    G = trunc_multigraph(LADDER, full_edge_set(LADDER), 4)
     assert G.number_of_nodes() == 8
     # 4 rungs + 3 splices per rail
     assert G.number_of_edges() == 4 + 6
@@ -373,7 +382,7 @@ def test_truncation_keeps_parallel_edges():
         splice_edges=(("x", "x", "a"), ("x", "x", "b")),
         ends=("e",),
     )
-    G = truncate_graph(g, full_edge_set(g), 3)
+    G = trunc_multigraph(g, full_edge_set(g), 3)
     assert G.number_of_edges(("x", 0), ("x", 1)) == 2
 
 
