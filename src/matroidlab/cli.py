@@ -9,6 +9,7 @@ needs), 3 resource bound hit, 64 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -439,6 +440,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """build_parser() once per process; parsing never changes the parser."""
+    return build_parser()
+
+
 def _config_echo(args) -> dict:
     config = {"subcommand": args.cmd, "format": args.out}
     for key, value in sorted(vars(args).items()):
@@ -452,7 +459,7 @@ def _config_echo(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

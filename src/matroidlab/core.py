@@ -121,11 +121,18 @@ class ExplicitSystem:
 
 @dataclass(frozen=True)
 class OracleMatroid:
-    """A matroid presented by its rank function on subset masks."""
+    """A matroid presented by its rank function on subset masks.
+
+    grow optionally speeds up family_masks: a pair (state of the empty set,
+    step) where step(state, j) is the state of the set plus element j, or None
+    when j depends on the set.  Wrappers (dual, minors, truncation) leave it
+    unset and fall back on rank calls.
+    """
 
     ground: GroundSet
     rank_fn: Callable[[int], int] = field(compare=False)
     label: str = "matroid"
+    grow: tuple | None = field(default=None, compare=False, repr=False)
 
     def rank(self, mask: int) -> int:
         return self.rank_fn(mask)
@@ -197,7 +204,22 @@ def graphic_matroid(n_vertices: int, edges: Collection[tuple[int, int]], labels=
     def rk(mask: int) -> int:
         return len(spanning_forest([edges[i] for i in iter_bits(mask)]))
 
-    return OracleMatroid(ground, rk, label=f"graphic(n={n_vertices},m={len(edges)})")
+    # sweep state: component label of each vertex an edge touches
+    touched = {x: i for i, x in enumerate(sorted({x for e in edges for x in e}))}
+    ends = [(touched[u], touched[v]) for u, v in edges]
+
+    def step(labels: tuple, j: int):
+        a, b = labels[ends[j][0]], labels[ends[j][1]]
+        if a == b:
+            return None
+        return tuple(a if x == b else x for x in labels)
+
+    return OracleMatroid(
+        ground,
+        rk,
+        label=f"graphic(n={n_vertices},m={len(edges)})",
+        grow=(tuple(range(len(touched))), step),
+    )
 
 
 def from_explicit(sys_: ExplicitSystem) -> OracleMatroid:
@@ -233,6 +255,8 @@ def family_masks(sys_: System, cap: int | None = None) -> list[int]:
     if isinstance(sys_, ExplicitSystem):
         return sys_.family()
     _check_sweep(sys_.ground, cap)
+    if sys_.grow is not None:
+        return _grown_family(sys_.ground.size, *sys_.grow)
     full = sys_.ground.full_mask
     # downward closure lets us skip rank calls on sets with a dependent subset
     indep = bytearray(full + 1)
@@ -246,6 +270,28 @@ def family_masks(sys_: System, cap: int | None = None) -> list[int]:
         if ok:
             indep[mask] = 1
             out.append(mask)
+    return out
+
+
+def _grown_family(size: int, root, step) -> list[int]:
+    """Independent sets of an oracle with a grow pair, ascending.
+
+    Each set is reached from mask ^ low, its lowest element removed, by one
+    step, so every set costs one extension instead of a rank call.  The
+    children of a set add an element below its lowest one; visiting them by
+    ascending element in depth-first preorder lists masks in ascending order,
+    and a dependent set is never extended, as in the rank sweep.
+    """
+    out = []
+
+    def visit(mask: int, state, below: int):
+        out.append(mask)
+        for j in range(below):
+            child = step(state, j)
+            if child is not None:
+                visit(mask | 1 << j, child, j)
+
+    visit(0, root, size)
     return out
 
 
@@ -270,6 +316,16 @@ def _downward_closed(fam_set) -> bool:
     return all(s ^ (1 << e) in fam_set for s in fam_set for e in iter_bits(s))
 
 
+def _maximal_in_closed(fam: list[int], fam_set: set[int]) -> list[int]:
+    """Maximal members of a downward-closed family: no one-bit extension is in it."""
+    width = max(fam).bit_length() if fam else 0
+    return [
+        s
+        for s in fam
+        if not any(not s & (1 << e) and (s | (1 << e)) in fam_set for e in range(width))
+    ]
+
+
 def maximal_masks(fam: list[int]) -> list[int]:
     """Inclusion-maximal members of a family of masks, ascending.
 
@@ -279,12 +335,7 @@ def maximal_masks(fam: list[int]) -> list[int]:
     """
     fam_set = set(fam)
     if _downward_closed(fam_set):
-        width = max(fam).bit_length() if fam else 0
-        return [
-            s
-            for s in fam
-            if not any(not s & (1 << e) and (s | (1 << e)) in fam_set for e in range(width))
-        ]
+        return _maximal_in_closed(fam, fam_set)
     return [s for s in fam if not any(t != s and t & s == s for t in fam)]
 
 
@@ -293,13 +344,7 @@ def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
     fam = family_masks(sys_, cap)
     if isinstance(sys_, OracleMatroid):
         # oracle families are closed by construction of family_masks
-        fam_set = set(fam)
-        m = sys_.ground.size
-        return [
-            s
-            for s in fam
-            if not any(not s & (1 << e) and (s | (1 << e)) in fam_set for e in range(m))
-        ]
+        return _maximal_in_closed(fam, set(fam))
     return maximal_masks(fam)
 
 

@@ -47,8 +47,16 @@ def _number(value, what, field=None):
     """value as a Fraction when field is Q, else as an int."""
     try:
         return Fraction(str(value)) if field == Q else int(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise InputError(f"{what} must be a number: {value!r}") from None
+
+
+def _array(value, what) -> list:
+    """value's items as a list; InputError when it is not iterable."""
+    try:
+        return list(value)
+    except TypeError:
+        raise InputError(f"{what} must be an array: {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +65,7 @@ def _number(value, what, field=None):
 
 def load_system(obj):
     """{"ground": [labels], "kind": ..., payload keys per kind} -> system."""
-    labels = _require(obj, "ground", "system file")
+    labels = [str(x) for x in _array(_require(obj, "ground", "system file"), "system ground")]
     ground = GroundSet.named(labels)
     kind = _require(obj, "kind", "system file")
     if kind == "explicit":
@@ -72,16 +80,24 @@ def load_system(obj):
         return uniform_matroid(_number(rank, "uniform rank"), ground.size, labels=labels)
     if kind == "graphic":
         n = _number(_require(obj, "vertices", "graphic system"), "vertex count")
-        edges = _require(obj, "edges", "graphic system")
+        edges = _graphic_edges(_require(obj, "edges", "graphic system"))
         if len(edges) != ground.size:
             raise InputError("graphic ground size must match the edge count")
-        return graphic_matroid(n, [tuple(e) for e in edges], labels=labels)
+        return graphic_matroid(n, edges, labels=labels)
     if kind == "linear":
         m = load_matrix(_require(obj, "matrix", "linear system"))
         if m.col_labels != ground.labels:
             raise InputError("linear ground must equal the matrix column labels")
         return linear_matroid(m)
     raise InputError(f"unknown system kind {kind!r}")
+
+
+def _graphic_edges(edges) -> list[tuple[int, int]]:
+    pairs = [_array(e, "graphic edge") for e in _array(edges, "graphic edges")]
+    for e in pairs:
+        if len(e) != 2:
+            raise InputError(f"graphic edge must be [u, v]: {e!r}")
+    return [(_number(u, "edge endpoint"), _number(v, "edge endpoint")) for u, v in pairs]
 
 
 def dump_system(sys_) -> dict:
@@ -110,8 +126,8 @@ def load_matrix(obj) -> MatrixRep:
     field = _require(obj, "field", "matrix file")
     if field not in (GF2, Q):
         raise InputError(f"unknown field {field!r}")
-    rows = [str(r) for r in _require(obj, "rows", "matrix file")]
-    cols = [str(c) for c in _require(obj, "cols", "matrix file")]
+    rows = [str(r) for r in _array(_require(obj, "rows", "matrix file"), "matrix rows")]
+    cols = [str(c) for c in _array(_require(obj, "cols", "matrix file"), "matrix cols")]
     zero = 0 if field == GF2 else Fraction(0)
     dense = {(r, c): zero for r in rows for c in cols}
 
@@ -125,10 +141,11 @@ def load_matrix(obj) -> MatrixRep:
         except (IndexError, TypeError):
             raise InputError(f"{what} reference {key!r} out of range") from None
 
-    for entry in _require(obj, "entries", "matrix file"):
-        if len(entry) != 3:
-            raise InputError(f"matrix entry must be [row, col, value]: {entry!r}")
-        r, c, val = entry
+    for entry in _array(_require(obj, "entries", "matrix file"), "matrix entries"):
+        try:
+            r, c, val = entry
+        except (TypeError, ValueError):
+            raise InputError(f"matrix entry must be [row, col, value]: {entry!r}") from None
         r, c = resolve(r, rows, "row"), resolve(c, cols, "column")
         val = _number(val, "matrix entry", field)
         dense[(r, c)] = val % 2 if field == GF2 else val

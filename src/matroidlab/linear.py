@@ -1,14 +1,19 @@
 """Field-backed matroids with exact arithmetic.
 
-Supports GF(2) (columns packed into int bitsets) and the rationals (Fraction
-entries).  No floating point anywhere: membership answers are discrete and a
-rounded pivot would corrupt them.
+Supports GF(2) (columns packed into int bitsets) and the rationals.  Scaling
+a column by a nonzero number leaves the column matroid unchanged, so each
+rational column is multiplied once by the lcm of its denominators and every
+rank is then found by fraction-free elimination over the integers.  No
+floating point anywhere: membership answers are discrete and a rounded pivot
+would corrupt them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from .core import GroundSet, OracleMatroid, graphic_matroid, family_masks
 from .errors import InputError, ResourceLimitError
@@ -81,68 +86,98 @@ class MatrixRep:
             out.append(m)
         return tuple(out)
 
+    @cached_property
+    def rank_columns(self) -> tuple:
+        """Columns as the rank kernels take them: bitsets over GF(2), integer
+        multiples (see _integer_column) over Q."""
+        if self.field == GF2:
+            return self.column_bitsets()
+        return tuple(_integer_column(col) for col in self.columns)
+
 
 # ---------------------------------------------------------------------------
 # exact rank kernels
+#
+# Both kernels keep an echelon basis as a dict from lead index to pivot row
+# and reduce one vector against it at a time; the rank is the pivot count.
+# linear_matroid's incremental sweep extends such a basis by one column.
+
+
+def _integer_column(vec) -> tuple[int, ...]:
+    """vec times the lcm of its denominators: integer entries, same span."""
+    if all(type(a) is int for a in vec):
+        return tuple(vec)
+    fracs = [Fraction(a) for a in vec]
+    den = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs)
+
+
+def _gf2_reduce(pivots: dict, v: int):
+    """(lead, residue) of bitset v against pivots keyed by highest set bit,
+    or None when v lies in their span."""
+    while v:
+        top = v.bit_length() - 1
+        p = pivots.get(top)
+        if p is None:
+            return top, v
+        v ^= p
+    return None
+
+
+def _int_reduce(pivots: dict, v):
+    """(lead, residue) of integer vector v against pivots keyed by lead index,
+    or None when v lies in their span.
+
+    Fraction-free: v <- v*p[lead] - v[lead]*p with both multipliers divided
+    by their gcd, which zeroes v[lead] and leaves the earlier entries zero;
+    the residue is divided by its content so pivot rows stay small.
+    """
+    for lead in range(len(v)):
+        a = v[lead]
+        if not a:
+            continue
+        p = pivots.get(lead)
+        if p is None:
+            g = gcd(*v)
+            return lead, (v if g == 1 else [x // g for x in v])
+        b = p[lead]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        v = [b * x - a * y for x, y in zip(v, p)]
+    return None
+
+
+def _echelon_rank(vectors, reduce) -> int:
+    pivots: dict = {}
+    for v in vectors:
+        hit = reduce(pivots, v)
+        if hit is not None:
+            pivots[hit[0]] = hit[1]
+    return len(pivots)
 
 
 def gf2_rank(vectors) -> int:
     """Rank of int-packed GF(2) vectors by pivoting on the highest set bit."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for v in vectors:
-        while v:
-            top = v.bit_length() - 1
-            if top in pivots:
-                v ^= pivots[top]
-            else:
-                pivots[top] = v
-                rank += 1
-                break
-    return rank
+    return _echelon_rank(vectors, _gf2_reduce)
 
 
 def q_rank(vectors) -> int:
-    """Rank of rational vectors; elimination strictly advances the lead index.
+    """Rank of rational vectors (entries anything Fraction() accepts).
 
-    Entries are coerced to Fraction up front: int entries would otherwise hit
-    true division and drop to floats mid-elimination.
+    Each vector is scaled to integers by _integer_column, then eliminated
+    fraction-free over the integers; no entry is ever a float.
     """
-    pivots: dict[int, list] = {}
-    rank = 0
-    for vec in vectors:
-        v = [Fraction(a) for a in vec]
-        while True:
-            lead = next((i for i, a in enumerate(v) if a != 0), None)
-            if lead is None:
-                break
-            if lead in pivots:
-                p = pivots[lead]
-                c = v[lead] / p[lead]
-                v = [a - c * b for a, b in zip(v, p)]
-            else:
-                pivots[lead] = v
-                rank += 1
-                break
-    return rank
+    return _echelon_rank(map(_integer_column, vectors), _int_reduce)
+
+
+_REDUCE = {GF2: _gf2_reduce, Q: _int_reduce}
 
 
 def matrix_rank(m: MatrixRep, col_mask: int | None = None) -> int:
-    cols = (
-        m.columns
-        if col_mask is None
-        else [m.columns[j] for j in iter_bits(col_mask)]
-    )
-    if m.field == GF2:
-        packed = []
-        for col in cols:
-            b = 0
-            for i, v in enumerate(col):
-                if v:
-                    b |= 1 << i
-            packed.append(b)
-        return gf2_rank(packed)
-    return q_rank(cols)
+    cols = m.rank_columns
+    if col_mask is not None:
+        cols = [cols[j] for j in iter_bits(col_mask)]
+    return _echelon_rank(cols, _REDUCE[m.field])
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +185,30 @@ def matrix_rank(m: MatrixRep, col_mask: int | None = None) -> int:
 
 
 def linear_matroid(m: MatrixRep) -> OracleMatroid:
-    """Column matroid: a subset is independent iff its columns are."""
+    """Column matroid: a subset is independent iff its columns are.
+
+    The oracle carries an incremental sweep for family_masks: a set's state is
+    the echelon basis of its columns, and a one-larger set reduces only the
+    added column against it.
+    """
     ground = GroundSet(m.col_labels)
-    if m.field == GF2:
-        packed = m.column_bitsets()
+    cols = m.rank_columns
+    reduce = _REDUCE[m.field]
 
-        def rk(mask: int) -> int:
-            return gf2_rank([packed[j] for j in iter_bits(mask)])
+    def rk(mask: int) -> int:
+        return matrix_rank(m, mask)
 
-    else:
-        cols = m.columns
+    def step(pivots: dict, j: int):
+        hit = reduce(pivots, cols[j])
+        if hit is None:
+            return None
+        grown = dict(pivots)
+        grown[hit[0]] = hit[1]
+        return grown
 
-        def rk(mask: int) -> int:
-            return q_rank([cols[j] for j in iter_bits(mask)])
-
-    return OracleMatroid(ground, rk, label=f"linear({m.field},{m.n_rows}x{m.n_cols})")
+    return OracleMatroid(
+        ground, rk, label=f"linear({m.field},{m.n_rows}x{m.n_cols})", grow=({}, step)
+    )
 
 
 def incidence_matrix(n_vertices: int, edges, field: str = Q) -> MatrixRep:

@@ -1,13 +1,17 @@
 """Malformed or structure-lacking inputs end in exit code 2, never a traceback."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matroidlab
+from matroidlab.cli import main
 
 # a lane-merging spec whose profile-0 search finds no glued base, so
 # spectrum_search raises StructuralMismatchError
@@ -41,7 +45,48 @@ CASES = {
         NO_BASE_FAMILY,
         ["spectrum", "--prefix", "0", "--family"],
     ),
+    "ground-not-an-array": (
+        {"ground": 5, "kind": "uniform", "rank": 1},
+        ["bases", "--system"],
+    ),
+    "graphic-edge-one-endpoint": (
+        {"ground": ["a"], "kind": "graphic", "vertices": 2, "edges": [[0]]},
+        ["bases", "--system"],
+    ),
+    "graphic-endpoint-not-a-number": (
+        {"ground": ["a"], "kind": "graphic", "vertices": 2, "edges": [["x", 1]]},
+        ["bases", "--system"],
+    ),
+    "matrix-entry-not-an-array": (
+        {
+            "ground": ["x"],
+            "kind": "linear",
+            "matrix": {"field": "q", "rows": ["r"], "cols": ["x"], "entries": [5]},
+        },
+        ["bases", "--system"],
+    ),
+    "graphic-edges-null": (
+        {"ground": ["a"], "kind": "graphic", "vertices": 2, "edges": None},
+        ["bases", "--system"],
+    ),
 }
+
+
+def run_fresh(argv):
+    """The CLI in a new interpreter: (exit code, stdout, stderr)."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(matroidlab.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "matroidlab.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -49,11 +94,87 @@ def test_bad_input_exits_2_without_traceback(name, tmp_path):
     obj, argv = CASES[name]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(matroidlab.__file__))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "matroidlab.cli", *argv, str(path)],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    rc, _, err = run_fresh([*argv, str(path)])
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path):
+    # main keeps one parser per process; a usage error or a bad input in an
+    # earlier call must not change what a later call prints
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"ground": ["a", "b", "c"], "kind": "uniform", "rank": 2}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(CASES["graphic-edges-null"][0]))
+    sequence = [
+        (["bases", "--system", str(good)], 0),
+        (["bases", "--cap", "x", "--system", str(good)], 64),
+        (["bases", "--system", str(bad)], 2),
+        (["axioms", "--system", str(good), "--axioms", "B"], 0),
+        (["bases", "--system", str(good)], 0),
+    ]
+    for argv, code in sequence:
+        rc, out, err = run_in_process(argv)
+        assert (rc, out) == run_fresh(argv)[:2]
+        assert rc == code, err
+        assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# random values in every key of a system file
+
+BASE_SYSTEMS = (
+    {"ground": ["a", "b", "c"], "kind": "explicit", "independent": [[], [0], [1], [2], [0, 1]]},
+    {"ground": ["a", "b", "c"], "kind": "uniform", "rank": 2},
+    {"ground": ["a", "b", "c"], "kind": "graphic", "vertices": 3,
+     "edges": [[0, 1], [1, 2], [2, 0]]},
+    {
+        "ground": ["x", "y", "z"],
+        "kind": "linear",
+        "matrix": {"field": "q", "rows": ["r0", "r1"], "cols": ["x", "y", "z"],
+                   "entries": [["r0", "x", "1/2"], [1, "y", -3], ["r1", 2, 2]]},
+    },
+)
+# (base index, key path); a path of two keys reaches into the matrix object
+KEY_PATHS = [
+    (i, (key,)) for i, base in enumerate(BASE_SYSTEMS) for key in base
+] + [(3, ("matrix", key)) for key in BASE_SYSTEMS[3]["matrix"]]
+MISSING = object()
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def with_value(base, path, value):
+    obj = json.loads(json.dumps(base))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    if value is MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return obj
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("boundary") / "system.json"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(KEY_PATHS),
+    json_values | st.just(MISSING),
+    st.sampled_from((["bases"], ["axioms", "--axioms", "I"], ["axioms", "--axioms", "B"])),
+)
+def test_random_system_values_end_in_a_documented_exit_code(scratch_file, key_path, value, cmd):
+    index, path = key_path
+    scratch_file.write_text(json.dumps(with_value(BASE_SYSTEMS[index], path, value)))
+    rc, _, err = run_in_process([*cmd, "--system", str(scratch_file)])
+    assert rc in (0, 2, 3, 64), err
+    assert "Traceback" not in err

@@ -1,15 +1,22 @@
 """Linear algebra kernels and matrix matroids, checked against brute force."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroidlab import (
     InputError,
+    OracleMatroid,
     ResourceLimitError,
     check_axioms,
+    contract,
+    delete,
+    dual,
     enumerate_circuits,
     family_masks,
     graphic_matroid,
@@ -308,3 +315,130 @@ def test_periodic_spec_validation():
         PeriodicMatrixSpec(Q, ("a",), (), ((( ("p", "a"), 0),),))
     with pytest.raises(InputError):
         PeriodicMatrixSpec(GF2, (), ("r",), ((( ("b", "r", 2), 1),),))
+
+
+# ---------------------------------------------------------------------------
+# integer kernel and incremental sweeps against Fraction references
+
+
+def fraction_rank(vectors) -> int:
+    """Row reduction over Fraction, the reference for q_rank."""
+    rows = [[Fraction(a) for a in v] for v in vectors]
+    rank = 0
+    width = len(rows[0]) if rows else 0
+    for col in range(width):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][col] / rows[rank][col]
+            rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def gf2_reference_rank(vectors) -> int:
+    """Row reduction mod 2 over 0/1 lists."""
+    rows = [[int(a) % 2 for a in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+rationals = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**24),
+)
+
+
+@st.composite
+def rational_vectors(draw):
+    """Vectors of one length, some zero, some combinations of earlier ones."""
+    width = draw(st.integers(1, 5))
+    vectors = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(("free", "zero", "combo")))
+        if kind == "zero" or (kind == "combo" and not vectors):
+            vectors.append([0] * width)
+        elif kind == "free":
+            vectors.append(draw(st.lists(rationals, min_size=width, max_size=width)))
+        else:
+            picks = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=3))
+            coeffs = draw(st.lists(rationals, min_size=len(picks), max_size=len(picks)))
+            vectors.append([
+                sum((c * Fraction(v[i]) for c, v in zip(coeffs, picks)), Fraction(0))
+                for i in range(width)
+            ])
+    return vectors
+
+
+@settings(max_examples=250, deadline=None)
+@given(rational_vectors())
+def test_q_rank_matches_fraction_elimination(vectors):
+    assert q_rank(vectors) == fraction_rank(vectors)
+    # scaling a vector by a nonzero rational never changes the rank
+    scaled = [[Fraction(-7, 3) * Fraction(a) for a in v] for v in vectors]
+    assert q_rank(scaled) == fraction_rank(vectors)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(matroid, reference oracle without a sweep) over GF(2), Q or a multigraph."""
+    kind = draw(st.sampled_from(("gf2", "q", "graphic")))
+    m = draw(st.integers(1, 8))
+    if kind == "graphic":
+        n = draw(st.integers(1, 5))
+        # loops and parallel edges arise freely from independent endpoints
+        edges = draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=m, max_size=m
+        ))
+
+        def ref_rank(mask):
+            g = nx.MultiGraph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from(edges[i] for i in range(m) if mask >> i & 1)
+            return n - nx.number_connected_components(g)
+
+        sys_ = graphic_matroid(n, edges)
+    else:
+        n_rows = draw(st.integers(1, 4))
+        entry = st.integers(0, 1) if kind == "gf2" else rationals
+        rows = draw(st.lists(
+            st.lists(entry, min_size=m, max_size=m), min_size=n_rows, max_size=n_rows
+        ))
+        zero_cols = draw(st.sets(st.integers(0, m - 1), max_size=2))
+        rows = [[0 if j in zero_cols else a for j, a in enumerate(r)] for r in rows]
+        rep = MatrixRep.from_rows(kind, rows)
+        ref = fraction_rank if kind == "q" else gf2_reference_rank
+
+        def ref_rank(mask):
+            return ref([rep.columns[j] for j in range(m) if mask >> j & 1])
+
+        sys_ = linear_matroid(rep)
+    return sys_, OracleMatroid(sys_.ground, ref_rank, label="reference")
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases(), st.data())
+def test_incremental_sweep_matches_rank_sweep(case, data):
+    sys_, ref = case
+    assert sys_.grow is not None
+    fam = family_masks(sys_)
+    assert fam == family_masks(dataclasses.replace(sys_, grow=None))
+    assert fam == family_masks(ref)
+    # wrapped oracles take the rank sweep and see the same matroid
+    x = data.draw(st.integers(0, sys_.ground.full_mask))
+    for op in (dual, lambda s: delete(s, x), lambda s: contract(s, x)):
+        wrapped = op(sys_)
+        assert wrapped.grow is None
+        assert family_masks(wrapped) == family_masks(op(ref))
