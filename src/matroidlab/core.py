@@ -251,36 +251,35 @@ def _check_sweep(ground: GroundSet, cap: int | None):
 
 
 def family_masks(sys_: System, cap: int | None = None) -> list[int]:
-    """All independent sets as masks, ascending. Sweeps the powerset for oracles."""
+    """All independent sets as masks, ascending.
+
+    Oracles are swept with their grow pair when they have one, else with one
+    rank call per candidate set.
+    """
     if isinstance(sys_, ExplicitSystem):
         return sys_.family()
     _check_sweep(sys_.ground, cap)
     if sys_.grow is not None:
         return _grown_family(sys_.ground.size, *sys_.grow)
-    full = sys_.ground.full_mask
-    # downward closure lets us skip rank calls on sets with a dependent subset
-    indep = bytearray(full + 1)
-    out = []
-    for mask in range(full + 1):
-        if mask == 0:
-            ok = sys_.is_independent(0)
-        else:
-            low = mask & -mask
-            ok = bool(indep[mask ^ low]) and sys_.is_independent(mask)
-        if ok:
-            indep[mask] = 1
-            out.append(mask)
-    return out
+    if not sys_.is_independent(0):
+        return []
+
+    def step(mask: int, j: int):
+        child = mask | 1 << j
+        return child if sys_.is_independent(child) else None
+
+    return _grown_family(sys_.ground.size, 0, step)
 
 
 def _grown_family(size: int, root, step) -> list[int]:
-    """Independent sets of an oracle with a grow pair, ascending.
+    """Independent sets reachable from the empty set by step, ascending.
 
     Each set is reached from mask ^ low, its lowest element removed, by one
-    step, so every set costs one extension instead of a rank call.  The
-    children of a set add an element below its lowest one; visiting them by
-    ascending element in depth-first preorder lists masks in ascending order,
-    and a dependent set is never extended, as in the rank sweep.
+    step(state, j), which returns the new set's state or None when it is
+    dependent.  The children of a set add an element below its lowest one;
+    visiting them by ascending element in depth-first preorder lists masks in
+    ascending order.  A dependent set is never extended, so by downward
+    closure no set with a dependent subset is ever tested.
     """
     out = []
 

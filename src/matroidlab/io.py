@@ -65,7 +65,7 @@ def _array(value, what) -> list:
 
 def load_system(obj):
     """{"ground": [labels], "kind": ..., payload keys per kind} -> system."""
-    labels = [str(x) for x in _array(_require(obj, "ground", "system file"), "system ground")]
+    labels = _array(_require(obj, "ground", "system file"), "system ground")
     ground = GroundSet.named(labels)
     kind = _require(obj, "kind", "system file")
     if kind == "explicit":
