@@ -287,6 +287,8 @@ def _scan_entry(text: str, glue_text: str, profile: tuple):
         return (text, ch4_system(int(tail)))
     obj = read_json(text)
     name = Path(text).stem
+    if not isinstance(obj, dict):
+        raise InputError(f"{text}: not a family, edit, or nested pair file")
     if "repeat" in obj:
         fam = load_family(obj)
         return (name, fam, _glue_arg(glue_text, fam))

@@ -24,6 +24,7 @@ from .ops import SpectrumReport
 from .periodic import (
     PeriodicGraphSpec,
     UPEdgeSet,
+    _has_finite_cycle,
     _lane_ends,
     _live_lanes,
     contains_finite_cycle,
@@ -176,15 +177,14 @@ def present_representatives(g: PeriodicGraphSpec, s: UPEdgeSet, context: UPEdgeS
 # glued circles
 
 
-def _glued_slots(g, s, point_map):
-    """Ray slots of s whose end class is glued: one entry per disjoint ray.
+def _glued_pieces(g, s, point_map):
+    """Glued ray-bearing pieces of s as (piece, point, width, component id).
 
-    Returns (slots, adjacency of the truncation); each slot has the unglued
-    component id, the glue point, and its ray's vertex path inside the
-    truncation.
+    A piece is a surviving lane class whose end label is glued; width is its
+    corridor width under s, so it seats that many disjoint rays, and the
+    component id is the piece's live class in the unglued sweep of s.
     """
-    full = run_machine(g, s)
-    lane_cid = _live_lanes(full)
+    lane_cid = _live_lanes(run_machine(g, s))
     lane_end = _lane_ends(g)
     pieces = []
     for piece in surviving_classes(g, s):
@@ -193,21 +193,27 @@ def _glued_slots(g, s, point_map):
             continue
         width = corridor_width(g, piece, s)
         if width:
-            pieces.append((piece, point_map[label], width))
-    if not pieces:
-        return [], None
+            pieces.append((piece, point_map[label], width, lane_cid[min(piece)]))
+    return pieces
+
+
+def _glued_slots(g, s, pieces):
+    """Ray slots of the glued pieces: one entry per disjoint ray.
+
+    Returns (slots, adjacency of the truncation); each slot has the unglued
+    component id, the glue point, and its ray's vertex path inside the
+    truncation.  Packing is the costly part, so _find_circle counts rays per
+    component first and calls this only when some component has two.
+    """
+    full = run_machine(g, s)
     stab2 = run_machine(g, s, use_prefix=False, use_apex=False).depth
     start = max(full.depth, stab2, s.p) + 1
-    depth = start + max(len(p) for p, _, _ in pieces) + sum(w for _, _, w in pieces) + 4
+    depth = start + max(len(p) for p, _, _, _ in pieces) + sum(w for _, _, w, _ in pieces) + 4
     nodes, edges = truncate_graph(g, s, depth)
     slots = []
-    for piece, point, width in pieces:
+    for piece, point, width, cid in pieces:
         for path in _disjoint_forward_paths(edges, piece, start, depth, width):
-            slots.append(
-                {"cid": lane_cid[min(piece)], "point": point, "path": path}
-            )
-    if len(slots) > 12:
-        raise ResourceLimitError("too many glued ray slots to arrange")
+            slots.append({"cid": cid, "point": point, "path": path})
     return slots, adjacency(nodes, edges)
 
 
@@ -248,13 +254,30 @@ def _minimal_arc(adj, slot_a, slot_b):
 
 
 def _find_circle(g, s, glue):
-    """A circle witness in s (assumed finite-cycle-free), or None."""
+    """A circle witness in s (assumed finite-cycle-free), or None.
+
+    Rays are counted before they are packed.  Every circle needs two ray
+    slots in one component: a one-segment circle uses two slots at one point,
+    and each arc of a longer circle joins two slots of the same component.
+    So when no component holds two glued rays the answer is None, without a
+    truncation or a path packing.
+    """
     point_map = glue.as_map()
     if not point_map:
         return None
-    slots, adj = _glued_slots(g, s, point_map)
-    if not slots:
+    pieces = _glued_pieces(g, s, point_map)
+    rays = Counter()
+    for _, _, width, cid in pieces:
+        rays[cid] += width
+    if sum(rays.values()) > 12:
+        raise ResourceLimitError("too many glued ray slots to arrange")
+    if max(rays.values(), default=0) < 2:
         return None
+    return _circle_in_slots(*_glued_slots(g, s, pieces))
+
+
+def _circle_in_slots(slots, adj):
+    """A circle witness through the packed ray slots, or None."""
     # one segment: two rays to the same point inside one component; the tree
     # path between them always completes the double ray
     counts = Counter((sl["cid"], sl["point"]) for sl in slots)
@@ -327,6 +350,11 @@ def cycle_independent(g: PeriodicGraphSpec, s: UPEdgeSet, glue: GluingSpec | Non
     return True, None
 
 
+def _independent(g, s, glue) -> bool:
+    """cycle_independent's verdict alone, for a validated gluing."""
+    return not _has_finite_cycle(g, s) and _find_circle(g, s, glue) is None
+
+
 def cycle_is_base(g: PeriodicGraphSpec, s: UPEdgeSet, glue: GluingSpec | None = None):
     """(is_base, obstruction): dependent sets return their violation,
     extendable sets return the addable instance."""
@@ -335,7 +363,7 @@ def cycle_is_base(g: PeriodicGraphSpec, s: UPEdgeSet, glue: GluingSpec | None = 
     if not ok:
         return False, why
     for rep in absent_representatives(g, s):
-        if cycle_independent(g, s.with_edge(rep), glue)[0]:
+        if _independent(g, s.with_edge(rep), glue):
             return False, {"kind": "addable", "edge": rep}
     return True, None
 
@@ -346,7 +374,7 @@ def fin_is_base(g: PeriodicGraphSpec, s: UPEdgeSet):
     if present:
         return False, {"kind": "finite-cycle", **wit}
     for rep in absent_representatives(g, s):
-        if not contains_finite_cycle(g, s.with_edge(rep))[0]:
+        if not _has_finite_cycle(g, s.with_edge(rep)):
             return False, {"kind": "addable", "edge": rep}
     return True, None
 
@@ -383,7 +411,7 @@ def extend_to_fin_base(g: PeriodicGraphSpec, s: UPEdgeSet):
     Returns None when the defect is infinite.  Each added edge must not close
     a finite cycle; the loop ends when every absent instance would.
     """
-    if contains_finite_cycle(g, s)[0]:
+    if _has_finite_cycle(g, s):
         raise InputError("only finite-cycle-free sets extend to a base")
     d = defect(g, s)
     if d is INF:
@@ -392,7 +420,7 @@ def extend_to_fin_base(g: PeriodicGraphSpec, s: UPEdgeSet):
     # each accepted edge joins two components of cur, so d additions suffice
     for _ in range(d + 1):
         for rep in absent_representatives(g, cur):
-            if not contains_finite_cycle(g, cur.with_edge(rep))[0]:
+            if not _has_finite_cycle(g, cur.with_edge(rep)):
                 cur = cur.with_edge(rep)
                 break
         else:
@@ -452,7 +480,7 @@ def _component_spectrum(g, glue, p):
     out = {}
     for cand in _candidate_sets(g, p):
         d = defect(g, cand)
-        if d in out:
+        if d in out or _has_finite_cycle(g, cand):
             continue
         if not cycle_is_base(g, cand, glue)[0]:
             continue
@@ -663,7 +691,7 @@ def hat_check(
             if edge_sets_intersect(cand, local_s):
                 continue
             joint = edge_sets_union(cand, local_s)
-            if contains_finite_cycle(spec, joint)[0]:
+            if _has_finite_cycle(spec, joint):
                 continue
             if defect(spec, joint) is INF:
                 # no finite extension reaches a spanning set
@@ -737,7 +765,7 @@ def verify_i3_violation(g: PeriodicGraphSpec, glue: GluingSpec | None = None):
     D = edge_sets_difference(H_f, S1)
     claim(5, not edge_set_is_empty(D), "the two bases do not differ")
     for rep in present_representatives(g, D, S1):
-        if cycle_independent(g, S1.with_edge(rep), glue)[0]:
+        if _independent(g, S1.with_edge(rep), glue):
             raise StructuralMismatchError(
                 f"sub-claim 5 failed: instance {rep} from the base difference "
                 f"extends the stranded set"
@@ -775,14 +803,20 @@ def nearly_finitary_verdict(g: PeriodicGraphSpec, glue: GluingSpec | None = None
     The defect of any glued base is bounded by the number of vertex-disjoint
     rays converging to glued points: each edge a base is missing strands a
     component that still reaches a glue point, and only that many components
-    can do so disjointly.  With nothing glued the two systems coincide.
+    can do so disjointly.  With nothing glued, or with glued ends that carry
+    no ray, no circle exists and the two systems coincide.
     """
     glue = _gluing(g, glue)
     glued_labels = {label for i in glue.psi for label in glue.groups[i]}
     end_map = ends_of(g)
     k = sum(corridor_width(g, end_map[label]) for label in sorted(glued_labels))
-    if k == 0:
+    if not glued_labels:
         notes = ("no end class is glued, so the system equals its finite-cycle system",)
+    elif k == 0:
+        notes = (
+            "the glued end classes carry no ray, so the system equals its "
+            "finite-cycle system",
+        )
     else:
         notes = (
             f"every base of the glued system extends to a finite-cycle base "

@@ -21,16 +21,24 @@ from .cycles import (
     glue_all,
     spectrum_search,
 )
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .ops import NestedPair, SpectrumReport, spectrum as finite_spectrum
 from .periodic import (
     PeriodicGraphSpec,
     UPEdgeSet,
-    contains_finite_cycle,
+    _has_finite_cycle,
     shift_edge_set,
     unroll,
 )
 from .util import INF
+
+
+# an edit at window w unrolls w + 1 windows into the prefix
+MAX_EDIT_WINDOW = 64
+
+
+def _in_range(index, bound) -> bool:
+    return isinstance(index, int) and 0 <= index < bound
 
 
 def _collect_finite(g: PeriodicGraphSpec, instances) -> UPEdgeSet:
@@ -40,19 +48,25 @@ def _collect_finite(g: PeriodicGraphSpec, instances) -> UPEdgeSet:
     for item in instances:
         inst = tuple(item)
         if len(inst) == 2 and inst[0] == "pre":
-            if not 0 <= inst[1] < len(g.prefix_edges):
-                raise InputError(f"prefix edge index {inst[1]} out of range")
+            if not _in_range(inst[1], len(g.prefix_edges)):
+                raise InputError(f"prefix edge index {inst[1]!r} out of range")
             pre.add(inst[1])
             continue
         if len(inst) == 2:
             raise InputError(
                 f"{inst!r} names a recurring slot; finite edits take single instances"
             )
+        if len(inst) != 3:
+            raise InputError(f"edge instance must be ['pre', i] or [kind, slot, window]: {inst!r}")
         kind, j, w = inst
-        if kind not in ("win", "spl", "apx") or not 0 <= j < g.slot_counts()[kind]:
+        if kind not in ("win", "spl", "apx") or not _in_range(j, g.slot_counts()[kind]):
             raise InputError(f"no such edge slot: {inst!r}")
         if not isinstance(w, int) or w < 0:
             raise InputError(f"window index must be a natural number: {inst!r}")
+        if w > MAX_EDIT_WINDOW:
+            raise ResourceLimitError(
+                f"edit at window {w}; edits are capped at window {MAX_EDIT_WINDOW}"
+            )
         explicit.add((kind, j, w))
     p = 1 + max((w for _, _, w in explicit), default=-1)
     return UPEdgeSet(p, frozenset(pre), frozenset(explicit), frozenset())
@@ -146,7 +160,7 @@ def contract_coloops(
         missing = edge_sets_difference(t_set, cand)
         if not (missing.prefix_present or missing.explicit):
             continue
-        if contains_finite_cycle(g, cand)[0]:
+        if _has_finite_cycle(g, cand):
             continue
         if cycle_is_base(g, cand, glue)[0]:
             raise InputError(

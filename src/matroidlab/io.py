@@ -31,6 +31,8 @@ def read_json(path):
         raise InputError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # a directory, a NUL in the name, non-UTF-8 bytes
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def json_text(obj) -> str:
@@ -57,6 +59,11 @@ def _array(value, what) -> list:
         return list(value)
     except TypeError:
         raise InputError(f"{what} must be an array: {value!r}") from None
+
+
+def _names(value, what) -> tuple:
+    """value's items as strings, for vertex, row and end labels."""
+    return tuple(str(v) for v in _array(value, what))
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +189,25 @@ def load_matrix_family(obj) -> PeriodicMatrixSpec:
         raise InputError(f"unknown field {field!r}")
 
     cols = []
-    for pattern in _require(obj, "block_cols", "matrix family file"):
+    for pattern in _array(_require(obj, "block_cols", "matrix family file"), "block columns"):
         entries = []
-        for item in pattern:
-            if len(item) != 2:
+        for item in _array(pattern, "block column"):
+            if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise InputError(f"pattern entry must be [rowref, value]: {item!r}")
             ref, val = item
             ref = list(ref) if isinstance(ref, (list, tuple)) else [ref]
             if ref and ref[0] == "p" and len(ref) == 2:
                 ref = ("p", str(ref[1]))
             elif ref and ref[0] == "b" and len(ref) == 3:
-                ref = ("b", str(ref[1]), int(ref[2]))
+                ref = ("b", str(ref[1]), _number(ref[2], "block row offset"))
             else:
                 raise InputError(f"row reference must be ['p', row] or ['b', row, 0|1]: {ref!r}")
             entries.append((ref, _number(val, "matrix entry", field)))
         cols.append(tuple(entries))
     return PeriodicMatrixSpec(
         field=field,
-        persistent_rows=tuple(str(r) for r in obj.get("persistent_rows", [])),
-        block_rows=tuple(str(r) for r in obj.get("block_rows", [])),
+        persistent_rows=_names(obj.get("persistent_rows", []), "persistent rows"),
+        block_rows=_names(obj.get("block_rows", []), "block rows"),
         block_cols=tuple(cols),
     )
 
@@ -210,7 +217,7 @@ def load_matrix_family(obj) -> PeriodicMatrixSpec:
 
 
 def _edge_entry(entry, default_role, context):
-    entry = list(entry)
+    entry = _array(entry, f"{context} edge")
     if len(entry) == 2:
         entry.append(default_role)
     if len(entry) != 3:
@@ -232,40 +239,41 @@ def load_family(obj) -> PeriodicGraphSpec:
     for name, section in (("repeat", repeat), ("prefix", prefix)):
         if not isinstance(section, dict):
             raise InputError(f"family {name} section must be an object")
+
+    def edges(section, key, default_role, context):
+        return [
+            _edge_entry(e, default_role, context)
+            for e in _array(section.get(key, []), f"{context} edges")
+        ]
+
     pre_edges = tuple(
         (_pref_ref(u), _pref_ref(v), str(role))
-        for u, v, role in (
-            _edge_entry(e, "link", "prefix") for e in prefix.get("edges", [])
-        )
+        for u, v, role in edges(prefix, "edges", "link", "prefix")
     )
     win_edges = tuple(
         (str(u), str(v), str(role))
-        for u, v, role in (
-            _edge_entry(e, "window", "repeat") for e in repeat.get("edges", [])
-        )
+        for u, v, role in edges(repeat, "edges", "window", "repeat")
     )
     spl_edges = tuple(
         (str(u), str(v), str(role))
-        for u, v, role in (
-            _edge_entry(e, "splice", "splice") for e in obj.get("splice", [])
-        )
+        for u, v, role in edges(obj, "splice", "splice", "splice")
     )
     apex_edges = []
-    for block in obj.get("apex", []):
+    for block in _array(obj.get("apex", []), "apex blocks"):
         vertex = str(_require(block, "vertex", "apex block"))
-        for item in _require(block, "per_block_edges", "apex block"):
-            entry = [item, "apex"] if isinstance(item, str) else list(item)
+        for item in _array(_require(block, "per_block_edges", "apex block"), "apex edges"):
+            entry = [item, "apex"] if isinstance(item, str) else _array(item, "apex edge")
             if len(entry) != 2:
                 raise InputError(f"apex edge must be lane or [lane, role]: {item!r}")
             apex_edges.append((vertex, str(entry[0]), str(entry[1])))
     return PeriodicGraphSpec(
-        prefix_vertices=tuple(str(v) for v in prefix.get("vertices", [])),
-        repeat_vertices=tuple(str(v) for v in _require(repeat, "vertices", "repeat")),
+        prefix_vertices=_names(prefix.get("vertices", []), "prefix vertices"),
+        repeat_vertices=_names(_require(repeat, "vertices", "repeat"), "repeat vertices"),
         prefix_edges=pre_edges,
         window_edges=win_edges,
         splice_edges=spl_edges,
         apex_edges=tuple(apex_edges),
-        ends=tuple(str(e) for e in obj.get("ends", [])),
+        ends=_names(obj.get("ends", []), "ends"),
     )
 
 
@@ -301,15 +309,12 @@ def load_edge_set(obj) -> UPEdgeSet:
 
 
 def load_gluing(obj) -> GluingSpec:
-    groups = _require(obj, "groups", "gluing file")
-    psi = _require(obj, "psi", "gluing file")
-    try:
-        return GluingSpec(
-            tuple(tuple(str(x) for x in grp) for grp in groups),
-            tuple(int(i) for i in psi),
-        )
-    except TypeError:
-        raise InputError("gluing groups must be arrays of end labels") from None
+    groups = _array(_require(obj, "groups", "gluing file"), "gluing groups")
+    psi = _array(_require(obj, "psi", "gluing file"), "gluing psi")
+    return GluingSpec(
+        tuple(_names(grp, "gluing group") for grp in groups),
+        tuple(_number(i, "glued group index") for i in psi),
+    )
 
 
 def dump_gluing(glue: GluingSpec) -> dict:
@@ -330,7 +335,7 @@ def load_edit(obj, base_dir=None):
     family = load_family(base)
 
     def instances(key):
-        return [tuple(item) for item in obj.get(key, [])]
+        return [tuple(_array(item, f"{key} instance")) for item in _array(obj.get(key, []), key)]
 
     return family, instances("delete"), instances("contract")
 

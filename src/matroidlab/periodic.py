@@ -23,7 +23,7 @@ answers about the infinite object exact rather than sampled.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .errors import InputError, ResourceLimitError
@@ -115,6 +115,19 @@ class PeriodicGraphSpec:
         for decl in self.prefix_edges + self.window_edges + self.splice_edges + self.apex_edges:
             out.add(decl[2])
         return out
+
+    def __hash__(self):
+        # specs key the machine and width caches; hash the nested tuples once
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        # str hashes are salted per process, so an unpickled spec rehashes
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 @dataclass(frozen=True)
@@ -289,12 +302,12 @@ def run_machine(
     maps ray-bearing lanes to glue point names; those unions start at window
     glue_from (the caller passes the depth at which ray-bearing is certified).
     """
-    validate_edge_set(g, s)
     glue_lanes = glue_lanes or {}
     cache_key = (g, s, use_prefix, use_apex, tuple(sorted(glue_lanes.items())), glue_from)
     hit = _machine_cache.get(cache_key)
     if hit is not None:
-        return hit
+        return hit  # (g, s) was validated when the entry was made
+    validate_edge_set(g, s)
 
     # class id per token plus member sets, not util.UnionFind: retiring a
     # window's tokens needs to delete them from their class
@@ -457,26 +470,31 @@ def _live_lanes(res: MachineResult) -> dict:
     }
 
 
-@lru_cache(maxsize=4096)
 def corridor_width(g: PeriodicGraphSpec, lanes: frozenset, s: UPEdgeSet | None = None) -> int:
     """Maximum vertex-disjoint forward paths the corridor sustains per window.
 
     Computed as max flow across k-window strips of the pattern zone; the
     values decrease with k, and a plateau of length |lanes|+1 is taken as the
-    limit.  Only pattern-zone edges matter: widths describe tails.
+    limit.  Only pattern-zone edges matter: widths describe tails.  The
+    plateau is cached on what the strips are built from: the sorted lanes and
+    the window and splice pairs of s.pattern with both ends inside them.
     """
-    s = full_edge_set(g) if s is None else s
-    lane_list = sorted(lanes)
-    win_present = [
+    pattern = full_edge_set(g).pattern if s is None else s.pattern
+    win_present = tuple(
         (u, v)
         for j, (u, v, _) in enumerate(g.window_edges)
-        if ("win", j) in s.pattern and u in lanes and v in lanes
-    ]
-    spl_present = [
+        if ("win", j) in pattern and u in lanes and v in lanes
+    )
+    spl_present = tuple(
         (u, v)
         for j, (u, v, _) in enumerate(g.splice_edges)
-        if ("spl", j) in s.pattern and u in lanes and v in lanes
-    ]
+        if ("spl", j) in pattern and u in lanes and v in lanes
+    )
+    return _strip_width(tuple(sorted(lanes)), win_present, spl_present)
+
+
+@lru_cache(maxsize=4096)
+def _strip_width(lane_list: tuple, win_present: tuple, spl_present: tuple) -> int:
     history = []
     needed = len(lane_list) + 1
     for k in range(2, 8 * (len(lane_list) + 2)):
@@ -617,6 +635,11 @@ def truncate_graph(g: PeriodicGraphSpec, s: UPEdgeSet, depth: int) -> tuple[list
 
 # ---------------------------------------------------------------------------
 # finite cycles and double rays
+
+
+def _has_finite_cycle(g: PeriodicGraphSpec, s: UPEdgeSet) -> bool:
+    """contains_finite_cycle without its witness, for callers that drop it."""
+    return run_machine(g, s).cycle_event is not None
 
 
 def contains_finite_cycle(g: PeriodicGraphSpec, s: UPEdgeSet):

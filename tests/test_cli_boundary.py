@@ -69,6 +69,26 @@ CASES = {
         {"ground": ["a"], "kind": "graphic", "vertices": 2, "edges": None},
         ["bases", "--system"],
     ),
+    "family-ends-not-an-array": (
+        {"repeat": {"vertices": ["a"]}, "splice": [["a", "a"]], "ends": 5},
+        ["rays", "--family"],
+    ),
+    "family-repeat-vertices-not-an-array": (
+        {"repeat": {"vertices": 5}, "splice": [["a", "a"]], "ends": ["e"]},
+        ["rays", "--family"],
+    ),
+    "edit-base-is-a-directory": (
+        {"base": ".", "delete": []},
+        ["scan", "--prefix", "0"],
+    ),
+    "scan-target-is-a-number": (
+        5,
+        ["scan", "--prefix", "0"],
+    ),
+    "family-splice-not-an-array": (
+        {"repeat": {"vertices": ["a"]}, "splice": [5], "ends": ["e"]},
+        ["rays", "--family"],
+    ),
 }
 
 
@@ -176,5 +196,70 @@ def test_random_system_values_end_in_a_documented_exit_code(scratch_file, key_pa
     index, path = key_path
     scratch_file.write_text(json.dumps(with_value(BASE_SYSTEMS[index], path, value)))
     rc, _, err = run_in_process([*cmd, "--system", str(scratch_file)])
+    assert rc in (0, 2, 3, 64), err
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# random values in every key of a family, a gluing, an edit and a matrix
+# family file
+
+# the bean family: a hub v heading the top rail and spoking the bottom one
+BASE_FAMILY = {
+    "prefix": {"vertices": ["v"], "edges": [["v", ["r", "x"], "top"]]},
+    "repeat": {"vertices": ["x", "y"], "edges": []},
+    "splice": [["x", "x", "top"], ["y", "y", "bottom"]],
+    "apex": [{"vertex": "v", "per_block_edges": [["y", "spoke"]]}],
+    "ends": ["end_top", "end_bottom"],
+}
+BASE_FILES = {
+    "family": BASE_FAMILY,
+    "gluing": {"groups": [["end_top"], ["end_bottom"]], "psi": [1]},
+    "edit": {"base": BASE_FAMILY, "delete": [["spl", 0, 1]], "contract": [["pre", 0]]},
+    "matrix_family": {
+        "field": "q",
+        "persistent_rows": ["a"],
+        "block_rows": ["x"],
+        "block_cols": [[[["p", "a"], 1], [["b", "x", 0], 1]], [[["b", "x", 0], 1], [["b", "x", 1], -1]]],
+    },
+}
+
+
+def key_paths(obj, path=()):
+    """Every key and list index below obj, outermost first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from key_paths(value, path + (key,))
+
+
+FILE_KEY_PATHS = [(name, path) for name, base in BASE_FILES.items() for path in key_paths(base)]
+FILE_COMMANDS = (
+    ["rays", "--family", "{family}", "--glue", "{gluing}"],
+    ["spectrum", "--prefix", "0", "--family", "{family}", "--glue", "{gluing}"],
+    ["scan", "--prefix", "0", "--glue", "{gluing}", "{family}", "{edit}"],
+    ["thin", "--matrix-family", "{matrix_family}"],
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("family-boundary")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(FILE_KEY_PATHS),
+    json_values | st.just(MISSING),
+    st.sampled_from(FILE_COMMANDS),
+)
+def test_random_family_values_end_in_a_documented_exit_code(scratch_dir, key_path, value, cmd):
+    name, path = key_path
+    paths = {}
+    for file, base in BASE_FILES.items():
+        obj = with_value(base, path, value) if file == name else base
+        paths[file] = scratch_dir / f"{file}.json"
+        paths[file].write_text(json.dumps(obj))
+    rc, _, err = run_in_process([arg.format(**paths) for arg in cmd])
     assert rc in (0, 2, 3, 64), err
     assert "Traceback" not in err

@@ -452,6 +452,33 @@ def test_verdict_without_gluing_is_finitary():
     assert rep.verdict == "yes" and rep.k == 0
 
 
+def test_verdict_note_when_nothing_is_glued():
+    rep = nearly_finitary_verdict(LADDER, no_glue(LADDER))
+    assert rep.k == 0
+    assert rep.notes == (
+        "no end class is glued, so the system equals its finite-cycle system",
+    )
+
+
+# lanes a and b swap at every splice; the engine reads each lane as its own
+# corridor of width 0 (the lane-permutation defect of the window sweep), so
+# both ends are glued yet no glued corridor carries a ray
+SWAP = PeriodicGraphSpec(
+    repeat_vertices=("a", "b"),
+    splice_edges=(("a", "b", "top"), ("b", "a", "bottom")),
+    ends=("e0", "e1"),
+)
+
+
+def test_verdict_note_when_glued_ends_carry_no_ray():
+    rep = nearly_finitary_verdict(SWAP, glue_all(SWAP))
+    assert rep.k == 0
+    assert rep.notes == (
+        "the glued end classes carry no ray, so the system equals its "
+        "finite-cycle system",
+    )
+
+
 def test_verdict_serializes():
     d = nearly_finitary_verdict(LADDER, GA).to_dict()
     assert d["verdict"] == "yes" and d["k"] == 2 and d["notes"]

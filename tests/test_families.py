@@ -5,8 +5,9 @@ from dataclasses import replace
 import pytest
 
 from matroidlab.cycles import glue_all, spectrum_search
-from matroidlab.errors import InputError
+from matroidlab.errors import InputError, ResourceLimitError
 from matroidlab.families import (
+    MAX_EDIT_WINDOW,
     ContractedSystem,
     contract_coloops,
     delete_edges,
@@ -84,6 +85,15 @@ def test_delete_rejects_unknown_edges():
         delete_edges(LADDER, [("win", 5, 0)])
     with pytest.raises(InputError):
         delete_edges(LADDER, [("win", 0, -1)])
+    for bad in (("win", "0", 0), ("win", 0.5, 0), ("pre", "x"), ("win", 0, 0, 0), ("win",)):
+        with pytest.raises(InputError):
+            delete_edges(LADDER, [bad])
+
+
+def test_delete_caps_the_unrolled_windows():
+    assert delete_edges(LADDER, [("win", 0, MAX_EDIT_WINDOW)]).prefix_vertices
+    with pytest.raises(ResourceLimitError):
+        delete_edges(LADDER, [("win", 0, 10**9)])
 
 
 # ---------------------------------------------------------------------------
