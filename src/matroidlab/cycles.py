@@ -6,6 +6,13 @@ through glue points; a circle is a cyclic arrangement of m >= 1 vertex-disjoint
 double rays whose tails converge to the (distinct) glue points it visits, the
 minimal case being one double ray with both tails at the same point.
 
+Inside a finite-cycle-free set every component is a tree, and any two disjoint
+rays of a tree join into a double ray.  Whether a circle exists therefore
+depends only on how many disjoint rays each component sends to each glue
+point: there is one exactly when some component sends two rays to one point,
+or when the bipartite multigraph with one edge per ray, from its component to
+its glue point, has a cycle.
+
 Bases of this system are compared against bases of the plain finite-cycle
 system: the defect of a glued base is how many edges it needs to become one of
 those, and the spectrum collects the defects of all bases within a search
@@ -24,9 +31,8 @@ from .ops import SpectrumReport
 from .periodic import (
     PeriodicGraphSpec,
     UPEdgeSet,
+    _component_rays,
     _has_finite_cycle,
-    _lane_ends,
-    _live_lanes,
     contains_finite_cycle,
     corridor_width,
     edges_by_role,
@@ -34,10 +40,8 @@ from .periodic import (
     full_edge_set,
     run_machine,
     split_components,
-    surviving_classes,
-    truncate_graph,
 )
-from .util import INF, adjacency, bfs_path, disjoint_paths, sort_key, spanning_forest
+from .util import INF, bfs_path, sort_key, spanning_forest
 
 
 # ---------------------------------------------------------------------------
@@ -177,160 +181,52 @@ def present_representatives(g: PeriodicGraphSpec, s: UPEdgeSet, context: UPEdgeS
 # glued circles
 
 
-def _glued_pieces(g, s, point_map):
-    """Glued ray-bearing pieces of s as (piece, point, width, component id).
-
-    A piece is a surviving lane class whose end label is glued; width is its
-    corridor width under s, so it seats that many disjoint rays, and the
-    component id is the piece's live class in the unglued sweep of s.
-    """
-    lane_cid = _live_lanes(run_machine(g, s))
-    lane_end = _lane_ends(g)
-    pieces = []
-    for piece in surviving_classes(g, s):
-        label = lane_end[min(piece)]
-        if label not in point_map:
-            continue
-        width = corridor_width(g, piece, s)
-        if width:
-            pieces.append((piece, point_map[label], width, lane_cid[min(piece)]))
-    return pieces
-
-
-def _glued_slots(g, s, pieces):
-    """Ray slots of the glued pieces: one entry per disjoint ray.
-
-    Returns (slots, adjacency of the truncation); each slot has the unglued
-    component id, the glue point, and its ray's vertex path inside the
-    truncation.  Packing is the costly part, so _find_circle counts rays per
-    component first and calls this only when some component has two.
-    """
-    full = run_machine(g, s)
-    stab2 = run_machine(g, s, use_prefix=False, use_apex=False).depth
-    start = max(full.depth, stab2, s.p) + 1
-    depth = start + max(len(p) for p, _, _, _ in pieces) + sum(w for _, _, w, _ in pieces) + 4
-    nodes, edges = truncate_graph(g, s, depth)
-    slots = []
-    for piece, point, width, cid in pieces:
-        for path in _disjoint_forward_paths(edges, piece, start, depth, width):
-            slots.append({"cid": cid, "point": point, "path": path})
-    return slots, adjacency(nodes, edges)
-
-
-def _disjoint_forward_paths(edges, lanes, start, depth, width):
-    """width vertex-disjoint paths from window `start` to the last window,
-    inside the given lanes; realizes the corridor width in the truncation."""
-    lanes = sorted(lanes)
-    nodes = {(l, w) for l in lanes for w in range(start, depth)}
-    strip = [e for e in edges if e[0] in nodes and e[1] in nodes]
-    paths = disjoint_paths(
-        adjacency(nodes, strip), [(l, start) for l in lanes], [(l, depth - 1) for l in lanes]
-    )
-    if len(paths) < width:
-        raise ResourceLimitError(
-            f"expected {width} forward paths, packed {len(paths)} in the truncation"
-        )
-    return paths[:width]
-
-
-def _minimal_arc(adj, slot_a, slot_b):
-    """Least vertex set realizing a double ray through the two slots' rays.
-
-    Only valid inside a finite-cycle-free set: the component is a tree, so the
-    bridge between the two rays is unique and every realization contains it.
-    """
-    walk = bfs_path(adj, slot_a["path"][0], slot_b["path"][0])
-    if walk is None:
-        return None
-    set_a, set_b = set(slot_a["path"]), set(slot_b["path"])
-    last_a = max(i for i, v in enumerate(walk) if v in set_a)
-    first_b = min(i for i, v in enumerate(walk) if v in set_b)
-    if last_a > first_b:
-        return None  # overlapping rays cannot seat two tails
-    attach_a, attach_b = walk[last_a], walk[first_b]
-    tail_a = slot_a["path"][slot_a["path"].index(attach_a):]
-    tail_b = slot_b["path"][slot_b["path"].index(attach_b):]
-    return frozenset(walk[last_a : first_b + 1]) | frozenset(tail_a) | frozenset(tail_b)
-
-
 def _find_circle(g, s, glue):
     """A circle witness in s (assumed finite-cycle-free), or None.
 
-    Rays are counted before they are packed.  Every circle needs two ray
-    slots in one component: a one-segment circle uses two slots at one point,
-    and each arc of a longer circle joins two slots of the same component.
-    So when no component holds two glued rays the answer is None, without a
-    truncation or a path packing.
+    Free of finite cycles, every component of s is a tree, and two disjoint
+    rays of a tree always join into a double ray through the tree path between
+    them.  So a circle exists exactly when the glued rays allow one, counted
+    per (component, glue point): in the multigraph H with one edge per glued
+    ray, from the ray's component to its glue point, a pair with two rays is a
+    one-segment circle, and otherwise a cycle of H is a circle whose segments
+    are the double rays of the components on it.  Conversely the rays of any
+    circle trace a closed trail in H, which holds a parallel pair or a cycle.
     """
     point_map = glue.as_map()
     if not point_map:
         return None
-    pieces = _glued_pieces(g, s, point_map)
     rays = Counter()
-    for _, _, width, cid in pieces:
-        rays[cid] += width
-    if sum(rays.values()) > 12:
-        raise ResourceLimitError("too many glued ray slots to arrange")
-    if max(rays.values(), default=0) < 2:
-        return None
-    return _circle_in_slots(*_glued_slots(g, s, pieces))
-
-
-def _circle_in_slots(slots, adj):
-    """A circle witness through the packed ray slots, or None."""
-    # one segment: two rays to the same point inside one component; the tree
-    # path between them always completes the double ray
-    counts = Counter((sl["cid"], sl["point"]) for sl in slots)
-    for (cid, point), n in sorted(counts.items()):
+    lanes = {}
+    for cid, pieces in _component_rays(g, s, point_map).items():
+        for piece, label, width in pieces:
+            if width:
+                pair = (cid, point_map[label])
+                rays[pair] += width
+                lanes.setdefault(pair, set()).update(piece)
+    for (cid, point), n in sorted(rays.items()):
         if n >= 2:
-            lanes = sorted(
-                {v[0] for sl in slots if (sl["cid"], sl["point"]) == (cid, point) for v in sl["path"]}
-            )
             return {
                 "kind": "glued-circle",
                 "points": [point],
                 "segments": 1,
                 "component": cid,
-                "ray_lanes": lanes,
+                "ray_lanes": sorted(lanes[cid, point]),
             }
-    # several segments: arcs between distinct points, pairwise vertex-disjoint
-    arcs = []
-    for i, a in enumerate(slots):
-        for b in slots[i + 1 :]:
-            if a["cid"] != b["cid"] or a["point"] == b["point"]:
-                continue
-            vertices = _minimal_arc(adj, a, b)
-            if vertices is not None:
-                arcs.append({"pts": (a["point"], b["point"]), "vertices": vertices, "cid": a["cid"]})
-    if not arcs:
-        return None
-
-    def extend(path_points, used, first):
-        cur = path_points[-1]
-        for arc in arcs:
-            if cur not in arc["pts"]:
-                continue
-            nxt = arc["pts"][1] if arc["pts"][0] == cur else arc["pts"][0]
-            if any(arc["vertices"] & u["vertices"] for u in used):
-                continue
-            if nxt == first and len(used) >= 1:
-                return used + [arc]
-            if nxt in path_points:
-                continue
-            res = extend(path_points + [nxt], used + [arc], first)
-            if res:
-                return res
-        return None
-
-    for start in sorted({p for arc in arcs for p in arc["pts"]}):
-        found = extend([start], [], start)
-        if found:
+    # H is simple now: the first edge whose ends are already joined closes a cycle
+    adj = {}
+    for cid, point in sorted(rays):
+        a, b = ("component", cid), ("point", point)
+        path = bfs_path(adj, a, b) if a in adj and b in adj else None
+        if path is not None:
             return {
                 "kind": "glued-circle",
-                "points": sorted({p for arc in found for p in arc["pts"]}),
-                "segments": len(found),
-                "component": sorted({arc["cid"] for arc in found}),
+                "points": sorted(v for kind, v in path if kind == "point"),
+                "segments": len(path) // 2,
+                "component": sorted(v for kind, v in path if kind == "component"),
             }
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
     return None
 
 

@@ -24,6 +24,7 @@ from .cycles import (
 from .errors import InputError, ResourceLimitError
 from .ops import NestedPair, SpectrumReport, spectrum as finite_spectrum
 from .periodic import (
+    MAX_WINDOW,
     PeriodicGraphSpec,
     UPEdgeSet,
     _has_finite_cycle,
@@ -31,10 +32,6 @@ from .periodic import (
     unroll,
 )
 from .util import INF
-
-
-# an edit at window w unrolls w + 1 windows into the prefix
-MAX_EDIT_WINDOW = 64
 
 
 def _in_range(index, bound) -> bool:
@@ -63,9 +60,10 @@ def _collect_finite(g: PeriodicGraphSpec, instances) -> UPEdgeSet:
             raise InputError(f"no such edge slot: {inst!r}")
         if not isinstance(w, int) or w < 0:
             raise InputError(f"window index must be a natural number: {inst!r}")
-        if w > MAX_EDIT_WINDOW:
+        if w > MAX_WINDOW:
+            # an edit at window w unrolls w + 1 windows into the prefix
             raise ResourceLimitError(
-                f"edit at window {w}; edits are capped at window {MAX_EDIT_WINDOW}"
+                f"edit at window {w}; edits are capped at window {MAX_WINDOW}"
             )
         explicit.add((kind, j, w))
     p = 1 + max((w for _, _, w in explicit), default=-1)

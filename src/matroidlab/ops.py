@@ -88,8 +88,9 @@ def union(m1: System, m2: System, cap: int | None = None) -> ExplicitSystem:
     """Independence union: sets S1 | S2 with Si independent in mi.
 
     Grounds merge by label, so shared labels become shared elements.  For
-    downward-closed inputs the family is generated from maximal-member unions;
-    otherwise every pair is combined directly (diagnostic families are small).
+    downward-closed inputs the family is generated from the maximal ones among
+    the distinct maximal-member unions, each expanded once; otherwise every
+    pair is combined directly (diagnostic families are small).
     """
     seen = set(m1.ground.labels)
     labels = m1.ground.labels + tuple(l for l in m2.ground.labels if l not in seen)
@@ -100,9 +101,10 @@ def union(m1: System, m2: System, cap: int | None = None) -> ExplicitSystem:
     fam2 = [_expand(s, map2) for s in family_masks(m2, cap)]
     out: set[int] = set()
     if _downward_closed(set(fam1)) and _downward_closed(set(fam2)):
-        for b1 in maximal_masks(sorted(fam1)):
-            for b2 in maximal_masks(sorted(fam2)):
-                out.update(submasks(b1 | b2))
+        bases2 = maximal_masks(sorted(fam2))
+        tops = {b1 | b2 for b1 in maximal_masks(sorted(fam1)) for b2 in bases2}
+        for top in maximal_masks(sorted(tops)):
+            out.update(submasks(top))
     else:
         out = {s1 | s2 for s1 in fam1 for s2 in fam2}
     return ExplicitSystem(ground, frozenset(out))

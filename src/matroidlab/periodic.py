@@ -29,6 +29,11 @@ from functools import lru_cache
 from .errors import InputError, ResourceLimitError
 from .util import INF, UnionFind, adjacency, bfs_path, disjoint_paths
 
+# Cap on the window index an edit or a domination query names, and on the
+# domination path count: the unrolled specs and truncations they build grow
+# with both, so past the cap a query exits on ResourceLimitError.
+MAX_WINDOW = 64
+
 
 # ---------------------------------------------------------------------------
 # specs
@@ -291,7 +296,6 @@ def run_machine(
     g: PeriodicGraphSpec,
     s: UPEdgeSet,
     use_prefix: bool = True,
-    use_apex: bool = True,
     glue_lanes: dict | None = None,
     glue_from: int = 0,
 ) -> MachineResult:
@@ -301,9 +305,11 @@ def run_machine(
     window's repeat vertices, ("G", point) persistent glue points.  glue_lanes
     maps ray-bearing lanes to glue point names; those unions start at window
     glue_from (the caller passes the depth at which ray-bearing is certified).
+    use_prefix=False sweeps the repeat-only structure: no prefix vertices and
+    no prefix or apex edges.
     """
     glue_lanes = glue_lanes or {}
-    cache_key = (g, s, use_prefix, use_apex, tuple(sorted(glue_lanes.items())), glue_from)
+    cache_key = (g, s, use_prefix, tuple(sorted(glue_lanes.items())), glue_from)
     hit = _machine_cache.get(cache_key)
     if hit is not None:
         return hit  # (g, s) was validated when the entry was made
@@ -362,7 +368,7 @@ def run_machine(
         for j, (u, v, _) in enumerate(g.window_edges):
             if s.has("win", j, w):
                 union(("R", u), ("R", v), ("win", j, w), w)
-        if use_prefix and use_apex:
+        if use_prefix:
             for j, (a, v, _) in enumerate(g.apex_edges):
                 if s.has("apx", j, w):
                     union(("P", a), ("R", v), ("apx", j, w), w)
@@ -521,14 +527,14 @@ def ray_count(g: PeriodicGraphSpec) -> int:
 def ray_bearing_lanes(g: PeriodicGraphSpec, s: UPEdgeSet) -> tuple[dict, int]:
     """Lanes that carry a ray of s, mapped to their end label, plus the
     certification depth (sweep depth of the repeat-only machine on s)."""
-    res = run_machine(g, s, use_prefix=False, use_apex=False)
+    res = run_machine(g, s, use_prefix=False)
     lane_end = _lane_ends(g)
     return {lane: lane_end[lane] for lane in _live_lanes(res)}, res.depth
 
 
 def surviving_classes(g: PeriodicGraphSpec, s: UPEdgeSet) -> tuple[frozenset, ...]:
     """Ray-bearing lane classes of s itself (repeat-only machine), canonical order."""
-    res = run_machine(g, s, use_prefix=False, use_apex=False)
+    res = run_machine(g, s, use_prefix=False)
     out = []
     for cls in res.live:
         lanes = frozenset(tok[1] for tok in cls if tok[0] == "R")
@@ -660,24 +666,34 @@ def contains_finite_cycle(g: PeriodicGraphSpec, s: UPEdgeSet):
     return True, {"closing_edge": instance, "cycle_vertices": path}
 
 
+def _component_rays(g: PeriodicGraphSpec, s: UPEdgeSet, ends=None) -> dict:
+    """Component id -> [(lanes, end label, corridor width)] for the
+    ray-bearing lane classes of s, in canonical order.
+
+    The id is the class's index in the live classes of the full sweep of s;
+    every surviving class is live there, since prefix and apex edges only
+    merge classes.  Given ends, only classes with those end labels are listed
+    (and measured).
+    """
+    lane_cid = _live_lanes(run_machine(g, s))
+    lane_end = _lane_ends(g)
+    out: dict = {}
+    for lanes in surviving_classes(g, s):
+        label = lane_end[min(lanes)]
+        if ends is None or label in ends:
+            width = corridor_width(g, lanes, s)
+            out.setdefault(lane_cid[min(lanes)], []).append((lanes, label, width))
+    return out
+
+
 def contains_double_ray(g: PeriodicGraphSpec, s: UPEdgeSet):
     """(present, witness): true iff one component of s can seat two disjoint rays."""
-    lane_class = _live_lanes(run_machine(g, s))
-    per_class: dict[int, list] = {}
-    for piece in surviving_classes(g, s):
-        width = corridor_width(g, piece, s)
-        lane = sorted(piece)[0]
-        cid = lane_class.get(lane)
-        if cid is None:
-            continue
-        per_class.setdefault(cid, []).append((piece, width))
-    for cid, pieces in sorted(per_class.items()):
-        capacity = sum(w for _, w in pieces)
-        if capacity >= 2:
+    for cid, pieces in sorted(_component_rays(g, s).items()):
+        if sum(width for _, _, width in pieces) >= 2:
             return True, {
                 "component": cid,
                 "ray_pieces": [
-                    {"lanes": sorted(piece), "width": w} for piece, w in pieces
+                    {"lanes": sorted(lanes), "width": width} for lanes, _, width in pieces
                 ],
             }
     return False, None
@@ -720,7 +736,8 @@ def domination_witness(g: PeriodicGraphSpec, v, k: int):
     The paths are internally vertex-disjoint (they share only v) and must end
     beyond the stabilization horizon of the full graph, so they genuinely
     approach the tail.  Returns None when no depth under the search cap works;
-    a finite-degree vertex with degree < k fails immediately.
+    a finite-degree vertex with degree < k fails immediately.  Past that
+    check, k or a window above MAX_WINDOW raises ResourceLimitError.
     """
     if k < 1:
         raise InputError("path count must be at least 1")
@@ -734,6 +751,11 @@ def domination_witness(g: PeriodicGraphSpec, v, k: int):
     deg = _finite_degree(g, v)
     if deg is not None and deg < k:
         return None
+    if k > MAX_WINDOW or not isinstance(v, str) and v[1] > MAX_WINDOW:
+        raise ResourceLimitError(
+            f"domination query of {k} paths at {v!r}; path counts and windows "
+            f"are capped at {MAX_WINDOW}"
+        )
     s = full_edge_set(g)
     horizon = run_machine(g, s).depth + 1
     if not isinstance(v, str):

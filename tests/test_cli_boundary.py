@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import matroidlab
 from matroidlab.cli import main
+from matroidlab.periodic import MAX_WINDOW
 
 # a lane-merging spec whose profile-0 search finds no glued base, so
 # spectrum_search raises StructuralMismatchError
@@ -118,6 +119,30 @@ def test_bad_input_exits_2_without_traceback(name, tmp_path):
     assert rc == 2, err
     assert "Traceback" not in err
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, dominates",
+    [
+        (["--family", "ladder:1", "--vertex", f"t0:{MAX_WINDOW}", "-k", "2"], True),
+        (["--family", "ladder:1", "--vertex", f"t0:{MAX_WINDOW + 1}", "-k", "2"], None),
+        (["--family", "ladder:1", "--vertex", "t0:9999999999", "-k", "2"], None),
+        (["--family", "bean", "--vertex", "v", "-k", str(MAX_WINDOW)], True),
+        (["--family", "bean", "--vertex", "v", "-k", str(MAX_WINDOW + 1)], None),
+        (["--family", "bean", "--vertex", "v", "-k", "9999999999"], None),
+    ],
+    ids=["window-at-cap", "window-past-cap", "window-huge", "k-at-cap", "k-past-cap", "k-huge"],
+)
+def test_dominate_caps_window_and_path_count(argv, dominates):
+    # past the cap the query stops before building a truncation, which would
+    # grow with the window and with k
+    rc, out, err = run_in_process(["dominate", *argv])
+    if dominates is None:
+        assert rc == 3, err
+        assert err.startswith("resource bound: ")
+    else:
+        assert rc == 0, err
+        assert json.loads(out)["result"]["dominates"] is dominates
 
 
 def test_repeated_main_calls_match_fresh_processes(tmp_path):

@@ -28,6 +28,7 @@ from matroidlab.periodic import (
     UPEdgeSet,
     bean_family,
     component_summary,
+    full_edge_set,
     ladder_family,
 )
 from matroidlab.util import INF
@@ -85,6 +86,18 @@ CROSS_ARCS = UPEdgeSet(
     prefix_present=frozenset({0, 1, 2, 3}),
     pattern=frozenset({("spl", j) for j in range(4)}),
 )
+
+# six single-lane rails, hub h{i} linked to rails 2i and 2i+1, and glue points
+# w0 = {e0, e5}, w1 = {e1, e2}, w2 = {e3, e4}: each hub joins two points, and
+# the three hubs close the points into one circle of three segments
+HUBS = PeriodicGraphSpec(
+    prefix_vertices=("h0", "h1", "h2"),
+    repeat_vertices=tuple(f"r{i}" for i in range(6)),
+    prefix_edges=tuple((f"h{i // 2}", ("r", f"r{i}"), "link") for i in range(6)),
+    splice_edges=tuple((f"r{i}", f"r{i}", "rail") for i in range(6)),
+    ends=tuple(f"e{i}" for i in range(6)),
+)
+HUBS_GLUE = GluingSpec((("e0", "e5"), ("e1", "e2"), ("e3", "e4")), (0, 1, 2))
 
 
 def edge_sets(pool, max_p=2):
@@ -215,12 +228,31 @@ def test_dropping_one_link_breaks_the_circle():
     assert cycle_independent(CROSS, broken, CROSS_TWO_POINTS) == (True, None)
 
 
+def test_three_hubs_close_a_three_segment_circle():
+    everything = full_edge_set(HUBS)
+    ok, why = cycle_independent(HUBS, everything, HUBS_GLUE)
+    assert not ok
+    assert why == {"kind": "glued-circle", "points": ["w0", "w1", "w2"],
+                   "segments": 3, "component": [0, 1, 2]}
+    for link in range(6):
+        broken = everything.without_edge(("pre", link))
+        assert cycle_independent(HUBS, broken, HUBS_GLUE) == (True, None)
+
+
 # ---------------------------------------------------------------------------
 # bases
 
 
 def test_rails_are_a_base_under_glue_all():
     assert cycle_is_base(LADDER, RAILS, GA) == (True, None)
+
+
+def test_rails_of_seven_ladders_are_a_base_under_glue_all():
+    # fourteen glued rays, one per component: no circle however many rays
+    ladders = ladder_family(7)
+    rails = UPEdgeSet(pattern=frozenset(("spl", j) for j in range(14)))
+    assert cycle_independent(ladders, rails, glue_all(ladders)) == (True, None)
+    assert cycle_is_base(ladders, rails, glue_all(ladders)) == (True, None)
 
 
 def test_comb_is_a_base_under_glue_all():

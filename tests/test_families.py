@@ -7,14 +7,13 @@ import pytest
 from matroidlab.cycles import glue_all, spectrum_search
 from matroidlab.errors import InputError, ResourceLimitError
 from matroidlab.families import (
-    MAX_EDIT_WINDOW,
     ContractedSystem,
     contract_coloops,
     delete_edges,
     spectrum_scan,
 )
 from matroidlab.ops import ch4_system
-from matroidlab.periodic import UPEdgeSet, bean_family, ladder_family
+from matroidlab.periodic import MAX_WINDOW, UPEdgeSet, bean_family, ladder_family
 
 
 LADDER = ladder_family(1)
@@ -91,7 +90,7 @@ def test_delete_rejects_unknown_edges():
 
 
 def test_delete_caps_the_unrolled_windows():
-    assert delete_edges(LADDER, [("win", 0, MAX_EDIT_WINDOW)]).prefix_vertices
+    assert delete_edges(LADDER, [("win", 0, MAX_WINDOW)]).prefix_vertices
     with pytest.raises(ResourceLimitError):
         delete_edges(LADDER, [("win", 0, 10**9)])
 

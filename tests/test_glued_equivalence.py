@@ -1,11 +1,13 @@
 """Glued independence and base tests against a slow reference.
 
 The reference keeps the straightforward algorithm: it always packs the glued
-rays into a truncation before looking for a circle, always builds the
-finite-cycle witness, and takes corridor widths from networkx max flow across
-a long strip.  The library counts rays per component first, answers the
-absent-representative loops with boolean tests and caches widths on the
-lane-restricted pattern; every answer must be the same.
+rays into a truncation and searches for pairwise disjoint arcs between them,
+always builds the finite-cycle witness, and takes corridor widths from
+networkx max flow across a long strip.  The library decides circles from ray
+counts per (component, glue point) alone, answers the absent-representative
+loops with boolean tests and caches widths on the lane-restricted pattern;
+every verdict must be the same, and the circle witnesses must agree as far as
+both name the same circle.
 """
 
 import dataclasses
@@ -21,12 +23,10 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import matroidlab
-from matroidlab import cycles
+from matroidlab import periodic
 from matroidlab.cycles import (
     GluingSpec,
     _candidate_sets,
-    _circle_in_slots,
-    _disjoint_forward_paths,
     absent_representatives,
     cycle_independent,
     cycle_is_base,
@@ -49,7 +49,7 @@ from matroidlab.periodic import (
     surviving_classes,
     truncate_graph,
 )
-from matroidlab.util import adjacency
+from matroidlab.util import adjacency, bfs_path, disjoint_paths
 
 LANES = ("a", "b", "c")
 PREFIX = ("p", "q")
@@ -146,6 +146,119 @@ def ref_pieces(g, s, point_map):
     return out
 
 
+def _glued_slots(g, s, pieces):
+    """Ray slots of the glued pieces: one entry per disjoint ray.
+
+    Returns (slots, adjacency of the truncation); each slot has the unglued
+    component id, the glue point, and its ray's vertex path inside the
+    truncation.
+    """
+    full = run_machine(g, s)
+    stab2 = run_machine(g, s, use_prefix=False).depth
+    start = max(full.depth, stab2, s.p) + 1
+    depth = start + max(len(p) for p, _, _, _ in pieces) + sum(w for _, _, w, _ in pieces) + 4
+    nodes, edges = truncate_graph(g, s, depth)
+    slots = []
+    for piece, point, width, cid in pieces:
+        for path in _disjoint_forward_paths(edges, piece, start, depth, width):
+            slots.append({"cid": cid, "point": point, "path": path})
+    return slots, adjacency(nodes, edges)
+
+
+def _disjoint_forward_paths(edges, lanes, start, depth, width):
+    """width vertex-disjoint paths from window `start` to the last window,
+    inside the given lanes; realizes the corridor width in the truncation."""
+    lanes = sorted(lanes)
+    nodes = {(l, w) for l in lanes for w in range(start, depth)}
+    strip = [e for e in edges if e[0] in nodes and e[1] in nodes]
+    paths = disjoint_paths(
+        adjacency(nodes, strip), [(l, start) for l in lanes], [(l, depth - 1) for l in lanes]
+    )
+    if len(paths) < width:
+        raise ResourceLimitError(
+            f"expected {width} forward paths, packed {len(paths)} in the truncation"
+        )
+    return paths[:width]
+
+
+def _minimal_arc(adj, slot_a, slot_b):
+    """Least vertex set realizing a double ray through the two slots' rays.
+
+    Only valid inside a finite-cycle-free set: the component is a tree, so the
+    bridge between the two rays is unique and every realization contains it.
+    """
+    walk = bfs_path(adj, slot_a["path"][0], slot_b["path"][0])
+    if walk is None:
+        return None
+    set_a, set_b = set(slot_a["path"]), set(slot_b["path"])
+    last_a = max(i for i, v in enumerate(walk) if v in set_a)
+    first_b = min(i for i, v in enumerate(walk) if v in set_b)
+    if last_a > first_b:
+        return None  # overlapping rays cannot seat two tails
+    attach_a, attach_b = walk[last_a], walk[first_b]
+    tail_a = slot_a["path"][slot_a["path"].index(attach_a):]
+    tail_b = slot_b["path"][slot_b["path"].index(attach_b):]
+    return frozenset(walk[last_a : first_b + 1]) | frozenset(tail_a) | frozenset(tail_b)
+
+
+def _circle_in_slots(slots, adj):
+    """A circle witness through the packed ray slots, or None."""
+    # one segment: two rays to the same point inside one component; the tree
+    # path between them always completes the double ray
+    counts = Counter((sl["cid"], sl["point"]) for sl in slots)
+    for (cid, point), n in sorted(counts.items()):
+        if n >= 2:
+            lanes = sorted(
+                {v[0] for sl in slots if (sl["cid"], sl["point"]) == (cid, point) for v in sl["path"]}
+            )
+            return {
+                "kind": "glued-circle",
+                "points": [point],
+                "segments": 1,
+                "component": cid,
+                "ray_lanes": lanes,
+            }
+    # several segments: arcs between distinct points, pairwise vertex-disjoint
+    arcs = []
+    for i, a in enumerate(slots):
+        for b in slots[i + 1 :]:
+            if a["cid"] != b["cid"] or a["point"] == b["point"]:
+                continue
+            vertices = _minimal_arc(adj, a, b)
+            if vertices is not None:
+                arcs.append({"pts": (a["point"], b["point"]), "vertices": vertices, "cid": a["cid"]})
+    if not arcs:
+        return None
+
+    def extend(path_points, used, first):
+        cur = path_points[-1]
+        for arc in arcs:
+            if cur not in arc["pts"]:
+                continue
+            nxt = arc["pts"][1] if arc["pts"][0] == cur else arc["pts"][0]
+            if any(arc["vertices"] & u["vertices"] for u in used):
+                continue
+            if nxt == first and len(used) >= 1:
+                return used + [arc]
+            if nxt in path_points:
+                continue
+            res = extend(path_points + [nxt], used + [arc], first)
+            if res:
+                return res
+        return None
+
+    for start in sorted({p for arc in arcs for p in arc["pts"]}):
+        found = extend([start], [], start)
+        if found:
+            return {
+                "kind": "glued-circle",
+                "points": sorted({p for arc in found for p in arc["pts"]}),
+                "segments": len(found),
+                "component": sorted({arc["cid"] for arc in found}),
+            }
+    return None
+
+
 def ref_find_circle(g, s, glue):
     point_map = glue.as_map()
     if not point_map:
@@ -153,18 +266,10 @@ def ref_find_circle(g, s, glue):
     pieces = ref_pieces(g, s, point_map)
     if not pieces:
         return None
-    start = max(run_machine(g, s).depth,
-                run_machine(g, s, use_prefix=False, use_apex=False).depth, s.p) + 1
-    depth = start + max(len(p) for p, _, _, _ in pieces) + sum(w for _, _, w, _ in pieces) + 4
-    nodes, edges = truncate_graph(g, s, depth)
-    slots = [
-        {"cid": cid, "point": point, "path": path}
-        for piece, point, width, cid in pieces
-        for path in _disjoint_forward_paths(edges, piece, start, depth, width)
-    ]
+    slots, adj = _glued_slots(g, s, pieces)
     if len(slots) > 12:
         raise ResourceLimitError("too many glued ray slots to arrange")
-    return _circle_in_slots(slots, adjacency(nodes, edges))
+    return _circle_in_slots(slots, adj)
 
 
 def ref_independent(g, s, glue):
@@ -202,23 +307,50 @@ def outcome(fn, *args):
         return "resource bound"
 
 
-def check_against_reference(g, glue):
-    """Every profile-0 candidate: same answers, and rays are packed only for
-    sets with two glued rays in one component."""
-    point_map = glue.as_map()
+def same_answer(new, ref):
+    """Assert that two outcomes agree; returns the circle's segment count
+    when both name a glued circle.
 
-    def packing_spy(g_, s, depth):
-        rays = Counter()
-        for _, _, width, cid in ref_pieces(g_, s, point_map):
-            rays[cid] += width
-        assert max(rays.values(), default=0) >= 2, f"packed rays of {s} without a pair"
+    The two circle searches may name different witnesses for the same verdict:
+    a one-segment circle lists the lanes of every glued piece at its pair,
+    where the reference lists only the lanes its packed rays visit, and a
+    multi-segment circle is whichever cycle each search meets first.
+    """
+    if not (isinstance(new, tuple) and isinstance(ref, tuple)):
+        assert new == ref
+        return None
+    (ok, why), (ref_ok, ref_why) = new, ref
+    assert ok == ref_ok
+    if why is None or ref_why is None or ref_why["kind"] != "glued-circle":
+        assert why == ref_why
+        return None
+    assert why["kind"] == "glued-circle", why
+    if ref_why["segments"] == 1:
+        assert (why["segments"], why["points"], why["component"]) == (1, ref_why["points"], ref_why["component"])
+        assert set(ref_why["ray_lanes"]) <= set(why["ray_lanes"])
+    else:
+        assert why["segments"] == len(why["points"]) == len(why["component"]) >= 2, why
+    return why["segments"]
+
+
+def check_against_reference(g, glue, sets=None):
+    """Every given set (default: every profile-0 candidate) gets the
+    reference's answers, and the library builds a truncation only for the
+    witness of a finite cycle.  Returns the segment counts of the circles met.
+    """
+    segments = Counter()
+
+    def witness_spy(g_, s, depth):
+        assert run_machine(g_, s).cycle_event is not None, f"truncated {s} without a finite cycle"
         return truncate_graph(g_, s, depth)
 
-    with mock.patch.object(cycles, "truncate_graph", packing_spy):
-        for cand in _candidate_sets(g, 0):
-            assert outcome(cycle_independent, g, cand, glue) == outcome(ref_independent, g, cand, glue)
-            assert outcome(cycle_is_base, g, cand, glue) == outcome(ref_is_base, g, cand, glue)
+    with mock.patch.object(periodic, "truncate_graph", witness_spy):
+        for cand in _candidate_sets(g, 0) if sets is None else sets:
+            segments[same_answer(outcome(cycle_independent, g, cand, glue),
+                                 outcome(ref_independent, g, cand, glue))] += 1
+            same_answer(outcome(cycle_is_base, g, cand, glue), outcome(ref_is_base, g, cand, glue))
             assert outcome(fin_is_base, g, cand) == outcome(ref_fin_is_base, g, cand)
+    return segments
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +389,56 @@ def test_canned_families_match_the_reference(g, glue):
 def test_random_specs_match_the_reference(data):
     g = data.draw(specs())
     check_against_reference(g, data.draw(gluings(g)))
+
+
+@st.composite
+def hub_specs(draw):
+    """4-7 single-lane rails, 2-4 prefix hubs linked to some of them and 2-4
+    glue points, with a few random edge subsets: enough glued rays for
+    circles of several segments, which the specs above cannot seat."""
+    rails = tuple(f"r{i}" for i in range(draw(st.integers(4, 7))))
+    hubs = tuple(f"h{i}" for i in range(draw(st.integers(2, 4))))
+    # rails spread evenly over the hubs and over the glue points, so most hubs
+    # send rays to distinct points; extra links merge components or close
+    # finite cycles
+    spread = draw(st.permutations(range(len(rails))))
+    links = [(hubs[i % len(hubs)], rails[k]) for k, i in enumerate(spread)]
+    extra = draw(st.lists(st.tuples(st.sampled_from(hubs), st.sampled_from(rails)), max_size=2))
+    links = list(dict.fromkeys(links + extra))
+    g = PeriodicGraphSpec(
+        prefix_vertices=hubs,
+        repeat_vertices=rails,
+        prefix_edges=tuple((h, ("r", r), "link") for h, r in links),
+        splice_edges=tuple((r, r, "rail") for r in rails),
+        ends=tuple(f"e{i}" for i in range(len(rails))),
+    )
+    points = draw(st.integers(2, 4))
+    owner = [i % points for i in draw(st.permutations(range(len(g.ends))))]
+    groups = tuple(
+        tuple(e for e, o in zip(g.ends, owner) if o == k) for k in sorted(set(owner))
+    )
+    glue = GluingSpec(groups, tuple(range(len(groups))))
+    subsets = draw(st.lists(
+        st.tuples(st.sets(st.integers(0, len(links) - 1)), st.sets(st.integers(0, len(rails) - 1))),
+        max_size=3,
+    ))
+    sets = [full_edge_set(g)] + [
+        UPEdgeSet(prefix_present=frozenset(pre), pattern=frozenset(("spl", j) for j in spl))
+        for pre, spl in subsets
+    ]
+    return g, glue, sets
+
+
+def test_hub_specs_match_the_reference():
+    segments = Counter()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(hub_specs())
+    def check(case):
+        segments.update(check_against_reference(*case))
+
+    check()
+    assert any(n and n >= 2 for n in segments), f"no multi-segment circle met: {segments}"
 
 
 @settings(max_examples=60, deadline=None)

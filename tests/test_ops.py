@@ -93,12 +93,21 @@ def test_union_overlapping_grounds_by_label():
 
 
 def test_union_matches_pairwise_oracle():
+    def named_family(sys_):
+        return {frozenset(sys_.ground.names(m)) for m in family_masks(sys_)}
+
     m1 = graphic_matroid(3, [(0, 1), (1, 2), (0, 2)])
-    m2 = uniform_matroid(1, 3, labels=m1.ground.labels)
-    u = union(m1, m2)
-    f1 = family_sets(m1)
-    f2 = family_sets(m2)
-    assert family_sets(u) == {s1 | s2 for s1 in f1 for s2 in f2}
+    # downward closed, not matroids: subsets of {0, 1} or of {2}, on grounds
+    # a b c and c d e; the union {c, d} of maximal members lies in {a, b, c, d}
+    closed = [s for s in powerset(range(3)) if set(s) <= {0, 1} or set(s) <= {2}]
+    pairs = [
+        (m1, uniform_matroid(1, 3, labels=m1.ground.labels)),
+        (explicit_system(GroundSet.named("abc"), closed), explicit_system(GroundSet.named("cde"), closed)),
+    ]
+    for m1, m2 in pairs:
+        f1 = named_family(m1)
+        f2 = named_family(m2)
+        assert named_family(union(m1, m2)) == {s1 | s2 for s1 in f1 for s2 in f2}
 
 
 def test_union_absorption_regains_full_ground():
