@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -454,9 +453,6 @@ def _config_echo(args) -> dict:
         if key in ("cmd", "out", "seed") or value is None:
             continue
         config[key] = list(value) if isinstance(value, tuple) else value
-    workers = os.environ.get("MATROIDLAB_WORKERS")
-    if workers:
-        config["workers"] = workers
     return config
 
 

@@ -16,19 +16,25 @@ its glue point, has a cycle.
 Bases of this system are compared against bases of the plain finite-cycle
 system: the defect of a glued base is how many edges it needs to become one of
 those, and the spectrum collects the defects of all bases within a search
-profile.  Everything here reduces to the window-sweep machine plus bounded
-enumeration, so results are exact within the stated bounds.
+profile.  The plain system's base test, fin_is_base, is the glued test with
+nothing glued.  Spectra, hat checks and coloop certificates share one
+candidate walk: every candidate within the profile in one fixed order, the
+caller's own filter first, then the glued base test.  Everything here reduces
+to the window-sweep machine plus bounded enumeration, so results are exact
+within the stated bounds.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError, StructuralMismatchError
 from .ops import SpectrumReport
 from .periodic import (
+    MAX_WINDOW,
     PeriodicGraphSpec,
     UPEdgeSet,
     _component_rays,
@@ -105,36 +111,29 @@ def _gluing(g, glue):
 # edge-set algebra
 
 
-def edge_sets_union(a: UPEdgeSet, b: UPEdgeSet) -> UPEdgeSet:
+def _fieldwise(op, a: UPEdgeSet, b: UPEdgeSet) -> tuple:
+    """(p, prefix, explicit, pattern) of op applied part by part, with both
+    sets widened to one explicit zone first."""
     p = max(a.p, b.p)
     a, b = a.normalized(p), b.normalized(p)
-    return UPEdgeSet(
+    return (
         p,
-        a.prefix_present | b.prefix_present,
-        a.explicit | b.explicit,
-        a.pattern | b.pattern,
+        op(a.prefix_present, b.prefix_present),
+        op(a.explicit, b.explicit),
+        op(a.pattern, b.pattern),
     )
+
+
+def edge_sets_union(a: UPEdgeSet, b: UPEdgeSet) -> UPEdgeSet:
+    return UPEdgeSet(*_fieldwise(operator.or_, a, b))
 
 
 def edge_sets_difference(a: UPEdgeSet, b: UPEdgeSet) -> UPEdgeSet:
-    p = max(a.p, b.p)
-    a, b = a.normalized(p), b.normalized(p)
-    return UPEdgeSet(
-        p,
-        a.prefix_present - b.prefix_present,
-        a.explicit - b.explicit,
-        a.pattern - b.pattern,
-    )
+    return UPEdgeSet(*_fieldwise(operator.sub, a, b))
 
 
 def edge_sets_intersect(a: UPEdgeSet, b: UPEdgeSet) -> bool:
-    p = max(a.p, b.p)
-    a, b = a.normalized(p), b.normalized(p)
-    return bool(
-        (a.prefix_present & b.prefix_present)
-        or (a.explicit & b.explicit)
-        or (a.pattern & b.pattern)
-    )
+    return any(_fieldwise(operator.and_, a, b)[1:])
 
 
 def edge_set_is_empty(s: UPEdgeSet) -> bool:
@@ -251,6 +250,11 @@ def _independent(g, s, glue) -> bool:
     return not _has_finite_cycle(g, s) and _find_circle(g, s, glue) is None
 
 
+def _addable(g, s, glue, reps):
+    """The first of reps that s can take while staying independent, or None."""
+    return next((rep for rep in reps if _independent(g, s.with_edge(rep), glue)), None)
+
+
 def cycle_is_base(g: PeriodicGraphSpec, s: UPEdgeSet, glue: GluingSpec | None = None):
     """(is_base, obstruction): dependent sets return their violation,
     extendable sets return the addable instance."""
@@ -258,21 +262,16 @@ def cycle_is_base(g: PeriodicGraphSpec, s: UPEdgeSet, glue: GluingSpec | None = 
     ok, why = cycle_independent(g, s, glue)
     if not ok:
         return False, why
-    for rep in absent_representatives(g, s):
-        if _independent(g, s.with_edge(rep), glue):
-            return False, {"kind": "addable", "edge": rep}
+    rep = _addable(g, s, glue, absent_representatives(g, s))
+    if rep is not None:
+        return False, {"kind": "addable", "edge": rep}
     return True, None
 
 
 def fin_is_base(g: PeriodicGraphSpec, s: UPEdgeSet):
-    """Base test in the plain finite-cycle system."""
-    present, wit = contains_finite_cycle(g, s)
-    if present:
-        return False, {"kind": "finite-cycle", **wit}
-    for rep in absent_representatives(g, s):
-        if not _has_finite_cycle(g, s.with_edge(rep)):
-            return False, {"kind": "addable", "edge": rep}
-    return True, None
+    """Base test in the plain finite-cycle system: the glued test with
+    nothing glued, where no circle exists."""
+    return cycle_is_base(g, s, no_glue(g))
 
 
 def defect(g: PeriodicGraphSpec, s: UPEdgeSet, glue: GluingSpec | None = None):
@@ -312,15 +311,14 @@ def extend_to_fin_base(g: PeriodicGraphSpec, s: UPEdgeSet):
     d = defect(g, s)
     if d is INF:
         return None
+    glue = no_glue(g)
     cur = s
     # each accepted edge joins two components of cur, so d additions suffice
     for _ in range(d + 1):
-        for rep in absent_representatives(g, cur):
-            if not _has_finite_cycle(g, cur.with_edge(rep)):
-                cur = cur.with_edge(rep)
-                break
-        else:
+        rep = _addable(g, cur, glue, absent_representatives(g, cur))
+        if rep is None:
             return cur
+        cur = cur.with_edge(rep)
     raise ResourceLimitError("extension did not settle within the defect bound")
 
 
@@ -350,20 +348,42 @@ def _candidate_sets(g, p):
                 yield UPEdgeSet(p, prefix, explicit, pattern)
 
 
-def _remap_instance(maps, inst):
-    if inst[0] == "pre":
-        return ("pre", maps["pre"][inst[1]])
-    if len(inst) == 2:
-        return (inst[0], maps[inst[0]][inst[1]])
-    return (inst[0], maps[inst[0]][inst[1]], inst[2])
+def _glued_bases(g, glue, p, skip):
+    """Glued bases among the candidates within p, in candidate order.
+
+    skip(cand) is asked first, so an error it raises surfaces before any base
+    test; a true answer passes the candidate over.
+    """
+    for cand in _candidate_sets(g, p):
+        if skip(cand) or _has_finite_cycle(g, cand):
+            continue
+        if cycle_is_base(g, cand, glue)[0]:
+            yield cand
+
+
+def _components(g, glue):
+    """(spec, local gluing, to-parent maps, to-local maps) per structural
+    component of g, in split_components order.
+
+    The maps rename each edge kind's indices between the component and g, as
+    _remap_edge_set reads them.  A finite all-prefix piece has spec and
+    gluing None and maps for its prefix edges alone.
+    """
+    for spec, maps in split_components(g):
+        kinds = ("pre",) if spec is None else ("pre", "win", "spl", "apx")
+        up = {kind: dict(enumerate(maps[kind])) for kind in kinds}
+        down = {kind: {j: i for i, j in m.items()} for kind, m in up.items()}
+        local = None if spec is None else _project_glue(glue, spec.ends)
+        yield spec, local, up, down
 
 
 def _remap_edge_set(maps, s: UPEdgeSet) -> UPEdgeSet:
+    """s with each edge index renamed through maps; edges the maps lack drop out."""
     return UPEdgeSet(
         s.p,
-        frozenset(maps["pre"][i] for i in s.prefix_present),
-        frozenset(_remap_instance(maps, e) for e in s.explicit),
-        frozenset(_remap_instance(maps, e) for e in s.pattern),
+        frozenset(maps["pre"][i] for i in s.prefix_present if i in maps["pre"]),
+        frozenset((kind, maps[kind][j], w) for kind, j, w in s.explicit if j in maps[kind]),
+        frozenset((kind, maps[kind][j]) for kind, j in s.pattern if j in maps[kind]),
     )
 
 
@@ -374,14 +394,9 @@ def _component_spectrum(g, glue, p):
     value set is unchanged and the kept witness is the enumeration-first one.
     """
     out = {}
-    for cand in _candidate_sets(g, p):
+    for cand in _glued_bases(g, glue, p, lambda cand: defect(g, cand) in out):
         d = defect(g, cand)
-        if d in out or _has_finite_cycle(g, cand):
-            continue
-        if not cycle_is_base(g, cand, glue)[0]:
-            continue
-        fin = extend_to_fin_base(g, cand) if d is not INF else None
-        out[d] = {"base": cand, "fin_base": fin}
+        out[d] = (cand, extend_to_fin_base(g, cand) if d is not INF else None)
     return out
 
 
@@ -393,12 +408,15 @@ def spectrum_search(
     profile = (p, q): candidate bases are explicit over p windows and repeat
     with period q afterwards.  The family splits into structural components;
     base-ness and defect factor across them, so the component spectra combine
-    by sums, which keeps the enumeration per component.
+    by sums, which keeps the enumeration per component.  A period above
+    MAX_WINDOW raises ResourceLimitError before the q-fold spec is built.
     """
     glue = _gluing(g, glue)
     p, q = profile
     if p < 0 or q < 1:
         raise InputError("profile must have p >= 0 and q >= 1")
+    if q > MAX_WINDOW:
+        raise ResourceLimitError(f"profile period {q}; periods are capped at {MAX_WINDOW}")
     if q != 1:
         from .periodic import reblock
 
@@ -406,62 +424,39 @@ def spectrum_search(
         report.bounds["profile_q"] = q
         report.bounds["witness_presentation"] = f"windows grouped {q} at a time"
         return report
-    values = {0: {"parts": []}}
-    for spec, maps in split_components(g):
+    # value -> (base, fin_base), fin_base None once a component has none
+    values = {0: (UPEdgeSet(), UPEdgeSet())}
+    for spec, local_glue, up, _ in _components(g, glue):
         if spec is None:
             # a finite all-prefix piece: its bases are its spanning forests
-            forest = _prefix_forest(g, maps["pre"])
-            values = {
-                d: {"parts": info["parts"] + [{"pre_forest": forest}]}
-                for d, info in values.items()
+            add = UPEdgeSet(0, frozenset(_prefix_forest(g, up["pre"].values())))
+            sub = {0: (add, add)}
+        else:
+            sub = {
+                d: (_remap_edge_set(up, base), None if fin is None else _remap_edge_set(up, fin))
+                for d, (base, fin) in _component_spectrum(spec, local_glue, p).items()
             }
-            continue
-        local_ends = spec.ends
-        sub = _component_spectrum(spec, _project_glue(glue, local_ends), p)
-        if not sub:
-            raise StructuralMismatchError(
-                "a structural component has no base within the profile"
-            )
+            if not sub:
+                raise StructuralMismatchError(
+                    "a structural component has no base within the profile"
+                )
         combined = {}
-        for d0, info in values.items():
-            for d1, wit in sub.items():
+        for d0, (base0, fin0) in values.items():
+            for d1, (base1, fin1) in sub.items():
                 d = d0 + d1 if not (d0 is INF or d1 is INF) else INF
-                if d in combined:
-                    continue
-                combined[d] = {
-                    "parts": info["parts"]
-                    + [{"maps": maps, "base": wit["base"], "fin_base": wit["fin_base"]}]
-                }
+                if d not in combined:
+                    fin = None if fin0 is None or fin1 is None else edge_sets_union(fin0, fin1)
+                    combined[d] = (edge_sets_union(base0, base1), fin)
         values = combined
-    report_values = []
-    witnesses = {}
-    raw_witnesses = {}
-    for d, info in sorted(values.items(), key=lambda kv: sort_key(kv[0])):
-        report_values.append(d)
-        base = UPEdgeSet()
-        fin = UPEdgeSet()
-        fin_ok = True
-        for part in info["parts"]:
-            if "pre_forest" in part:
-                add = UPEdgeSet(0, frozenset(part["pre_forest"]), frozenset(), frozenset())
-                base = edge_sets_union(base, add)
-                fin = edge_sets_union(fin, add)
-                continue
-            base = edge_sets_union(base, _remap_edge_set(part["maps"], part["base"]))
-            if part["fin_base"] is None:
-                fin_ok = False
-            else:
-                fin = edge_sets_union(fin, _remap_edge_set(part["maps"], part["fin_base"]))
-        witnesses[d] = {
-            "base": base.to_obj(),
-            "fin_base": fin.to_obj() if fin_ok else None,
-        }
-        raw_witnesses[d] = (base, fin if fin_ok else None)
+    values = dict(sorted(values.items(), key=lambda kv: sort_key(kv[0])))
     return SpectrumReport(
-        values=tuple(report_values),
-        witnesses={v: witnesses[v] for v in report_values},
+        values=tuple(values),
+        witnesses={
+            d: {"base": base.to_obj(), "fin_base": None if fin is None else fin.to_obj()}
+            for d, (base, fin) in values.items()
+        },
         bounds={"profile_p": p, "profile_q": q},
-        raw={"witnesses": {v: raw_witnesses[v] for v in report_values}},
+        raw={"witnesses": values},
     )
 
 
@@ -556,51 +551,30 @@ def hat_check(
     p, q = profile
     if q != 1:
         raise InputError("only period-1 profiles are supported here")
-    chosen = []
-    for spec, maps in split_components(g):
+    witness = UPEdgeSet()
+    for spec, local_glue, up, down in _components(g, glue):
         if spec is None:
             # a forest avoiding s exists iff dropping s's edges keeps the
             # piece connected, i.e. its spanning forests keep their size
-            ids = _prefix_forest(g, [i for i in maps["pre"] if i not in s.prefix_present])
-            if len(ids) != len(_prefix_forest(g, maps["pre"])):
+            ids = _prefix_forest(g, [i for i in down["pre"] if i not in s.prefix_present])
+            if len(ids) != len(_prefix_forest(g, down["pre"])):
                 return False, None
-            chosen.append(UPEdgeSet(0, frozenset(ids), frozenset(), frozenset()))
+            witness = edge_sets_union(witness, UPEdgeSet(0, frozenset(ids)))
             continue
-        local_glue = _project_glue(glue, spec.ends)
         # restrict the fixed set to this component's edges
-        local_s = UPEdgeSet(
-            s.p,
-            frozenset(maps["pre"].index(i) for i in s.prefix_present if i in maps["pre"]),
-            frozenset(
-                (kind, maps[kind].index(j), w)
-                for kind, j, w in s.explicit
-                if j in maps[kind]
-            ),
-            frozenset(
-                (kind, maps[kind].index(j))
-                for kind, j in s.pattern
-                if j in maps[kind]
-            ),
-        )
-        found = None
-        for cand in _candidate_sets(spec, p):
+        local_s = _remap_edge_set(down, s)
+
+        def blocked(cand):
             if edge_sets_intersect(cand, local_s):
-                continue
+                return True
             joint = edge_sets_union(cand, local_s)
-            if _has_finite_cycle(spec, joint):
-                continue
-            if defect(spec, joint) is INF:
-                # no finite extension reaches a spanning set
-                continue
-            if cycle_is_base(spec, cand, local_glue)[0]:
-                found = cand
-                break
+            # an infinite defect means no finite extension reaches a spanning set
+            return _has_finite_cycle(spec, joint) or defect(spec, joint) is INF
+
+        found = next(_glued_bases(spec, local_glue, p, blocked), None)
         if found is None:
             return False, None
-        chosen.append(_remap_edge_set(maps, found))
-    witness = UPEdgeSet()
-    for part in chosen:
-        witness = edge_sets_union(witness, part)
+        witness = edge_sets_union(witness, _remap_edge_set(up, found))
     return True, {"base": witness.to_obj(), "raw": witness}
 
 
@@ -660,12 +634,12 @@ def verify_i3_violation(g: PeriodicGraphSpec, glue: GluingSpec | None = None):
     claim(4, not is_base, "the stranded set is still a base")
     D = edge_sets_difference(H_f, S1)
     claim(5, not edge_set_is_empty(D), "the two bases do not differ")
-    for rep in present_representatives(g, D, S1):
-        if _independent(g, S1.with_edge(rep), glue):
-            raise StructuralMismatchError(
-                f"sub-claim 5 failed: instance {rep} from the base difference "
-                f"extends the stranded set"
-            )
+    rep = _addable(g, S1, glue, present_representatives(g, D, S1))
+    if rep is not None:
+        raise StructuralMismatchError(
+            f"sub-claim 5 failed: instance {rep} from the base difference "
+            f"extends the stranded set"
+        )
     return {
         "maximal_base": H_f.to_obj(),
         "stranded_independent": S1.to_obj(),

@@ -11,10 +11,11 @@ from dataclasses import dataclass, replace
 
 from .cycles import (
     GluingSpec,
-    _candidate_sets,
+    _glued_bases,
     _gluing,
     cycle_independent,
     cycle_is_base,
+    edge_set_is_empty,
     edge_sets_difference,
     edge_sets_intersect,
     edge_sets_union,
@@ -27,9 +28,7 @@ from .periodic import (
     MAX_WINDOW,
     PeriodicGraphSpec,
     UPEdgeSet,
-    _has_finite_cycle,
-    shift_edge_set,
-    unroll,
+    _unrolled,
 )
 from .util import INF
 
@@ -79,9 +78,8 @@ def delete_edges(g: PeriodicGraphSpec, instances) -> PeriodicGraphSpec:
     doomed = _collect_finite(g, instances)
     if not (doomed.prefix_present or doomed.explicit):
         return g
-    k = doomed.p
-    rolled = unroll(g, k)
-    ids = shift_edge_set(g, doomed, k).prefix_present
+    rolled, absorbed = _unrolled(g, doomed.p)
+    ids = doomed.prefix_present | {absorbed[inst] for inst in doomed.explicit}
     kept = tuple(e for i, e in enumerate(rolled.prefix_edges) if i not in ids)
     return replace(rolled, prefix_edges=kept)
 
@@ -154,17 +152,15 @@ def contract_coloops(
         raise InputError("coloop certificates use period-1 profiles")
     if not (t_set.prefix_present or t_set.explicit):
         return ContractedSystem(g, glue, t_set, profile)
-    for cand in _candidate_sets(g, p):
-        missing = edge_sets_difference(t_set, cand)
-        if not (missing.prefix_present or missing.explicit):
-            continue
-        if _has_finite_cycle(g, cand):
-            continue
-        if cycle_is_base(g, cand, glue)[0]:
-            raise InputError(
-                f"not a coloop set within bounds: {missing.to_obj()} stays outside "
-                f"the base {cand.to_obj()}"
-            )
+    def covers(cand):
+        return edge_set_is_empty(edge_sets_difference(t_set, cand))
+
+    cand = next(_glued_bases(g, glue, p, covers), None)
+    if cand is not None:
+        raise InputError(
+            f"not a coloop set within bounds: {edge_sets_difference(t_set, cand).to_obj()} "
+            f"stays outside the base {cand.to_obj()}"
+        )
     return ContractedSystem(g, glue, t_set, profile)
 
 

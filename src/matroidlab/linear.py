@@ -17,6 +17,7 @@ from math import gcd, lcm
 
 from .core import GroundSet, OracleMatroid, graphic_matroid, family_masks
 from .errors import InputError, ResourceLimitError
+from .periodic import MAX_WINDOW
 from .util import iter_bits
 
 GF2 = "gf2"
@@ -349,10 +350,13 @@ def nearly_thin_count(spec: PeriodicMatrixSpec, depth: int = 2) -> tuple[int, tu
 
     Returns (count, growing row names).  The growing-row set is compared at
     depth and depth+1; disagreement means the pattern has not settled within
-    the requested depth.
+    the requested depth.  A depth above MAX_WINDOW raises ResourceLimitError:
+    the dense columns compared grow with the square of the depth.
     """
     if depth < 2:
         raise InputError("support comparison needs depth >= 2")
+    if depth > MAX_WINDOW:
+        raise ResourceLimitError(f"support depth {depth}; depths are capped at {MAX_WINDOW}")
     s0 = _persistent_supports(spec, depth)
     s1 = _persistent_supports(spec, depth + 1)
     s2 = _persistent_supports(spec, depth + 2)

@@ -28,7 +28,7 @@ from .core import (
     rank_of,
     uniform_matroid,
 )
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .util import is_inf, sort_key, submasks
 
 
@@ -158,20 +158,20 @@ def truncate_top(m: System, k: int, cap: int | None = None) -> System:
 
 
 def _nested_base_pairs(pair: NestedPair, cap: int | None = None):
+    """(inner bases, outer bases, nested pairs): the pairs (B, F) with B inside
+    F are generated B-major, each side's bases enumerated once."""
     inner_bases = enumerate_bases(pair.inner, cap)
     outer_bases = enumerate_bases(pair.outer, cap)
-    return inner_bases, outer_bases
+    pairs = ((b, f) for b in inner_bases for f in outer_bases if b & ~f == 0)
+    return inner_bases, outer_bases, pairs
 
 
 def difference(outer: System, inner: System, cap: int | None = None) -> ExplicitSystem:
     """The system of subsets of F - B over nested base pairs B of inner, F of outer."""
     pair = NestedPair(inner, outer)
-    inner_bases, outer_bases = _nested_base_pairs(pair, cap)
     fam: set[int] = set()
-    for f in outer_bases:
-        for b in inner_bases:
-            if b & ~f == 0:
-                fam.update(submasks(f & ~b))
+    for b, f in _nested_base_pairs(pair, cap)[2]:
+        fam.update(submasks(f & ~b))
     return ExplicitSystem(pair.ground, frozenset(fam))
 
 
@@ -194,15 +194,10 @@ def verify_difference_duality(
 
 def spectrum(pair: NestedPair, cap: int | None = None) -> SpectrumReport:
     """All values |F - B| over nested base pairs, one canonical witness each."""
-    inner_bases, outer_bases = _nested_base_pairs(pair, cap)
+    inner_bases, outer_bases, pairs = _nested_base_pairs(pair, cap)
     raw: dict[int, tuple[int, int]] = {}
-    for b in inner_bases:
-        for f in outer_bases:
-            if b & ~f:
-                continue
-            v = (f & ~b).bit_count()
-            if v not in raw:
-                raw[v] = (b, f)
+    for b, f in pairs:
+        raw.setdefault((f & ~b).bit_count(), (b, f))
     ground = pair.ground
     witnesses = {
         v: {"base": list(ground.names(b)), "outer_base": list(ground.names(f))}
@@ -222,14 +217,8 @@ def smin_enumerate(pair: NestedPair, cap: int | None = None) -> list[int]:
     These are the minimal spanning complements: remove an outer cobase, keep
     an inner base disjoint from it.
     """
-    inner_bases, outer_bases = _nested_base_pairs(pair, cap)
     full = pair.ground.full_mask
-    candidates: set[int] = set()
-    for f in outer_bases:
-        co = full ^ f
-        for b in inner_bases:
-            if b & ~f == 0:
-                candidates.add(co | b)
+    candidates = {(full ^ f) | b for b, f in _nested_base_pairs(pair, cap)[2]}
     minimal = [
         s for s in candidates if not any(t != s and t & s == t for t in candidates)
     ]
@@ -258,12 +247,13 @@ def ch4_system(r: int) -> NestedPair:
     Ground is {1..r(r+1)/2} (labels are 1-based numerals); a set is inner-
     independent when it misses at least one block entirely; the outer member
     is free.  Inner bases are the block complements, so the spectrum is 1..r,
-    and for r >= 2 the inner system fails I3.
+    and for r >= 2 the inner system fails I3.  A ground past ENUM_CAP
+    elements (r >= 7) raises ResourceLimitError.
     """
     blocks = ch4_blocks(r)
     n = r * (r + 1) // 2
     if n > ENUM_CAP:
-        raise InputError(f"r={r} needs {n} elements, over the encoding cap {ENUM_CAP}")
+        raise ResourceLimitError(f"r={r} needs {n} elements, over the encoding cap {ENUM_CAP}")
     ground = GroundSet(tuple(str(i + 1) for i in range(n)))
     full = ground.full_mask
     fam: set[int] = set()

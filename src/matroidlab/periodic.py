@@ -29,9 +29,10 @@ from functools import lru_cache
 from .errors import InputError, ResourceLimitError
 from .util import INF, UnionFind, adjacency, bfs_path, disjoint_paths
 
-# Cap on the window index an edit or a domination query names, and on the
-# domination path count: the unrolled specs and truncations they build grow
-# with both, so past the cap a query exits on ResourceLimitError.
+# Cap on the window index an edit or a domination query names, on the
+# domination path count, on a spectrum profile's period and on a support
+# depth: the specs, truncations and matrices they build grow with each, so
+# past the cap a query exits on ResourceLimitError.
 MAX_WINDOW = 64
 
 
@@ -785,10 +786,16 @@ def unroll(g: PeriodicGraphSpec, k: int) -> PeriodicGraphSpec:
     copies become prefix vertices named lane@w.  This is how one-off edits to
     early windows (deletions, extra edges) become expressible.
     """
+    return _unrolled(g, k)[0]
+
+
+def _unrolled(g: PeriodicGraphSpec, k: int) -> tuple[PeriodicGraphSpec, dict]:
+    """unroll(g, k) and the prefix edge index of each absorbed instance
+    (kind, j, w), w < k, in the unrolled spec."""
     if k < 0:
         raise InputError("unroll depth must be a natural number")
     if k == 0:
-        return g
+        return g, {}
 
     def pv(lane, w):
         return f"{lane}@{w}"
@@ -808,14 +815,20 @@ def unroll(g: PeriodicGraphSpec, k: int) -> PeriodicGraphSpec:
         nu = u if isinstance(u, str) else shift_ref(u[1], 0)
         nv = v if isinstance(v, str) else shift_ref(v[1], 0)
         new_prefix_edges.append((nu, nv, role))
+    absorbed = {}
+
+    def absorb(inst, edge):
+        absorbed[inst] = len(new_prefix_edges)
+        new_prefix_edges.append(edge)
+
     for w in range(k):
-        for u, v, role in g.window_edges:
-            new_prefix_edges.append((shift_ref(u, w), shift_ref(v, w), role))
-        for a, v, role in g.apex_edges:
-            new_prefix_edges.append((a, shift_ref(v, w), role))
-        for u, v, role in g.splice_edges:
-            new_prefix_edges.append((shift_ref(u, w), shift_ref(v, w + 1), role))
-    return PeriodicGraphSpec(
+        for j, (u, v, role) in enumerate(g.window_edges):
+            absorb(("win", j, w), (shift_ref(u, w), shift_ref(v, w), role))
+        for j, (a, v, role) in enumerate(g.apex_edges):
+            absorb(("apx", j, w), (a, shift_ref(v, w), role))
+        for j, (u, v, role) in enumerate(g.splice_edges):
+            absorb(("spl", j, w), (shift_ref(u, w), shift_ref(v, w + 1), role))
+    rolled = PeriodicGraphSpec(
         prefix_vertices=new_prefix_vertices,
         repeat_vertices=g.repeat_vertices,
         prefix_edges=tuple(new_prefix_edges),
@@ -824,39 +837,20 @@ def unroll(g: PeriodicGraphSpec, k: int) -> PeriodicGraphSpec:
         apex_edges=g.apex_edges,
         ends=g.ends,
     )
+    return rolled, absorbed
 
 
 def shift_edge_set(g: PeriodicGraphSpec, s: UPEdgeSet, k: int) -> UPEdgeSet:
     """Rewrite an edge set of g for unroll(g, k): absorbed instances become
-    prefix edges of the unrolled spec (by declaration order), later instances
-    shift left by k windows."""
+    prefix edges of the unrolled spec, later instances shift left by k
+    windows."""
     if k == 0:
         return s
+    absorbed = _unrolled(g, k)[1]
     base = s.normalized(max(s.p, k + 1))
-    # prefix edges of unroll(g, k) are ordered: original, then per absorbed
-    # window: window edges, apex edges, splice edges
-    n0 = len(g.prefix_edges)
-    nw, na, nsp = len(g.window_edges), len(g.apex_edges), len(g.splice_edges)
-    pre = set(base.prefix_present)
-    per = nw + na + nsp
-    for w in range(k):
-        off = n0 + w * per
-        for j in range(nw):
-            if base.has("win", j, w):
-                pre.add(off + j)
-        for j in range(na):
-            if base.has("apx", j, w):
-                pre.add(off + nw + j)
-        for j in range(nsp):
-            if base.has("spl", j, w):
-                pre.add(off + nw + na + j)
-    explicit = set()
-    for kind, j, w in base.explicit:
-        if kind == "spl" and w == k - 1:
-            continue  # absorbed above as a boundary prefix edge
-        if w >= k:
-            explicit.add((kind, j, w - k))
-    return UPEdgeSet(max(base.p - k, 0), frozenset(pre), frozenset(explicit), base.pattern)
+    pre = base.prefix_present | {i for inst, i in absorbed.items() if base.has(*inst)}
+    explicit = frozenset((kind, j, w - k) for kind, j, w in base.explicit if w >= k)
+    return UPEdgeSet(max(base.p - k, 0), pre, explicit, base.pattern)
 
 
 def split_components(g: PeriodicGraphSpec):

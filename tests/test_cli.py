@@ -286,10 +286,3 @@ def test_output_is_byte_stable(run):
     _, second, _ = run(*args)
     assert first == second
     assert json.loads(first)["seed"] == 7
-
-
-def test_worker_env_is_echoed(run, monkeypatch):
-    monkeypatch.setenv("MATROIDLAB_WORKERS", "4")
-    rc, out, _ = run("bean")
-    assert rc == 0
-    assert json.loads(out)["config"]["workers"] == "4"

@@ -145,6 +145,71 @@ def test_dominate_caps_window_and_path_count(argv, dominates):
         assert json.loads(out)["result"]["dominates"] is dominates
 
 
+# a splice-free family: its q-fold spec has no edge slot, so the one empty
+# candidate answers at every period up to the cap
+LANE_ONLY_FAMILY = {"repeat": {"vertices": ["a"]}, "ends": []}
+
+GROWING_ROW_FAMILY = {
+    "field": "q",
+    "persistent_rows": ["a"],
+    "block_rows": ["x"],
+    "block_cols": [
+        [[["p", "a"], 1], [["b", "x", 0], 1]],
+        [[["b", "x", 0], 1], [["b", "x", 1], -1]],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        (["thin", "--matrix-family", "{matrix}", "--depth", str(MAX_WINDOW)],
+         ("growing_rows", ["a"])),
+        (["thin", "--matrix-family", "{matrix}", "--depth", str(MAX_WINDOW + 1)], None),
+        (["spectrum", "--family", "{lanes}", "--prefix", "0", "--period", str(MAX_WINDOW)],
+         ("values", [0])),
+        (["spectrum", "--family", "{lanes}", "--prefix", "0", "--period", str(MAX_WINDOW + 1)],
+         None),
+        (["spectrum", "--family", "ladder:1", "--prefix", "0", "--period", str(MAX_WINDOW + 1)],
+         None),
+        (["spectrum", "--family", "ladder:1", "--prefix", "0", "--period", "100000"], None),
+        (["ch4", "-r", "7"], None),
+    ],
+    ids=["depth-at-cap", "depth-past-cap", "period-at-cap", "period-past-cap",
+         "ladder-period-past-cap", "ladder-period-huge", "blocks-past-encoding-cap"],
+)
+def test_depth_period_and_block_count_caps(argv, answer, tmp_path):
+    # past each cap the query stops before building the materialized columns,
+    # the q-fold spec or the block family, which grow with the bound
+    files = {"matrix": GROWING_ROW_FAMILY, "lanes": LANE_ONLY_FAMILY}
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    argv = [a.format(**{k: str(tmp_path / f"{k}.json") for k in files}) for a in argv]
+    rc, out, err = run_in_process(argv)
+    if answer is None:
+        assert rc == 3, err
+        assert err.startswith("resource bound: ")
+    else:
+        assert rc == 0, err
+        key, value = answer
+        assert json.loads(out)["result"][key] == value
+
+
+@pytest.mark.parametrize("r, answers", [(5, True), (6, False)])
+def test_block_system_encoding_cap(r, answers, monkeypatch):
+    # r = 5 has 15 elements; with the encoding cap lowered to 15 it sits at
+    # the cap and r = 6 is one past it (at the real cap of 24, r = 6 builds
+    # about two million sets before the 16-element sweep cap stops it)
+    monkeypatch.setattr(matroidlab.ops, "ENUM_CAP", 15)
+    rc, out, err = run_in_process(["ch4", "-r", str(r)])
+    if answers:
+        assert rc == 0, err
+        assert json.loads(out)["result"]["spectrum"]["values"] == [1, 2, 3, 4, 5]
+    else:
+        assert rc == 3, err
+        assert err == "resource bound: r=6 needs 21 elements, over the encoding cap 15\n"
+
+
 def test_repeated_main_calls_match_fresh_processes(tmp_path):
     # main keeps one parser per process; a usage error or a bad input in an
     # earlier call must not change what a later call prints

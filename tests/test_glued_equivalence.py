@@ -27,16 +27,26 @@ from matroidlab import periodic
 from matroidlab.cycles import (
     GluingSpec,
     _candidate_sets,
+    _gluing,
+    _prefix_forest,
+    _project_glue,
     absent_representatives,
     cycle_independent,
     cycle_is_base,
+    defect,
+    edge_sets_difference,
+    edge_sets_intersect,
+    edge_sets_union,
     fin_is_base,
     glue_all,
+    hat_check,
 )
-from matroidlab.errors import InputError, ResourceLimitError
+from matroidlab.errors import InputError, ResourceLimitError, StructuralMismatchError
+from matroidlab.families import ContractedSystem, _collect_finite, contract_coloops
 from matroidlab.periodic import (
     PeriodicGraphSpec,
     UPEdgeSet,
+    _has_finite_cycle,
     _lane_ends,
     _live_lanes,
     bean_family,
@@ -46,10 +56,11 @@ from matroidlab.periodic import (
     full_edge_set,
     ladder_family,
     run_machine,
+    split_components,
     surviving_classes,
     truncate_graph,
 )
-from matroidlab.util import adjacency, bfs_path, disjoint_paths
+from matroidlab.util import INF, adjacency, bfs_path, disjoint_paths
 
 LANES = ("a", "b", "c")
 PREFIX = ("p", "q")
@@ -494,3 +505,154 @@ def test_spec_hash_is_recomputed_after_unpickling():
     proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(g),
                           capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+# ---------------------------------------------------------------------------
+# hat checks and coloop certificates against the per-caller candidate loops
+# they used before sharing one candidate walk (kept verbatim as references)
+
+
+def _remap_instance(maps, inst):
+    if inst[0] == "pre":
+        return ("pre", maps["pre"][inst[1]])
+    if len(inst) == 2:
+        return (inst[0], maps[inst[0]][inst[1]])
+    return (inst[0], maps[inst[0]][inst[1]], inst[2])
+
+
+def _remap_edge_set(maps, s: UPEdgeSet) -> UPEdgeSet:
+    return UPEdgeSet(
+        s.p,
+        frozenset(maps["pre"][i] for i in s.prefix_present),
+        frozenset(_remap_instance(maps, e) for e in s.explicit),
+        frozenset(_remap_instance(maps, e) for e in s.pattern),
+    )
+
+
+def ref_hat_check(
+    g: PeriodicGraphSpec,
+    glue: GluingSpec | None,
+    s: UPEdgeSet,
+    profile: tuple = (2, 1),
+):
+    glue = _gluing(g, glue)
+    p, q = profile
+    if q != 1:
+        raise InputError("only period-1 profiles are supported here")
+    chosen = []
+    for spec, maps in split_components(g):
+        if spec is None:
+            # a forest avoiding s exists iff dropping s's edges keeps the
+            # piece connected, i.e. its spanning forests keep their size
+            ids = _prefix_forest(g, [i for i in maps["pre"] if i not in s.prefix_present])
+            if len(ids) != len(_prefix_forest(g, maps["pre"])):
+                return False, None
+            chosen.append(UPEdgeSet(0, frozenset(ids), frozenset(), frozenset()))
+            continue
+        local_glue = _project_glue(glue, spec.ends)
+        # restrict the fixed set to this component's edges
+        local_s = UPEdgeSet(
+            s.p,
+            frozenset(maps["pre"].index(i) for i in s.prefix_present if i in maps["pre"]),
+            frozenset(
+                (kind, maps[kind].index(j), w)
+                for kind, j, w in s.explicit
+                if j in maps[kind]
+            ),
+            frozenset(
+                (kind, maps[kind].index(j))
+                for kind, j in s.pattern
+                if j in maps[kind]
+            ),
+        )
+        found = None
+        for cand in _candidate_sets(spec, p):
+            if edge_sets_intersect(cand, local_s):
+                continue
+            joint = edge_sets_union(cand, local_s)
+            if _has_finite_cycle(spec, joint):
+                continue
+            if defect(spec, joint) is INF:
+                # no finite extension reaches a spanning set
+                continue
+            if cycle_is_base(spec, cand, local_glue)[0]:
+                found = cand
+                break
+        if found is None:
+            return False, None
+        chosen.append(_remap_edge_set(maps, found))
+    witness = UPEdgeSet()
+    for part in chosen:
+        witness = edge_sets_union(witness, part)
+    return True, {"base": witness.to_obj(), "raw": witness}
+
+
+def ref_contract_coloops(
+    g: PeriodicGraphSpec,
+    glue: GluingSpec | None,
+    t,
+    profile: tuple = (2, 1),
+) -> ContractedSystem:
+    glue = _gluing(g, glue)
+    t_set = _collect_finite(g, t)
+    p, q = profile
+    if q != 1:
+        raise InputError("coloop certificates use period-1 profiles")
+    if not (t_set.prefix_present or t_set.explicit):
+        return ContractedSystem(g, glue, t_set, profile)
+    for cand in _candidate_sets(g, p):
+        missing = edge_sets_difference(t_set, cand)
+        if not (missing.prefix_present or missing.explicit):
+            continue
+        if _has_finite_cycle(g, cand):
+            continue
+        if cycle_is_base(g, cand, glue)[0]:
+            raise InputError(
+                f"not a coloop set within bounds: {missing.to_obj()} stays outside "
+                f"the base {cand.to_obj()}"
+            )
+    return ContractedSystem(g, glue, t_set, profile)
+
+
+def answer_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (InputError, ResourceLimitError, StructuralMismatchError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def spec_profile_and_instances(draw):
+    """A random spec, its gluing, a prefix bound of 0 or 1 and the finite
+    instances over windows 0-1; prefix 1 only where it spans at most 11
+    free instance choices, to keep each walk short."""
+    g = draw(specs())
+    slots = sorted(full_edge_set(g).pattern)
+    p = draw(st.integers(0, 1 if 2 * len(slots) + len(g.prefix_edges) <= 11 else 0))
+    finite = [("pre", i) for i in range(len(g.prefix_edges))]
+    finite += [(kind, j, w) for w in range(2) for kind, j in slots]
+    return g, draw(gluings(g)), p, slots, finite
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hat_check_matches_the_reference(data):
+    g, glue, p, slots, finite = data.draw(spec_profile_and_instances())
+    fixed = data.draw(st.sets(st.sampled_from(finite), max_size=3))
+    s = UPEdgeSet(
+        2,
+        frozenset(inst[1] for inst in fixed if inst[0] == "pre"),
+        frozenset(inst for inst in fixed if inst[0] != "pre"),
+        frozenset(data.draw(st.sets(st.sampled_from(slots), max_size=2))),
+    )
+    assert (answer_or_error(hat_check, g, glue, s, (p, 1))
+            == answer_or_error(ref_hat_check, g, glue, s, (p, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_contract_coloops_matches_the_reference(data):
+    g, glue, p, _, finite = data.draw(spec_profile_and_instances())
+    t = data.draw(st.lists(st.sampled_from(finite), min_size=1, max_size=3))
+    assert (answer_or_error(contract_coloops, g, glue, t, (p, 1))
+            == answer_or_error(ref_contract_coloops, g, glue, t, (p, 1)))

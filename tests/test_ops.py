@@ -279,6 +279,17 @@ def test_spectrum_uniform_in_free():
     assert len(w["base"]) == 1 and len(w["outer_base"]) == 3
 
 
+def test_spectrum_witness_is_the_first_pair_in_inner_base_order():
+    # inner bases {a} < {b}, outer bases {b, c} < {a, d}: both nested pairs
+    # have value 1, and the witness is the pair of the first inner base
+    ground = GroundSet(("a", "b", "c", "d"))
+    inner = explicit_system(ground, [(), (0,), (1,)])
+    outer = explicit_system(ground, [(), (0,), (1,), (2,), (3,), (1, 2), (0, 3)])
+    rep = spectrum(NestedPair(inner, outer))
+    assert rep.values == (1,)
+    assert rep.witnesses[1] == {"base": ["a"], "outer_base": ["a", "d"]}
+
+
 def test_spectrum_self_pair():
     m = graphic_matroid(3, [(0, 1), (1, 2), (0, 2)])
     assert spectrum(NestedPair(m, m)).values == (0,)
