@@ -93,10 +93,10 @@ def _family_arg(text: str):
     return fam if fam is not None else load_family(read_json(text))
 
 
-def _pair_arg(text: str) -> NestedPair:
+def _pair_arg(text: str, cap: int | None) -> NestedPair:
     head, sep, tail = text.partition(":")
     if head == "ch4" and sep and tail.isdigit():
-        return ch4_system(int(tail))
+        return ch4_system(int(tail), cap, sweep=True)
     return load_nested_pair(read_json(text))
 
 
@@ -121,7 +121,7 @@ def _pair_from(args) -> NestedPair:
     if args.pair:
         if args.inner or args.outer:
             raise InputError("give either --pair or --inner/--outer, not both")
-        return _pair_arg(args.pair)
+        return _pair_arg(args.pair, args.cap)
     if args.inner and args.outer:
         return NestedPair(inner=_system_arg(args.inner), outer=_system_arg(args.outer))
     raise InputError("need --pair or both --inner and --outer")
@@ -233,7 +233,7 @@ def cmd_smin(args):
 
 
 def cmd_ch4(args):
-    pair = ch4_system(args.r)
+    pair = ch4_system(args.r, args.cap, sweep=True)
     report = spectrum(pair, args.cap)
     if args.r >= 2:
         raw = ch4_i3_witness(args.r)

@@ -18,10 +18,15 @@ system: the defect of a glued base is how many edges it needs to become one of
 those, and the spectrum collects the defects of all bases within a search
 profile.  The plain system's base test, fin_is_base, is the glued test with
 nothing glued.  Spectra, hat checks and coloop certificates share one
-candidate walk: every candidate within the profile in one fixed order, the
-caller's own filter first, then the glued base test.  Everything here reduces
-to the window-sweep machine plus bounded enumeration, so results are exact
-within the stated bounds.
+candidate walk: every candidate within the profile in one fixed order, asked
+in turn the caller's own filter, the finite-cycle test, whether its defect is
+infinite, and only then the glued base test.  A candidate of infinite defect
+is no base of either system: retiring more finite components per window than
+the graph, it has a finite component C that is not a whole component of the
+graph; an absent edge leaving C joins two components, so it closes no finite
+cycle, and C carries no ray, so it closes no circle either.  Everything here
+reduces to the window-sweep machine plus bounded enumeration, so results are
+exact within the stated bounds.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .periodic import (
     run_machine,
     split_components,
 )
-from .util import INF, bfs_path, sort_key, spanning_forest
+from .util import INF, bfs_path, spanning_forest
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +285,8 @@ def defect(g: PeriodicGraphSpec, s: UPEdgeSet, glue: GluingSpec | None = None):
 
     The value does not depend on the gluing: extending to a spanning set
     joins plain components, and glue points never absorb an edge.  The glue
-    argument is accepted for call-site symmetry and validated only.
+    argument is accepted for call-site symmetry and validated only.  Glued
+    bases always have a finite defect (see the module docstring).
     """
     if glue is not None:
         glue.validate_for(g)
@@ -348,17 +354,20 @@ def _candidate_sets(g, p):
                 yield UPEdgeSet(p, prefix, explicit, pattern)
 
 
-def _glued_bases(g, glue, p, skip):
-    """Glued bases among the candidates within p, in candidate order.
+def _glued_bases(g, glue, p, skip=lambda cand: False, known=()):
+    """(base, defect) for the glued bases within p, in candidate order.
 
     skip(cand) is asked first, so an error it raises surfaces before any base
-    test; a true answer passes the candidate over.
+    test; a true answer passes the candidate over, as does a finite cycle, an
+    infinite defect (never a base's, see the module docstring) or a defect
+    already in known.
     """
     for cand in _candidate_sets(g, p):
         if skip(cand) or _has_finite_cycle(g, cand):
             continue
-        if cycle_is_base(g, cand, glue)[0]:
-            yield cand
+        d = defect(g, cand)
+        if d is not INF and d not in known and cycle_is_base(g, cand, glue)[0]:
+            yield cand, d
 
 
 def _components(g, glue):
@@ -388,15 +397,14 @@ def _remap_edge_set(maps, s: UPEdgeSet) -> UPEdgeSet:
 
 
 def _component_spectrum(g, glue, p):
-    """Defect -> first witness (base, fin_base or None), exhaustively within p.
+    """Defect -> first witness (base, fin_base), exhaustively within p.
 
     A candidate whose defect is already witnessed skips the base check; the
     value set is unchanged and the kept witness is the enumeration-first one.
     """
     out = {}
-    for cand in _glued_bases(g, glue, p, lambda cand: defect(g, cand) in out):
-        d = defect(g, cand)
-        out[d] = (cand, extend_to_fin_base(g, cand) if d is not INF else None)
+    for cand, d in _glued_bases(g, glue, p, known=out):
+        out[d] = (cand, extend_to_fin_base(g, cand))
     return out
 
 
@@ -424,7 +432,7 @@ def spectrum_search(
         report.bounds["profile_q"] = q
         report.bounds["witness_presentation"] = f"windows grouped {q} at a time"
         return report
-    # value -> (base, fin_base), fin_base None once a component has none
+    # value -> (base, fin_base)
     values = {0: (UPEdgeSet(), UPEdgeSet())}
     for spec, local_glue, up, _ in _components(g, glue):
         if spec is None:
@@ -433,7 +441,7 @@ def spectrum_search(
             sub = {0: (add, add)}
         else:
             sub = {
-                d: (_remap_edge_set(up, base), None if fin is None else _remap_edge_set(up, fin))
+                d: (_remap_edge_set(up, base), _remap_edge_set(up, fin))
                 for d, (base, fin) in _component_spectrum(spec, local_glue, p).items()
             }
             if not sub:
@@ -443,16 +451,15 @@ def spectrum_search(
         combined = {}
         for d0, (base0, fin0) in values.items():
             for d1, (base1, fin1) in sub.items():
-                d = d0 + d1 if not (d0 is INF or d1 is INF) else INF
+                d = d0 + d1
                 if d not in combined:
-                    fin = None if fin0 is None or fin1 is None else edge_sets_union(fin0, fin1)
-                    combined[d] = (edge_sets_union(base0, base1), fin)
+                    combined[d] = (edge_sets_union(base0, base1), edge_sets_union(fin0, fin1))
         values = combined
-    values = dict(sorted(values.items(), key=lambda kv: sort_key(kv[0])))
+    values = dict(sorted(values.items()))
     return SpectrumReport(
         values=tuple(values),
         witnesses={
-            d: {"base": base.to_obj(), "fin_base": None if fin is None else fin.to_obj()}
+            d: {"base": base.to_obj(), "fin_base": fin.to_obj()}
             for d, (base, fin) in values.items()
         },
         bounds={"profile_p": p, "profile_q": q},
@@ -501,19 +508,14 @@ def mk_spectrum(
         raise InputError("removal count must be a natural number")
     glue = _gluing(g, glue)
     base_report = spectrum_search(g, glue, profile)
-    values = []
     witnesses = {}
     raw_witnesses = {}
     for v in base_report.values:
-        shifted = v + k if v is not INF else INF
-        values.append(shifted)
+        shifted = v + k
         base, fin = base_report.raw["witnesses"][v]
-        removed = []
+        removed = list(itertools.islice(_instance_stream(base), k))
         cur = base
-        for inst in _instance_stream(base):
-            if len(removed) == k:
-                break
-            removed.append(inst)
+        for inst in removed:
             cur = cur.without_edge(inst)
         if len(removed) < k:
             raise InputError(
@@ -522,13 +524,13 @@ def mk_spectrum(
         witnesses[shifted] = {
             "reduced": cur.to_obj(),
             "removed": [list(i) for i in removed],
-            "fin_base": fin.to_obj() if fin is not None else None,
+            "fin_base": fin.to_obj(),
         }
         raw_witnesses[shifted] = (cur, removed, fin)
     bounds = dict(base_report.bounds)
     bounds["removed"] = k
     return SpectrumReport(
-        values=tuple(values),
+        values=tuple(witnesses),
         witnesses=witnesses,
         bounds=bounds,
         raw={"unshifted": base_report, "witnesses": raw_witnesses},
@@ -565,13 +567,13 @@ def hat_check(
         local_s = _remap_edge_set(down, s)
 
         def blocked(cand):
-            if edge_sets_intersect(cand, local_s):
-                return True
-            joint = edge_sets_union(cand, local_s)
-            # an infinite defect means no finite extension reaches a spanning set
-            return _has_finite_cycle(spec, joint) or defect(spec, joint) is INF
+            # the walk passes over infinite defects, and adding s keeps a
+            # finite defect finite, so a finite-cycle-free union extends
+            return edge_sets_intersect(cand, local_s) or _has_finite_cycle(
+                spec, edge_sets_union(cand, local_s)
+            )
 
-        found = next(_glued_bases(spec, local_glue, p, blocked), None)
+        found, _ = next(_glued_bases(spec, local_glue, p, blocked), (None, None))
         if found is None:
             return False, None
         witness = edge_sets_union(witness, _remap_edge_set(up, found))
@@ -580,10 +582,6 @@ def hat_check(
 
 # ---------------------------------------------------------------------------
 # the engineered exchange failure
-
-
-def _role_or(g, preferred, fallback):
-    return preferred if preferred in g.roles() else fallback
 
 
 def verify_i3_violation(g: PeriodicGraphSpec, glue: GluingSpec | None = None):
@@ -601,7 +599,7 @@ def verify_i3_violation(g: PeriodicGraphSpec, glue: GluingSpec | None = None):
     """
     glue = glue_all(g) if glue is None else glue
     glue.validate_for(g)
-    cross_role = _role_or(g, "spoke", "rung")
+    cross_role = "spoke" if "spoke" in g.roles() else "rung"
     H = edges_by_role(g, {"top", "bottom"})
     TH = edges_by_role(g, "top")
     N = edges_by_role(g, cross_role)

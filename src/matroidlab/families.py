@@ -116,13 +116,8 @@ class ContractedSystem:
         for v in rep.values:
             base, fin = rep.raw["witnesses"][v]
             reduced = edge_sets_difference(base, self.contracted)
-            fin_red = (
-                edge_sets_difference(fin, self.contracted) if fin is not None else None
-            )
-            witnesses[v] = {
-                "base": reduced.to_obj(),
-                "fin_base": fin_red.to_obj() if fin_red is not None else None,
-            }
+            fin_red = edge_sets_difference(fin, self.contracted)
+            witnesses[v] = {"base": reduced.to_obj(), "fin_base": fin_red.to_obj()}
             raw_witnesses[v] = (reduced, fin_red)
         bounds = dict(rep.bounds)
         bounds["contracted"] = self.contracted.to_obj()
@@ -155,7 +150,7 @@ def contract_coloops(
     def covers(cand):
         return edge_set_is_empty(edge_sets_difference(t_set, cand))
 
-    cand = next(_glued_bases(g, glue, p, covers), None)
+    cand, _ = next(_glued_bases(g, glue, p, covers), (None, None))
     if cand is not None:
         raise InputError(
             f"not a coloop set within bounds: {edge_sets_difference(t_set, cand).to_obj()} "

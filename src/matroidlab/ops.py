@@ -18,6 +18,7 @@ from .core import (
     GroundSet,
     OracleMatroid,
     System,
+    _check_sweep,
     _downward_closed,
     _expand,
     check_axioms,
@@ -241,20 +242,23 @@ def ch4_blocks(r: int) -> list[tuple[int, ...]]:
     return out
 
 
-def ch4_system(r: int) -> NestedPair:
+def ch4_system(r: int, cap: int | None = None, sweep: bool = False) -> NestedPair:
     """Nested pair whose inner member is the block-avoidance system.
 
     Ground is {1..r(r+1)/2} (labels are 1-based numerals); a set is inner-
     independent when it misses at least one block entirely; the outer member
     is free.  Inner bases are the block complements, so the spectrum is 1..r,
     and for r >= 2 the inner system fails I3.  A ground past ENUM_CAP
-    elements (r >= 7) raises ResourceLimitError.
+    elements (r >= 7) raises ResourceLimitError, and so does, for a caller
+    that will sweep the pair, one past the sweep cap, before any set is built.
     """
     blocks = ch4_blocks(r)
     n = r * (r + 1) // 2
     if n > ENUM_CAP:
         raise ResourceLimitError(f"r={r} needs {n} elements, over the encoding cap {ENUM_CAP}")
     ground = GroundSet(tuple(str(i + 1) for i in range(n)))
+    if sweep:
+        _check_sweep(ground, cap)
     full = ground.full_mask
     fam: set[int] = set()
     for block in blocks:

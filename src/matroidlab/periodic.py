@@ -245,6 +245,7 @@ def validate_edge_set(g: PeriodicGraphSpec, s: UPEdgeSet):
             raise InputError(f"{kind} slot {j} undeclared")
 
 
+@lru_cache(maxsize=512)
 def full_edge_set(g: PeriodicGraphSpec) -> UPEdgeSet:
     pattern = {(kind, j) for kind, n in g.slot_counts().items() for j in range(n)}
     return UPEdgeSet(0, frozenset(range(len(g.prefix_edges))), frozenset(), frozenset(pattern))
@@ -465,6 +466,7 @@ def ends_of(g: PeriodicGraphSpec) -> dict:
     return dict(zip(g.ends, cors))
 
 
+@lru_cache(maxsize=512)
 def _lane_ends(g: PeriodicGraphSpec) -> dict:
     """Lane -> the end label of its corridor."""
     return {lane: label for label, lanes in ends_of(g).items() for lane in lanes}

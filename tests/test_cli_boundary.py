@@ -210,6 +210,34 @@ def test_block_system_encoding_cap(r, answers, monkeypatch):
         assert err == "resource bound: r=6 needs 21 elements, over the encoding cap 15\n"
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ch4", "-r", "6"], 3),
+        (["spectrum", "--pair", "ch4:6"], 3),
+        (["smin", "--pair", "ch4:6"], 3),
+        (["ch4", "-r", "3", "--cap", "5"], 3),
+        (["ch4", "-r", "3", "--cap", "6"], 0),
+        (["axioms", "--system", "ch4:3", "--cap", "5"], 0),
+    ],
+    ids=["ch4-r6", "spectrum-pair", "smin-pair", "ch4-past-cap", "ch4-at-cap", "axioms-no-sweep"],
+)
+def test_block_pair_past_the_sweep_cap_stops_before_building(argv, code, monkeypatch):
+    # a command that sweeps the pair checks its ground against the sweep cap
+    # (--cap, default 16) before the block family, about two million sets at
+    # r = 6, is built; one that needs no sweep builds it and answers
+    built = []
+    monkeypatch.setattr(matroidlab.ops, "submasks",
+                        lambda mask, real=matroidlab.ops.submasks: built.append(mask) or real(mask))
+    rc, out, err = run_in_process(argv)
+    assert rc == code, err
+    if code == 3:
+        assert err.startswith("resource bound: powerset sweep over ")
+        assert not built
+    else:
+        assert built
+
+
 def test_repeated_main_calls_match_fresh_processes(tmp_path):
     # main keeps one parser per process; a usage error or a bad input in an
     # earlier call must not change what a later call prints

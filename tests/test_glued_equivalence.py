@@ -27,6 +27,7 @@ from matroidlab import periodic
 from matroidlab.cycles import (
     GluingSpec,
     _candidate_sets,
+    _glued_bases,
     _gluing,
     _prefix_forest,
     _project_glue,
@@ -40,6 +41,7 @@ from matroidlab.cycles import (
     fin_is_base,
     glue_all,
     hat_check,
+    spectrum_search,
 )
 from matroidlab.errors import InputError, ResourceLimitError, StructuralMismatchError
 from matroidlab.families import ContractedSystem, _collect_finite, contract_coloops
@@ -656,3 +658,70 @@ def test_contract_coloops_matches_the_reference(data):
     t = data.draw(st.lists(st.sampled_from(finite), min_size=1, max_size=3))
     assert (answer_or_error(contract_coloops, g, glue, t, (p, 1))
             == answer_or_error(ref_contract_coloops, g, glue, t, (p, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the candidate walk passes over infinite defects
+
+
+def _walk_profiles(g):
+    """Prefix 0, plus prefix 1 where it spans at most 11 free instance choices."""
+    slots = full_edge_set(g).pattern
+    return (0, 1) if 2 * len(slots) + len(g.prefix_edges) <= 11 else (0,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_infinite_defects_are_never_bases(data):
+    # a candidate of infinite defect is a base of neither system, a glued
+    # base of finite defect keeps a finite defect in every superset, and
+    # the walk yields exactly the candidates the base test accepts; a
+    # candidate whose sweeps hit the window bound has no verdict to compare,
+    # and neither has a walk over it
+    g = data.draw(specs())
+    glue = _gluing(g, data.draw(gluings(g)))
+    profiles = _walk_profiles(g)
+    seen, bases = [], []
+    for p in profiles:
+        expected, bounded = [], False
+        for cand in _candidate_sets(g, p):
+            answers = outcome(lambda: (defect(g, cand), _has_finite_cycle(g, cand),
+                                       cycle_is_base(g, cand, glue)[0], fin_is_base(g, cand)[0]))
+            if answers == "resource bound":
+                bounded = True
+                continue
+            d, cyclic, is_base, is_fin_base = answers
+            seen.append((cand.normalized(max(profiles)), d))
+            if d is INF:
+                assert not (is_base or is_fin_base), cand
+            elif not cyclic and is_base:
+                expected.append((cand, d))
+        if not bounded:
+            assert list(_glued_bases(g, glue, p)) == expected
+        bases += [cand.normalized(max(profiles)) for cand, _ in expected]
+    for base in bases:
+        for cand, d in seen:
+            if (base.prefix_present <= cand.prefix_present and base.explicit <= cand.explicit
+                    and base.pattern <= cand.pattern):
+                assert d is not INF, (base, cand)
+
+
+@pytest.mark.parametrize("g", [ladder_family(1), ladder_family(2), bean_family()],
+                         ids=["ladder", "ladder2", "bean"])
+def test_walk_never_base_tests_an_infinite_defect(g):
+    glue = glue_all(g)
+    tested = []
+
+    def spy(g_, s, glue_=None):
+        tested.append((g_, s))
+        return cycle_is_base(g_, s, glue_)
+
+    with mock.patch.object(matroidlab.cycles, "cycle_is_base", spy):
+        for p in (0, 1):
+            spectrum_search(g, glue, (p, 1))
+            hat_check(g, glue, UPEdgeSet(), (p, 1))
+    assert tested
+    assert all(defect(g_, s) is not INF for g_, s in tested)
+    # the walk did meet candidates it passed over for their defect alone
+    assert any(defect(g, cand) is INF and not _has_finite_cycle(g, cand)
+               for cand in _candidate_sets(g, 1))
