@@ -48,6 +48,7 @@ from .linear import nearly_thin_count
 from .ops import (
     NestedPair,
     ch4_i3_witness,
+    ch4_inner,
     ch4_system,
     difference,
     smin_enumerate,
@@ -96,14 +97,14 @@ def _family_arg(text: str):
 def _pair_arg(text: str, cap: int | None) -> NestedPair:
     head, sep, tail = text.partition(":")
     if head == "ch4" and sep and tail.isdigit():
-        return ch4_system(int(tail), cap, sweep=True)
+        return ch4_system(int(tail), cap)
     return load_nested_pair(read_json(text))
 
 
 def _system_arg(text: str):
     head, sep, tail = text.partition(":")
     if head == "ch4" and sep and tail.isdigit():
-        return ch4_system(int(tail)).inner
+        return ch4_inner(int(tail))
     return load_system(read_json(text))
 
 
@@ -233,7 +234,7 @@ def cmd_smin(args):
 
 
 def cmd_ch4(args):
-    pair = ch4_system(args.r, args.cap, sweep=True)
+    pair = ch4_system(args.r, args.cap)
     report = spectrum(pair, args.cap)
     if args.r >= 2:
         raw = ch4_i3_witness(args.r)
@@ -277,13 +278,13 @@ def cmd_thin(args):
     return {"count": count, "growing_rows": list(rows)}, None
 
 
-def _scan_entry(text: str, glue_text: str, profile: tuple):
+def _scan_entry(text: str, glue_text: str, profile: tuple, cap: int | None):
     fam = _canned_family(text)
     if fam is not None:
         return (text, fam, _glue_arg(glue_text, fam))
     head, sep, tail = text.partition(":")
     if head == "ch4" and sep and tail.isdigit():
-        return (text, ch4_system(int(tail)))
+        return (text, ch4_system(int(tail), cap))
     obj = read_json(text)
     name = Path(text).stem
     if not isinstance(obj, dict):
@@ -306,10 +307,10 @@ def _scan_entry(text: str, glue_text: str, profile: tuple):
 
 def cmd_scan(args):
     profile = _profile(args)
-    entries = [_scan_entry(t, args.glue, profile) for t in args.targets]
+    entries = [_scan_entry(t, args.glue, profile, args.cap) for t in args.targets]
     rows = []
     table = ["name,values,gap"]
-    for row in spectrum_scan(entries, profile):
+    for row in spectrum_scan(entries, profile, args.cap):
         body = row["report"].to_dict()
         rows.append({"name": row["name"], "values": body["values"], "gap": row["gap"]})
         table.append(

@@ -46,8 +46,8 @@ class GroundSet:
             )
 
     @classmethod
-    def of_size(cls, m: int, prefix: str = "e") -> "GroundSet":
-        return cls(tuple(f"{prefix}{i}" for i in range(m)))
+    def of_size(cls, m: int) -> "GroundSet":
+        return cls(tuple(f"e{i}" for i in range(m)))
 
     @classmethod
     def named(cls, labels: Iterable[str]) -> "GroundSet":
@@ -298,7 +298,7 @@ def is_independent(sys_: System, subset) -> bool:
     return sys_.is_independent(as_mask(sys_.ground, subset))
 
 
-def rank_of(sys_: System, subset=None, cap: int | None = None) -> int:
+def rank_of(sys_: System, subset=None) -> int:
     """Rank of a subset: size of a largest independent set inside it."""
     mask = sys_.ground.full_mask if subset is None else as_mask(sys_.ground, subset)
     if isinstance(sys_, OracleMatroid):

@@ -654,13 +654,13 @@ def verify_i3_violation(g: PeriodicGraphSpec, glue: GluingSpec | None = None):
 @dataclass
 class VerdictReport:
     verdict: str
-    k: object
+    k: int                  # a sum of corridor widths
     notes: tuple
 
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "k": "inf" if self.k is INF else self.k,
+            "k": self.k,
             "notes": list(self.notes),
         }
 

@@ -30,7 +30,6 @@ from .periodic import (
     UPEdgeSet,
     _unrolled,
 )
-from .util import INF
 
 
 def _in_range(index, bound) -> bool:
@@ -159,12 +158,13 @@ def contract_coloops(
     return ContractedSystem(g, glue, t_set, profile)
 
 
-def spectrum_scan(entries, profile: tuple = (2, 1)) -> list:
+def spectrum_scan(entries, profile: tuple = (2, 1), cap: int | None = None) -> list:
     """Batch spectra with a gap flag per row.
 
     Each entry is (name, family, gluing) for the symbolic engine,
-    (name, nested_pair) for a finite system, or (name, contracted_view).
-    A gap is an absent value strictly between two present finite values.
+    (name, nested_pair) for a finite system, swept under cap, or
+    (name, contracted_view).  A gap is an absent value strictly between two
+    present values.
     """
     rows = []
     for entry in entries:
@@ -173,12 +173,11 @@ def spectrum_scan(entries, profile: tuple = (2, 1)) -> list:
             glue = entry[2] if len(entry) > 2 and entry[2] is not None else glue_all(obj)
             rep = spectrum_search(obj, glue, profile)
         elif isinstance(obj, NestedPair):
-            rep = finite_spectrum(obj)
+            rep = finite_spectrum(obj, cap)
         elif isinstance(obj, ContractedSystem):
             rep = obj.spectrum()
         else:
             raise InputError(f"cannot scan {type(obj).__name__}")
-        finite = [v for v in rep.values if v is not INF]
-        gap = any(b - a > 1 for a, b in zip(finite, finite[1:]))
+        gap = any(b - a > 1 for a, b in zip(rep.values, rep.values[1:]))
         rows.append({"name": name, "values": rep.values, "gap": gap, "report": rep})
     return rows

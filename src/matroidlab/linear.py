@@ -337,34 +337,18 @@ def materialize(spec: PeriodicMatrixSpec, n_windows: int) -> MatrixRep:
     return MatrixRep(spec.field, tuple(row_labels), tuple(col_labels), tuple(cols))
 
 
-def _persistent_supports(spec: PeriodicMatrixSpec, n_windows: int) -> dict[str, int]:
-    m = materialize(spec, n_windows)
-    out = {name: 0 for name in spec.persistent_rows}
-    for i, name in enumerate(spec.persistent_rows):
-        out[name] = sum(1 for col in m.columns if col[i] != 0)
-    return out
-
-
 def nearly_thin_count(spec: PeriodicMatrixSpec, depth: int = 2) -> tuple[int, tuple[str, ...]]:
     """Persistent rows whose column support keeps growing with the window count.
 
-    Returns (count, growing row names).  The growing-row set is compared at
-    depth and depth+1; disagreement means the pattern has not settled within
-    the requested depth.  A depth above MAX_WINDOW raises ResourceLimitError:
-    the dense columns compared grow with the square of the depth.
+    Returns (count, growing row names).  Each window adds one column per
+    pattern, and pattern entries are nonzero, so after n windows a persistent
+    row's support is n times the number of patterns naming it: it grows
+    exactly when some pattern names it, at every depth alike.  depth is only
+    range-checked (below 2 is bad input, above MAX_WINDOW a resource bound).
     """
     if depth < 2:
         raise InputError("support comparison needs depth >= 2")
     if depth > MAX_WINDOW:
         raise ResourceLimitError(f"support depth {depth}; depths are capped at {MAX_WINDOW}")
-    s0 = _persistent_supports(spec, depth)
-    s1 = _persistent_supports(spec, depth + 1)
-    s2 = _persistent_supports(spec, depth + 2)
-    g1 = {name for name in s0 if s1[name] > s0[name]}
-    g2 = {name for name in s0 if s2[name] > s1[name]}
-    if g1 != g2:
-        raise ResourceLimitError(
-            f"support growth not stable at depth {depth}: {sorted(g1 ^ g2)}"
-        )
-    growing = tuple(sorted(g1))
-    return len(growing), growing
+    named = {ref[1] for col in spec.block_cols for ref, _ in col if ref[0] == "p"}
+    return len(named), tuple(sorted(named))

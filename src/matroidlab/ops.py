@@ -30,7 +30,7 @@ from .core import (
     uniform_matroid,
 )
 from .errors import InputError, ResourceLimitError
-from .util import is_inf, sort_key, submasks
+from .util import submasks
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class NestedPair:
 class SpectrumReport:
     """Value set of |F - B| over nested base pairs, with one witness per value.
 
-    values is sorted ascending with the infinity marker last.  witnesses maps
+    values is sorted ascending, and every value is finite.  witnesses maps
     each value to a JSON-ready payload; raw keeps the native witness objects
     (mask pairs here, symbolic edge sets in the periodic engine).  complete is
     False only when a bounded symbolic search had to stop early.
@@ -72,10 +72,8 @@ class SpectrumReport:
 
     def to_dict(self) -> dict:
         return {
-            "values": ["inf" if is_inf(v) else v for v in self.values],
-            "witnesses": {
-                ("inf" if is_inf(v) else str(v)): self.witnesses[v] for v in self.values
-            },
+            "values": list(self.values),
+            "witnesses": {str(v): self.witnesses[v] for v in self.values},
             "bounds": dict(sorted(self.bounds.items())),
             "complete_within_bounds": self.complete,
         }
@@ -205,7 +203,7 @@ def spectrum(pair: NestedPair, cap: int | None = None) -> SpectrumReport:
         for v, (b, f) in raw.items()
     }
     return SpectrumReport(
-        values=tuple(sorted(raw, key=sort_key)),
+        values=tuple(sorted(raw)),
         witnesses=witnesses,
         bounds={"inner_bases": len(inner_bases), "outer_bases": len(outer_bases)},
         raw=raw,
@@ -242,31 +240,35 @@ def ch4_blocks(r: int) -> list[tuple[int, ...]]:
     return out
 
 
-def ch4_system(r: int, cap: int | None = None, sweep: bool = False) -> NestedPair:
-    """Nested pair whose inner member is the block-avoidance system.
-
-    Ground is {1..r(r+1)/2} (labels are 1-based numerals); a set is inner-
-    independent when it misses at least one block entirely; the outer member
-    is free.  Inner bases are the block complements, so the spectrum is 1..r,
-    and for r >= 2 the inner system fails I3.  A ground past ENUM_CAP
-    elements (r >= 7) raises ResourceLimitError, and so does, for a caller
-    that will sweep the pair, one past the sweep cap, before any set is built.
-    """
-    blocks = ch4_blocks(r)
+def _ch4_ground(r: int) -> GroundSet:
+    """Labels 1..r(r+1)/2 as numerals; a ground past ENUM_CAP elements
+    (r >= 7) raises ResourceLimitError before any block is listed."""
+    if r < 1:
+        raise InputError("block count must be at least 1")
     n = r * (r + 1) // 2
     if n > ENUM_CAP:
         raise ResourceLimitError(f"r={r} needs {n} elements, over the encoding cap {ENUM_CAP}")
-    ground = GroundSet(tuple(str(i + 1) for i in range(n)))
-    if sweep:
-        _check_sweep(ground, cap)
-    full = ground.full_mask
+    return GroundSet(tuple(str(i + 1) for i in range(n)))
+
+
+def ch4_inner(r: int) -> ExplicitSystem:
+    """The block-avoidance system: a set is independent when it misses at
+    least one block entirely.  Its bases are the block complements, and for
+    r >= 2 it fails I3."""
+    ground = _ch4_ground(r)
     fam: set[int] = set()
-    for block in blocks:
-        bm = ground.mask(block)
-        fam.update(submasks(full ^ bm))
-    inner = ExplicitSystem(ground, frozenset(fam))
-    outer = uniform_matroid(n, n, labels=ground.labels)
-    return NestedPair(inner, outer)
+    for block in ch4_blocks(r):
+        fam.update(submasks(ground.full_mask ^ ground.mask(block)))
+    return ExplicitSystem(ground, frozenset(fam))
+
+
+def ch4_system(r: int, cap: int | None = None) -> NestedPair:
+    """ch4_inner(r) nested in the free matroid on its ground; the spectrum is
+    1..r.  Every use of the pair sweeps it, so a ground past the sweep cap
+    raises ResourceLimitError before any set is built."""
+    _check_sweep(_ch4_ground(r), cap)
+    inner = ch4_inner(r)
+    return NestedPair(inner, uniform_matroid(inner.size, inner.size, labels=inner.ground.labels))
 
 
 def ch4_i3_witness(r: int) -> dict[str, int]:

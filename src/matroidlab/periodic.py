@@ -275,23 +275,19 @@ class MachineResult:
     live: tuple             # stationary classes that persist forever (confirmed one step ahead)
     cycle_event: tuple | None  # (edge instance, window) of the first redundant union
 
-    @property
-    def live_count(self) -> int:
-        return len(self.live)
-
     def component_count(self):
         if self.delta > 0:
             return INF
-        return self.closed + self.live_count
+        return self.closed + len(self.live)
 
 
 # results are immutable in practice; sharing across callers is safe
 _machine_cache: dict = {}
 
 
-def _window_bound(g: PeriodicGraphSpec, s: UPEdgeSet, extra: int = 0) -> int:
+def _window_bound(g: PeriodicGraphSpec, s: UPEdgeSet) -> int:
     tokens = len(g.prefix_vertices) + len(g.repeat_vertices) + len(g.apex_edges) + 2
-    return 4 * tokens + 2 * s.p + 8 + extra
+    return 4 * tokens + 2 * s.p + 8
 
 
 def run_machine(
@@ -859,7 +855,8 @@ def split_components(g: PeriodicGraphSpec):
     """Structural components (lane-level connectivity) as independent specs.
 
     Returns a list of (spec, maps) where maps holds, per edge kind, the list
-    of parent indices in the order the component spec declares them.
+    of parent indices in the order the component spec declares them; a piece
+    without repeat vertices is (None, maps) with its prefix edges alone.
     """
     nodes = list(g.prefix_vertices) + list(g.repeat_vertices)
     uf = UnionFind()
@@ -877,14 +874,12 @@ def split_components(g: PeriodicGraphSpec):
     for root in sorted(groups, key=lambda r: sorted(groups[r])[0]):
         names = set(groups[root])
         rep = tuple(l for l in g.repeat_vertices if l in names)
-        if not rep:
-            comps.append((None, {"prefix_vertices": tuple(p for p in g.prefix_vertices if p in names),
-                                 "pre": [i for i, (u, v, _) in enumerate(g.prefix_edges)
-                                         if name_of(u) in names]}))
-            continue
         pre_ids = [
             i for i, (u, v, _) in enumerate(g.prefix_edges) if name_of(u) in names
         ]
+        if not rep:
+            comps.append((None, {"pre": pre_ids}))
+            continue
         win_ids = [j for j, (u, _, _) in enumerate(g.window_edges) if u in names]
         spl_ids = [j for j, (u, _, _) in enumerate(g.splice_edges) if u in names]
         apx_ids = [j for j, (a, _, _) in enumerate(g.apex_edges) if a in names]

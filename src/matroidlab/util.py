@@ -1,64 +1,14 @@
-"""Bitmask helpers, the infinity marker, and the union-find, BFS and
-disjoint-paths kernels behind every graph question the package answers."""
+"""Bitmask helpers, the infinity marker INF (math.inf itself, so `is INF`
+tests hold), and the union-find, BFS and disjoint-paths kernels behind every
+graph question the package answers."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Iterator
 
-
-class Infinity:
-    """Marker for infinite counts. Compares above every int; addition absorbs."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("matroidlab-inf")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if other is self:
-            raise ArithmeticError("inf - inf is undefined")
-        return self
-
-
-INF = Infinity()
-
-
-def is_inf(value) -> bool:
-    return value is INF
-
-
-def sort_key(value):
-    """Sort ints before INF."""
-    return (1, 0) if value is INF else (0, value)
+INF = math.inf
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -109,6 +109,20 @@ def test_minor_by_labels(run, system_files):
     assert [0, 1] in result["independent"]
 
 
+def test_minor_contracts_an_explicit_system(run, tmp_path):
+    # the triangle as an explicit family: contracting one edge leaves the
+    # other two parallel
+    tri = tmp_path / "tri.json"
+    tri.write_text(json.dumps({
+        "ground": ["a", "b", "c"],
+        "kind": "explicit",
+        "independent": [[], [0], [1], [2], [0, 1], [0, 2], [1, 2]],
+    }))
+    rc, out, err = run("minor", "--system", str(tri), "--contract", "a")
+    assert rc == 0, err
+    assert result_of(out) == {"ground": ["b", "c"], "kind": "explicit", "independent": [[], [0], [1]]}
+
+
 def test_union_doubles_rank(run, system_files):
     rc, out, _ = run("union", "--left", system_files["u13"], "--right", system_files["u13"])
     assert rc == 0

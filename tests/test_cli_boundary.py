@@ -219,13 +219,18 @@ def test_block_system_encoding_cap(r, answers, monkeypatch):
         (["ch4", "-r", "3", "--cap", "5"], 3),
         (["ch4", "-r", "3", "--cap", "6"], 0),
         (["axioms", "--system", "ch4:3", "--cap", "5"], 0),
+        (["scan", "ch4:6"], 3),
+        (["scan", "ch4:3", "--cap", "4"], 3),
+        (["scan", "ch4:3", "--cap", "6"], 0),
     ],
-    ids=["ch4-r6", "spectrum-pair", "smin-pair", "ch4-past-cap", "ch4-at-cap", "axioms-no-sweep"],
+    ids=["ch4-r6", "spectrum-pair", "smin-pair", "ch4-past-cap", "ch4-at-cap", "axioms-no-sweep",
+         "scan-r6", "scan-past-cap", "scan-at-cap"],
 )
 def test_block_pair_past_the_sweep_cap_stops_before_building(argv, code, monkeypatch):
     # a command that sweeps the pair checks its ground against the sweep cap
     # (--cap, default 16) before the block family, about two million sets at
-    # r = 6, is built; one that needs no sweep builds it and answers
+    # r = 6, is built; axioms reads only the inner system, an explicit family
+    # that no sweep cap governs, so it builds the family and answers
     built = []
     monkeypatch.setattr(matroidlab.ops, "submasks",
                         lambda mask, real=matroidlab.ops.submasks: built.append(mask) or real(mask))

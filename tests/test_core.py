@@ -443,3 +443,19 @@ def test_contract_identity_on_random_graphs(g, data):
     left = contract(m, sorted(x))
     right = dual(delete(dual(m), sorted(x)))
     assert family_masks(left) == family_masks(right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graphs(), st.data())
+def test_explicit_minors_match_oracle_minors(g, data):
+    # the explicit branches of delete and contract against the rank-oracle
+    # minors of the same graphic matroid, mask for mask
+    n, edges = g
+    m = graphic_matroid(n, edges)
+    e = explicit_system(m.ground, family_masks(m))
+    x = data.draw(st.integers(0, m.ground.full_mask))
+    for minor in (delete, contract):
+        left, right = minor(e, x), minor(m, x)
+        assert isinstance(left, ExplicitSystem)
+        assert left.ground == right.ground
+        assert family_masks(left) == family_masks(right)

@@ -403,6 +403,23 @@ def test_mk_rejects_removals_beyond_a_finite_base():
         mk_spectrum(flat, glue_all(flat), 2)
 
 
+@pytest.mark.parametrize("g", [LADDER, LADDER2, BEAN], ids=["ladder:1", "ladder:2", "bean"])
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_mk_witnesses_replay(g, p, k):
+    # every value is the defect of its reduced witness; at prefix 0 a base has
+    # no explicit zone, so past the prefix edges the removals come from the
+    # pattern windows
+    rep = mk_spectrum(g, glue_all(g), k, (p, 1))
+    assert rep.values
+    for value in rep.values:
+        reduced, removed, _ = rep.raw["witnesses"][value]
+        assert len(removed) == k
+        assert defect(g, reduced) == value
+        if p == 0 and k > len(g.prefix_edges):
+            assert removed[-1][0] != "pre"
+
+
 # ---------------------------------------------------------------------------
 # the hatted system
 

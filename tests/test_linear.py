@@ -306,6 +306,45 @@ def test_nearly_thin_depth_validation():
         nearly_thin_count(spec_all_ones(), depth=1)
 
 
+def reference_thin_count(spec, depth):
+    """Growing rows by materialized supports at depth, depth + 1 and depth + 2;
+    the two growth steps must agree."""
+
+    def supports(n):
+        m = materialize(spec, n)
+        return {
+            name: sum(1 for col in m.columns if col[i] != 0)
+            for i, name in enumerate(spec.persistent_rows)
+        }
+
+    s0, s1, s2 = (supports(depth + i) for i in range(3))
+    g1 = {name for name in s0 if s1[name] > s0[name]}
+    assert g1 == {name for name in s0 if s2[name] > s1[name]}
+    return len(g1), tuple(sorted(g1))
+
+
+@st.composite
+def matrix_specs(draw):
+    field = draw(st.sampled_from((GF2, Q)))
+    persistent = tuple(f"p{i}" for i in range(draw(st.integers(0, 3))))
+    block = tuple(f"b{i}" for i in range(draw(st.integers(1, 2))))
+    refs = [("p", r) for r in persistent] + [("b", r, d) for r in block for d in (0, 1)]
+    if field == GF2:
+        values = st.just(1)
+    else:
+        values = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    # repeated references within one pattern are allowed; the last one wins
+    entries = st.tuples(st.sampled_from(refs), values)
+    cols = draw(st.lists(st.lists(entries, max_size=4).map(tuple), max_size=4))
+    return PeriodicMatrixSpec(field, persistent, block, tuple(cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_specs(), st.integers(2, 6))
+def test_nearly_thin_matches_materialized_supports(spec, depth):
+    assert nearly_thin_count(spec, depth) == reference_thin_count(spec, depth)
+
+
 def test_periodic_spec_validation():
     with pytest.raises(InputError):
         PeriodicMatrixSpec(Q, ("a",), ("a",), ())
