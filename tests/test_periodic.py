@@ -162,8 +162,9 @@ def test_validate_rejects_undeclared_slot():
         (full_edge_set(LADDER), 1),
         (RAILS, 2),
         (COMB, 1),
-        (UPEdgeSet(), INF),
-        (UPEdgeSet(pattern=frozenset({("spl", 0)})), INF),  # bottom lane dies alone
+        pytest.param(UPEdgeSet(), INF, id="s3-expected3"),
+        # bottom lane dies alone
+        pytest.param(UPEdgeSet(pattern=frozenset({("spl", 0)})), INF, id="s4-expected4"),
     ],
 )
 def test_ladder_component_counts(s, expected):
