@@ -98,7 +98,7 @@ def _pair_arg(text: str, cap: int | None) -> NestedPair:
     head, sep, tail = text.partition(":")
     if head == "ch4" and sep and tail.isdigit():
         return ch4_system(int(tail), cap)
-    return load_nested_pair(read_json(text))
+    return load_nested_pair(read_json(text), cap)
 
 
 def _system_arg(text: str):
@@ -124,7 +124,7 @@ def _pair_from(args) -> NestedPair:
             raise InputError("give either --pair or --inner/--outer, not both")
         return _pair_arg(args.pair, args.cap)
     if args.inner and args.outer:
-        return NestedPair(inner=_system_arg(args.inner), outer=_system_arg(args.outer))
+        return NestedPair(_system_arg(args.inner), _system_arg(args.outer), args.cap)
     raise InputError("need --pair or both --inner and --outer")
 
 
@@ -176,7 +176,7 @@ def cmd_circuits(args):
 
 
 def cmd_dual(args):
-    return dump_system(dual(_system_arg(args.system))), None
+    return dump_system(dual(_system_arg(args.system)), args.cap), None
 
 
 def cmd_minor(args):
@@ -185,19 +185,20 @@ def cmd_minor(args):
         sys_ = delete(sys_, _label_mask(sys_.ground, args.delete))
     if args.contract:
         sys_ = contract(sys_, _label_mask(sys_.ground, args.contract))
-    return dump_system(sys_), None
+    return dump_system(sys_, args.cap), None
 
 
 def cmd_union(args):
     merged = union(_system_arg(args.left), _system_arg(args.right), args.cap)
-    return dump_system(merged), None
+    return dump_system(merged, args.cap), None
 
 
 def cmd_mk(args):
     if args.family and args.system:
         raise InputError("give either --system or --family, not both")
     if args.system:
-        return dump_system(truncate_top(_system_arg(args.system), args.k, args.cap)), None
+        sys_ = truncate_top(_system_arg(args.system), args.k, args.cap)
+        return dump_system(sys_, args.cap), None
     if args.family:
         fam = _family_arg(args.family)
         report = mk_spectrum(fam, _glue_arg(args.glue, fam), args.k, _profile(args))
@@ -215,7 +216,7 @@ def cmd_diff(args):
             "witness": list(outer.ground.names(witness)) if witness is not None else None,
         }
         return payload, None
-    return dump_system(difference(outer, inner, args.cap)), None
+    return dump_system(difference(outer, inner, args.cap), args.cap), None
 
 
 def cmd_spectrum(args):
@@ -301,7 +302,7 @@ def _scan_entry(text: str, glue_text: str, profile: tuple, cap: int | None):
             return (name, view)
         return (name, fam, _glue_arg(glue_text, fam))
     if "inner" in obj:
-        return (name, load_nested_pair(obj))
+        return (name, load_nested_pair(obj, cap))
     raise InputError(f"{text}: not a family, edit, or nested pair file")
 
 

@@ -10,6 +10,12 @@ Two system kinds share one functional API:
 * OracleMatroid   -- a rank function (uniform formula, graphic union-find,
                      linear elimination, or a wrapped explicit family).
 
+family_masks lists an oracle's independent sets in one pass that extends each
+set by one element.  Uniform, graphic and linear oracles, and their duals,
+minors and truncations, carry a grow pair that takes each step incrementally;
+any other oracle (from_explicit and its wrappers) takes the step with a rank
+call.  The axiom screens, base and circuit enumeration all read that family.
+
 Operations that sweep the full powerset are capped at SWEEP_CAP elements;
 encodings themselves are capped at ENUM_CAP.  Both caps can be overridden per
 call by passing cap=... where offered.
@@ -123,16 +129,23 @@ class ExplicitSystem:
 class OracleMatroid:
     """A matroid presented by its rank function on subset masks.
 
-    grow optionally speeds up family_masks: a pair (state of the empty set,
-    step) where step(state, j) is the state of the set plus element j, or None
-    when j depends on the set.  Wrappers (dual, minors, truncation) leave it
-    unset and fall back on rank calls.
+    grow optionally speeds up family_masks.  grow(cap) returns a pair (state
+    of the empty set, step) where step(state, j) is the state of the set plus
+    element j, or None when j depends on the set.  It is built at sweep time,
+    so building an oracle never sweeps; it returns None instead of a pair when
+    building one would sweep a ground past cap, and family_masks then takes
+    rank calls.  A grow pair is exact only for matroids: uniform, graphic and
+    linear oracles carry one, and dual, delete, contract and truncate_top set
+    one exactly when the oracle they wrap has one.  from_explicit oracles,
+    which may wrap non-matroids, carry none.
     """
 
     ground: GroundSet
     rank_fn: Callable[[int], int] = field(compare=False)
     label: str = "matroid"
-    grow: tuple | None = field(default=None, compare=False, repr=False)
+    grow: Callable[[int | None], tuple | None] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def rank(self, mask: int) -> int:
         return self.rank_fn(mask)
@@ -184,7 +197,13 @@ def uniform_matroid(rank: int, size: int, labels=None) -> OracleMatroid:
     def rk(mask: int, _r=rank) -> int:
         return min(mask.bit_count(), _r)
 
-    return OracleMatroid(ground, rk, label=f"U({rank},{size})")
+    # sweep state: the set size
+    def step(n: int, j: int):
+        return n + 1 if n < rank else None
+
+    return OracleMatroid(
+        ground, rk, label=f"U({rank},{size})", grow=lambda cap: (0, step)
+    )
 
 
 def free_matroid(size: int, labels=None) -> OracleMatroid:
@@ -218,7 +237,7 @@ def graphic_matroid(n_vertices: int, edges: Collection[tuple[int, int]], labels=
         ground,
         rk,
         label=f"graphic(n={n_vertices},m={len(edges)})",
-        grow=(tuple(range(len(touched))), step),
+        grow=lambda cap: (tuple(range(len(touched))), step),
     )
 
 
@@ -253,14 +272,15 @@ def _check_sweep(ground: GroundSet, cap: int | None):
 def family_masks(sys_: System, cap: int | None = None) -> list[int]:
     """All independent sets as masks, ascending.
 
-    Oracles are swept with their grow pair when they have one, else with one
-    rank call per candidate set.
+    Oracles are swept with the pair grow(cap) gives when they have one, else
+    with one rank call per candidate set.
     """
     if isinstance(sys_, ExplicitSystem):
         return sys_.family()
     _check_sweep(sys_.ground, cap)
-    if sys_.grow is not None:
-        return _grown_family(sys_.ground.size, *sys_.grow)
+    pair = sys_.grow(cap) if sys_.grow is not None else None
+    if pair is not None:
+        return _grown_family(sys_.ground.size, *pair)
     if not sys_.is_independent(0):
         return []
 
@@ -310,9 +330,20 @@ def rank_of(sys_: System, subset=None) -> int:
     return best
 
 
+def _missing_subset(s: int, fam_set) -> int | None:
+    """s less its lowest element whose removal leaves fam_set, None if none does."""
+    rest = s
+    while rest:
+        low = rest & -rest
+        if s ^ low not in fam_set:
+            return s ^ low
+        rest ^= low
+    return None
+
+
 def _downward_closed(fam_set) -> bool:
     """Does every member of the set of masks keep all its one-smaller subsets?"""
-    return all(s ^ (1 << e) in fam_set for s in fam_set for e in iter_bits(s))
+    return all(_missing_subset(s, fam_set) is None for s in fam_set)
 
 
 def _maximal_in_closed(fam: list[int], fam_set: set[int]) -> list[int]:
@@ -348,17 +379,18 @@ def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
 
 
 def enumerate_circuits(sys_: System, cap: int | None = None) -> list[int]:
-    """Minimal dependent sets, ascending masks. Loops are singleton circuits."""
+    """Minimal dependent sets, ascending masks. Loops are singleton circuits.
+
+    A circuit minus any one element is independent, so every circuit is a
+    dependent one-element extension of an independent set; only those are
+    tested, not the whole powerset.
+    """
     _check_sweep(sys_.ground, cap)
-    fam_set = set(family_masks(sys_, cap))
+    fam = family_masks(sys_, cap)
+    fam_set = set(fam)
     full = sys_.ground.full_mask
-    out = []
-    for mask in range(full + 1):
-        if mask in fam_set or mask == 0:
-            continue
-        if all((mask ^ (1 << e)) in fam_set for e in iter_bits(mask)):
-            out.append(mask)
-    return out
+    candidates = {s | 1 << e for s in fam for e in iter_bits(full ^ s)} - fam_set
+    return sorted(c for c in candidates if _missing_subset(c, fam_set) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -419,28 +451,15 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
     fam = family_masks(sys_, cap)
     fam_set = set(fam)
     ground = sys_.ground
-    m = ground.size
     verdicts: dict[str, str] = {}
     witnesses: dict[str, dict] = {}
     notes: dict[str, str] = {}
 
     def downward_witness():
-        for s in _by_card(fam):
-            for e in iter_bits(s):
-                if s ^ (1 << e) not in fam_set:
-                    return s, s ^ (1 << e)
-        return None
-
-    bases = maximal_masks(fam)
-    bases_set = set(bases)
-    addable: dict[int, int] = {}
-    for s in fam:
-        a = 0
-        for e in range(m):
-            b = 1 << e
-            if not s & b and (s | b) in fam_set:
-                a |= b
-        addable[s] = a
+        # the first member by size, then mask, that misses a one-smaller subset
+        broken = (s for s in fam if _missing_subset(s, fam_set) is not None)
+        s = min(broken, key=lambda s: (s.bit_count(), s), default=None)
+        return None if s is None else (s, _missing_subset(s, fam_set))
 
     if system_id == "I":
         verdicts["I1"] = "pass" if 0 in fam_set else "fail"
@@ -450,7 +469,16 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
         verdicts["I2"] = "pass" if dw is None else "fail"
         if dw:
             witnesses["I2"] = {"set": dw[0], "missing_subset": dw[1]}
-        verdicts["I3"], w3 = _check_i3(fam, addable, bases_set)
+        # addable[s]: the elements e outside s with s + e in the family; with
+        # no downward witness the family is closed, and its maximal members
+        # are the sets with none
+        addable = dict.fromkeys(fam, 0)
+        for t in fam:
+            for e in iter_bits(t):
+                if t ^ 1 << e in addable:
+                    addable[t ^ 1 << e] |= 1 << e
+        bases = [s for s in fam if not addable[s]] if dw is None else maximal_masks(fam)
+        verdicts["I3"], w3 = _check_i3(fam, addable, set(bases))
         if w3:
             witnesses["I3"] = w3
         verdicts["I4"] = "vacuous-pass"
@@ -459,6 +487,11 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
             "always contains A, so the axiom cannot fail on a finite ground set"
         )
     elif system_id == "B":
+        # a grown oracle's family is a matroid's, so downward closed already
+        if isinstance(sys_, OracleMatroid) and sys_.grow is not None:
+            bases = _maximal_in_closed(fam, fam_set)
+        else:
+            bases = maximal_masks(fam)
         verdicts["B1"] = "pass" if bases else "fail"
         if not bases:
             witnesses["B1"] = {}
@@ -506,19 +539,28 @@ def _check_i3(fam, addable, bases_set):
 
 
 def _check_base_exchange(bases):
+    """B2: for bases B1 != B2 and x in B1 - B2, some y in B2 - B1 makes
+    B1 - x + y a base.  Per B1, swaps pairs each x (ascending, as a bit) with
+    the mask of y for which B1 - x + y is a base, so each (B1, B2, x) test is
+    one AND and the first failure is the one a direct search finds first."""
     bases_set = set(bases)
-    for b1 in _by_card(bases):
-        for b2 in _by_card(bases):
+    span = 0
+    for b in bases:
+        span |= b
+    ordered = _by_card(bases)
+    for b1 in ordered:
+        swaps = []
+        for x in iter_bits(b1):
+            rest = b1 ^ 1 << x
+            ys = sum(1 << y for y in iter_bits(span & ~b1) if rest | 1 << y in bases_set)
+            swaps.append((1 << x, ys))
+        for b2 in ordered:
             if b1 == b2:
                 continue
-            for x in iter_bits(b1 & ~b2):
-                ok = False
-                for y in iter_bits(b2 & ~b1):
-                    if (b1 ^ (1 << x)) | (1 << y) in bases_set:
-                        ok = True
-                        break
-                if not ok:
-                    return "fail", {"B1": b1, "B2": b2, "x": 1 << x}
+            fresh = b2 & ~b1
+            for x, ys in swaps:
+                if x & ~b2 and not ys & fresh:
+                    return "fail", {"B1": b1, "B2": b2, "x": x}
     return "pass", None
 
 
@@ -588,7 +630,21 @@ def dual(sys_: System) -> System:
         def rk(mask: int) -> int:
             return mask.bit_count() + inner(full ^ mask) - r_total
 
-        return OracleMatroid(ground, rk, label=f"dual({sys_.label})")
+        def grow(cap):
+            # S is coindependent iff it misses some base; the state is the
+            # bitset of bases S misses, listed by the primal's own sweep
+            if ground.size > (SWEEP_CAP if cap is None else cap):
+                return None  # only a minor of the dual, on a smaller ground, gets here
+            bases = enumerate_bases(sys_, cap)
+            without = [
+                sum(1 << i for i, b in enumerate(bases) if not b >> j & 1)
+                for j in range(ground.size)
+            ]
+            return (1 << len(bases)) - 1, lambda state, j: state & without[j] or None
+
+        return OracleMatroid(
+            ground, rk, label=f"dual({sys_.label})", grow=None if sys_.grow is None else grow
+        )
     full = sys_.ground.full_mask
     closure = set()
     for b in enumerate_bases(sys_):
@@ -613,7 +669,12 @@ def delete(sys_: System, subset) -> System:
         def rk(mask: int) -> int:
             return inner(_expand(mask, keep))
 
-        return OracleMatroid(new_ground, rk, label=f"{sys_.label}|del")
+        def deleted(root, step):
+            return root, lambda state, j: step(state, keep[j])
+
+        return OracleMatroid(
+            new_ground, rk, label=f"{sys_.label}|del", grow=_wrap_grow(sys_, deleted)
+        )
     fam = frozenset(_compress(s, keep) for s in sys_.independents if s & x == 0)
     return ExplicitSystem(new_ground, fam)
 
@@ -630,8 +691,32 @@ def contract(sys_: System, subset) -> System:
         def rk(mask: int) -> int:
             return inner(_expand(mask, keep) | x) - rx
 
-        return OracleMatroid(new_ground, rk, label=f"{sys_.label}/con")
+        def contracted(root, step):
+            # root becomes the state of a basis B_X of X; I is independent in
+            # M/X iff I | B_X is independent in M
+            for i in iter_bits(x):
+                grown = step(root, i)
+                if grown is not None:
+                    root = grown
+            return root, lambda state, j: step(state, keep[j])
+
+        return OracleMatroid(
+            new_ground, rk, label=f"{sys_.label}/con", grow=_wrap_grow(sys_, contracted)
+        )
     return dual(delete(dual(sys_), subset))
+
+
+def _wrap_grow(sys_: OracleMatroid, wrap):
+    """The grow of an oracle wrapping sys_: wrap(root, step) maps sys_'s grow
+    pair to the wrapper's.  None when sys_ has no grow."""
+    if sys_.grow is None:
+        return None
+
+    def grow(cap):
+        pair = sys_.grow(cap)
+        return None if pair is None else wrap(*pair)
+
+    return grow
 
 
 def _expand(mask: int, keep: list[int]) -> int:

@@ -107,9 +107,10 @@ def _graphic_edges(edges) -> list[tuple[int, int]]:
     return [(_number(u, "edge endpoint"), _number(v, "edge endpoint")) for u, v in pairs]
 
 
-def dump_system(sys_) -> dict:
-    """Explicit system file for any finite system; masks ordered canonically."""
-    fam = sorted(family_masks(sys_), key=lambda s: (s.bit_count(), s))
+def dump_system(sys_, cap=None) -> dict:
+    """Explicit system file for any finite system; masks ordered canonically.
+    An oracle is swept under cap."""
+    fam = sorted(family_masks(sys_, cap), key=lambda s: (s.bit_count(), s))
     return {
         "ground": list(sys_.ground.labels),
         "kind": "explicit",
@@ -117,10 +118,11 @@ def dump_system(sys_) -> dict:
     }
 
 
-def load_nested_pair(obj) -> NestedPair:
+def load_nested_pair(obj, cap=None) -> NestedPair:
     return NestedPair(
         inner=load_system(_require(obj, "inner", "nested pair file")),
         outer=load_system(_require(obj, "outer", "nested pair file")),
+        cap=cap,
     )
 
 

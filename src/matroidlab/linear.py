@@ -208,7 +208,7 @@ def linear_matroid(m: MatrixRep) -> OracleMatroid:
         return grown
 
     return OracleMatroid(
-        ground, rk, label=f"linear({m.field},{m.n_rows}x{m.n_cols})", grow=({}, step)
+        ground, rk, label=f"linear({m.field},{m.n_rows}x{m.n_cols})", grow=lambda cap: ({}, step)
     )
 
 

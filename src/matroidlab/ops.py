@@ -21,6 +21,7 @@ from .core import (
     _check_sweep,
     _downward_closed,
     _expand,
+    _wrap_grow,
     check_axioms,
     dual,
     enumerate_bases,
@@ -35,15 +36,18 @@ from .util import submasks
 
 @dataclass(frozen=True)
 class NestedPair:
-    """Two systems on one ground with every inner-independent set outer-independent."""
+    """Two systems on one ground with every inner-independent set outer-independent.
+
+    The nesting check sweeps the inner system under cap."""
 
     inner: System
     outer: System
+    cap: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.inner.ground.labels != self.outer.ground.labels:
             raise InputError("nested pair members must share one ground set")
-        for s in family_masks(self.inner):
+        for s in family_masks(self.inner, self.cap):
             if not self.outer.is_independent(s):
                 raise InputError(
                     f"nesting violated: inner-independent mask {s:#x} is outer-dependent"
@@ -61,7 +65,9 @@ class SpectrumReport:
     values is sorted ascending, and every value is finite.  witnesses maps
     each value to a JSON-ready payload; raw keeps the native witness objects
     (mask pairs here, symbolic edge sets in the periodic engine).  complete is
-    False only when a bounded symbolic search had to stop early.
+    always True: no search stops early with a partial answer, since a search
+    that hits a bound raises ResourceLimitError instead.  The field stays for
+    the "complete_within_bounds" key of the JSON report.
     """
 
     values: tuple
@@ -137,7 +143,18 @@ def truncate_top(m: System, k: int, cap: int | None = None) -> System:
         def rk(mask: int) -> int:
             return min(inner(mask), ceiling)
 
-        return OracleMatroid(m.ground, rk, label=f"{m.label}[{k}]")
+        def truncated(root, step):
+            # state: (inner state, set size); no set grows past the ceiling
+            def capped(state, j):
+                inner_state, n = state
+                grown = step(inner_state, j) if n < ceiling else None
+                return None if grown is None else (grown, n + 1)
+
+            return (root, 0), capped
+
+        return OracleMatroid(
+            m.ground, rk, label=f"{m.label}[{k}]", grow=_wrap_grow(m, truncated)
+        )
     fam = family_masks(m, cap)
     if rank_of(m) < k:
         raise InputError(f"cannot truncate rank {rank_of(m)} by {k}")
@@ -167,7 +184,7 @@ def _nested_base_pairs(pair: NestedPair, cap: int | None = None):
 
 def difference(outer: System, inner: System, cap: int | None = None) -> ExplicitSystem:
     """The system of subsets of F - B over nested base pairs B of inner, F of outer."""
-    pair = NestedPair(inner, outer)
+    pair = NestedPair(inner, outer, cap)
     fam: set[int] = set()
     for b, f in _nested_base_pairs(pair, cap)[2]:
         fam.update(submasks(f & ~b))

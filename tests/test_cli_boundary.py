@@ -243,6 +243,42 @@ def test_block_pair_past_the_sweep_cap_stops_before_building(argv, code, monkeyp
         assert built
 
 
+# uniform systems (rank, size) past the default sweep cap of 16 elements
+WIDE = {"u1": (1, 17), "u2": (2, 17), "u16": (16, 17), "u1of18": (1, 18)}
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["dual", "--system", "u16"], 18),  # U(1,17)
+        (["minor", "--system", "u1of18", "--delete", "e0"], 18),
+        (["mk", "--system", "u1", "-k", "1"], 1),
+        (["union", "--left", "u1", "--right", "u1"], 1 + 17 + 136),  # U(2,17)
+        (["diff", "--outer", "u2", "--inner", "u1"], 18),
+        (["spectrum", "--outer", "u2", "--inner", "u1"], None),
+        (["smin", "--outer", "u2", "--inner", "u1"], None),
+        (["bases", "--system", "u1"], None),
+    ],
+    ids=["dual", "minor", "mk", "union", "diff", "spectrum", "smin", "bases"],
+)
+def test_cap_governs_every_sweep_of_a_wide_system(argv, written, tmp_path):
+    # every sweep a command makes, including the one that writes a family out
+    # and the nesting check of a pair, runs under --cap
+    paths = {}
+    for name, (rank, size) in WIDE.items():
+        paths[name] = tmp_path / f"{name}.json"
+        ground = [f"e{i}" for i in range(size)]
+        paths[name].write_text(json.dumps({"ground": ground, "kind": "uniform", "rank": rank}))
+    argv = [str(paths.get(a, a)) for a in argv]
+    rc, _, err = run_in_process(argv)
+    assert rc == 3
+    assert err == "resource bound: powerset sweep over 17 elements exceeds cap 16\n"
+    rc, out, err = run_in_process([*argv, "--cap", "20"])
+    assert rc == 0, err
+    if written is not None:
+        assert len(json.loads(out)["result"]["independent"]) == written
+
+
 def test_repeated_main_calls_match_fresh_processes(tmp_path):
     # main keeps one parser per process; a usage error or a bad input in an
     # earlier call must not change what a later call prints

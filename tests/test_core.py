@@ -354,6 +354,19 @@ def test_dual_involution():
     assert family_masks(dd) == family_masks(m)
 
 
+def test_dual_sweep_lists_the_primal_bases_under_the_callers_cap():
+    # the dual's grow pair is built at sweep time from the primal's bases,
+    # listed under the same cap; a minor of the dual sweeps a smaller ground
+    # than its primal, so past the cap it falls back on rank calls
+    co = dual(uniform_matroid(16, 17))
+    with pytest.raises(ResourceLimitError):
+        family_masks(co)
+    assert len(family_masks(co, cap=17)) == 1 + 17
+    minor = delete(dual(uniform_matroid(16, 18)), [0])
+    assert minor.grow(17) is None
+    assert len(family_masks(minor, cap=17)) == 1 + 17 + 136
+
+
 def test_dual_of_explicit_uses_cobases():
     g = GroundSet.of_size(3)
     s = explicit_system(g, [[], [0], [1], [0, 1]])

@@ -22,6 +22,8 @@ from matroidlab import (
     graphic_matroid,
     is_independent,
     rank_of,
+    truncate_top,
+    uniform_matroid,
 )
 from matroidlab.linear import (
     GF2,
@@ -432,10 +434,17 @@ def test_q_rank_matches_fraction_elimination(vectors):
 
 @st.composite
 def oracle_cases(draw):
-    """(matroid, reference oracle without a sweep) over GF(2), Q or a multigraph."""
-    kind = draw(st.sampled_from(("gf2", "q", "graphic")))
+    """(matroid, reference oracle without a sweep): uniform, or over GF(2), Q or a multigraph."""
+    kind = draw(st.sampled_from(("gf2", "q", "graphic", "uniform")))
     m = draw(st.integers(1, 8))
-    if kind == "graphic":
+    if kind == "uniform":
+        r = draw(st.integers(0, m))
+
+        def ref_rank(mask):
+            return min(mask.bit_count(), r)
+
+        sys_ = uniform_matroid(r, m)
+    elif kind == "graphic":
         n = draw(st.integers(1, 5))
         # loops and parallel edges arise freely from independent endpoints
         edges = draw(st.lists(
@@ -475,12 +484,29 @@ def test_incremental_sweep_matches_rank_sweep(case, data):
     fam = family_masks(sys_)
     assert fam == family_masks(dataclasses.replace(sys_, grow=None))
     assert fam == family_masks(ref) == every_independent_mask(ref)
-    # wrapped oracles take the rank sweep and see the same matroid
+    # wrappers of a grown oracle grow too, and list the same sets as the rank
+    # sweep of the same wrapper and as brute force over the wrapped reference
     x = data.draw(st.integers(0, sys_.ground.full_mask))
-    for op in (dual, lambda s: delete(s, x), lambda s: contract(s, x)):
+    y = data.draw(st.integers(0, sys_.ground.full_mask))
+    k = data.draw(st.integers(0, sys_.full_rank))
+
+    def nested(s):
+        deleted = delete(s, x)
+        return dual(contract(deleted, y & deleted.ground.full_mask))
+
+    for op in (
+        dual,
+        lambda s: delete(s, x),
+        lambda s: contract(s, x),
+        lambda s: truncate_top(s, k),
+        lambda s: dual(truncate_top(dual(s), min(k, s.size - s.full_rank))),
+        nested,
+    ):
         wrapped = op(sys_)
-        assert wrapped.grow is None
-        assert family_masks(wrapped) == every_independent_mask(op(ref))
+        assert wrapped.grow is not None
+        fam = family_masks(wrapped)
+        assert fam == family_masks(dataclasses.replace(wrapped, grow=None))
+        assert fam == every_independent_mask(op(ref))
 
 
 def every_independent_mask(sys_):
