@@ -11,10 +11,12 @@ Two system kinds share one functional API:
                      linear elimination, or a wrapped explicit family).
 
 family_masks lists an oracle's independent sets in one pass that extends each
-set by one element.  Uniform, graphic and linear oracles, and their duals,
-minors and truncations, carry a grow pair that takes each step incrementally;
-any other oracle (from_explicit and its wrappers) takes the step with a rank
-call.  The axiom screens, base and circuit enumeration all read that family.
+set by one element.  Uniform, graphic and linear oracles, and their minors
+and truncations, carry a grow pair that takes each step incrementally; so do
+their duals, when the primal has at most half the ground's rank.  Any other
+oracle (from_explicit and its wrappers, high-rank duals) takes the step with a
+rank call.  The axiom screens, base and circuit enumeration all read that
+family.
 
 Operations that sweep the full powerset are capped at SWEEP_CAP elements;
 encodings themselves are capped at ENUM_CAP.  Both caps can be overridden per
@@ -23,7 +25,7 @@ call by passing cap=... where offered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Collection, Iterable
 
 from .errors import InputError, ResourceLimitError
@@ -135,9 +137,14 @@ class OracleMatroid:
     so building an oracle never sweeps; it returns None instead of a pair when
     building one would sweep a ground past cap, and family_masks then takes
     rank calls.  A grow pair is exact only for matroids: uniform, graphic and
-    linear oracles carry one, and dual, delete, contract and truncate_top set
-    one exactly when the oracle they wrap has one.  from_explicit oracles,
-    which may wrap non-matroids, carry none.
+    linear oracles carry one, and delete, contract and truncate_top set one
+    exactly when the oracle they wrap has one.  dual sets one when its primal
+    has one and at most half the ground's rank.  from_explicit oracles, which
+    may wrap non-matroids, carry none.
+
+    primal is set on a dual: the oracle it is the dual of.  delete and
+    contract take a minor of a dual as the dual of the primal's minor, so the
+    minor's sweep lists bases on its own ground, not the whole primal's.
     """
 
     ground: GroundSet
@@ -146,6 +153,7 @@ class OracleMatroid:
     grow: Callable[[int | None], tuple | None] | None = field(
         default=None, compare=False, repr=False
     )
+    primal: "OracleMatroid | None" = field(default=None, compare=False, repr=False)
 
     def rank(self, mask: int) -> int:
         return self.rank_fn(mask)
@@ -261,9 +269,14 @@ def from_explicit(sys_: ExplicitSystem) -> OracleMatroid:
 # family materialization and basic queries
 
 
+def _fits(ground: GroundSet, cap: int | None) -> bool:
+    """May a powerset sweep cover ground under cap (SWEEP_CAP when None)?"""
+    return ground.size <= (SWEEP_CAP if cap is None else cap)
+
+
 def _check_sweep(ground: GroundSet, cap: int | None):
     cap = SWEEP_CAP if cap is None else cap
-    if ground.size > cap:
+    if not _fits(ground, cap):
         raise ResourceLimitError(
             f"powerset sweep over {ground.size} elements exceeds cap {cap}"
         )
@@ -372,9 +385,19 @@ def maximal_masks(fam: list[int]) -> list[int]:
 def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
     """Maximal independent sets, ascending masks."""
     fam = family_masks(sys_, cap)
-    if isinstance(sys_, OracleMatroid):
-        # oracle families are closed by construction of family_masks
-        return _maximal_in_closed(fam, set(fam))
+    return _maximal_members(sys_, fam, set(fam))
+
+
+def _maximal_members(sys_: System, fam: list[int], fam_set: set[int]) -> list[int]:
+    """Maximal members of sys_'s family fam.
+
+    A grown family is a matroid's, so downward closed, and one-bit extension
+    decides.  Any other family may not be closed, not even a rank sweep's:
+    from_explicit of the family {}, {0}, {2}, {1,2}, {0,1,2} sweeps to {0}
+    and {0,1,2} without {0,1}, so maximal_masks tests closure first.
+    """
+    if isinstance(sys_, OracleMatroid) and sys_.grow is not None:
+        return _maximal_in_closed(fam, fam_set)
     return maximal_masks(fam)
 
 
@@ -487,11 +510,7 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
             "always contains A, so the axiom cannot fail on a finite ground set"
         )
     elif system_id == "B":
-        # a grown oracle's family is a matroid's, so downward closed already
-        if isinstance(sys_, OracleMatroid) and sys_.grow is not None:
-            bases = _maximal_in_closed(fam, fam_set)
-        else:
-            bases = maximal_masks(fam)
+        bases = _maximal_members(sys_, fam, fam_set)
         verdicts["B1"] = "pass" if bases else "fail"
         if not bases:
             witnesses["B1"] = {}
@@ -633,8 +652,8 @@ def dual(sys_: System) -> System:
         def grow(cap):
             # S is coindependent iff it misses some base; the state is the
             # bitset of bases S misses, listed by the primal's own sweep
-            if ground.size > (SWEEP_CAP if cap is None else cap):
-                return None  # only a minor of the dual, on a smaller ground, gets here
+            if not _fits(ground, cap):
+                return None  # a minor of a truncated dual sweeps a smaller ground
             bases = enumerate_bases(sys_, cap)
             without = [
                 sum(1 << i for i, b in enumerate(bases) if not b >> j & 1)
@@ -642,8 +661,16 @@ def dual(sys_: System) -> System:
             ]
             return (1 << len(bases)) - 1, lambda state, j: state & without[j] or None
 
+        # listing the bases visits every independent set of sys_, a count that
+        # grows with its rank, while the rank sweep visits the dual's; so the
+        # bases are listed only when sys_ has at most half the ground's rank
+        grows = sys_.grow is not None and 2 * r_total <= ground.size
         return OracleMatroid(
-            ground, rk, label=f"dual({sys_.label})", grow=None if sys_.grow is None else grow
+            ground,
+            rk,
+            label=f"dual({sys_.label})",
+            grow=grow if grows else None,
+            primal=sys_,
         )
     full = sys_.ground.full_mask
     closure = set()
@@ -664,6 +691,9 @@ def delete(sys_: System, subset) -> System:
     keep_mask = sys_.ground.full_mask ^ x
     new_ground, keep = _minor_ground(sys_.ground, keep_mask)
     if isinstance(sys_, OracleMatroid):
+        if sys_.primal is not None:
+            # (M*)\X == (M/X)*, so the minor's sweep stays on its own ground
+            return replace(dual(contract(sys_.primal, x)), label=f"{sys_.label}|del")
         inner = sys_.rank_fn
 
         def rk(mask: int) -> int:
@@ -683,6 +713,9 @@ def contract(sys_: System, subset) -> System:
     """Contraction of subset.  Satisfies contract(m, X) == dual(delete(dual(m), X))."""
     x = as_mask(sys_.ground, subset)
     if isinstance(sys_, OracleMatroid):
+        if sys_.primal is not None:
+            # (M*)/X == (M\X)*, so the minor's sweep stays on its own ground
+            return replace(dual(delete(sys_.primal, x)), label=f"{sys_.label}/con")
         keep_mask = sys_.ground.full_mask ^ x
         new_ground, keep = _minor_ground(sys_.ground, keep_mask)
         inner = sys_.rank_fn

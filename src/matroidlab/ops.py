@@ -9,7 +9,7 @@ sweep cap; the symbolic analogues for infinite families live elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .core import (
     ENUM_CAP,
@@ -42,12 +42,12 @@ class NestedPair:
 
     inner: System
     outer: System
-    cap: int | None = field(default=None, compare=False, repr=False)
+    cap: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, cap):
         if self.inner.ground.labels != self.outer.ground.labels:
             raise InputError("nested pair members must share one ground set")
-        for s in family_masks(self.inner, self.cap):
+        for s in family_masks(self.inner, cap):
             if not self.outer.is_independent(s):
                 raise InputError(
                     f"nesting violated: inner-independent mask {s:#x} is outer-dependent"

@@ -246,7 +246,6 @@ def test_screens_match_reference_on_unchecked_families(sys_):
 @settings(max_examples=200, deadline=None)
 @given(grown_oracles())
 def test_screens_match_reference_on_grown_oracles(sys_):
-    assert sys_.grow is not None
     rank_swept = dataclasses.replace(sys_, grow=None)
     assert family_masks(sys_) == family_masks(rank_swept)
     assert_same_screens(sys_, rank_swept)

@@ -4,6 +4,7 @@ The oracle functions below work directly on frozenset families of frozensets,
 never on the package's mask encoding, so agreement is meaningful.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -29,6 +30,7 @@ from matroidlab import (
     is_independent,
     rank_of,
     replay_witness,
+    truncate_top,
     uniform_matroid,
 )
 
@@ -356,15 +358,52 @@ def test_dual_involution():
 
 def test_dual_sweep_lists_the_primal_bases_under_the_callers_cap():
     # the dual's grow pair is built at sweep time from the primal's bases,
-    # listed under the same cap; a minor of the dual sweeps a smaller ground
-    # than its primal, so past the cap it falls back on rank calls
-    co = dual(uniform_matroid(16, 17))
+    # listed under the same cap; a minor of a truncated dual sweeps a smaller
+    # ground than the dual, so past the cap it falls back on rank calls
+    co = dual(uniform_matroid(1, 17))
+    assert co.grow is not None
     with pytest.raises(ResourceLimitError):
         family_masks(co)
-    assert len(family_masks(co, cap=17)) == 1 + 17
-    minor = delete(dual(uniform_matroid(16, 18)), [0])
+    assert len(family_masks(co, cap=17)) == 2**17 - 1
+    minor = delete(truncate_top(dual(uniform_matroid(1, 18)), 14), [0])
     assert minor.grow(17) is None
-    assert len(family_masks(minor, cap=17)) == 1 + 17 + 136
+    assert len(family_masks(minor, cap=17)) == 1 + 17 + 136 + 680
+
+
+def test_dual_grows_only_over_a_primal_of_at_most_half_rank():
+    # listing the primal's bases visits its whole independent family, so a
+    # high-rank primal leaves the dual to the rank sweep
+    for r, grows in ((2, True), (3, True), (4, False), (6, False)):
+        co = dual(uniform_matroid(r, 6))
+        assert (co.grow is not None) == grows
+        assert family_masks(co) == family_masks(uniform_matroid(6 - r, 6))
+    assert dual(free_matroid(16)).grow is None
+    assert family_masks(dual(free_matroid(16))) == [0]
+
+
+def test_minor_of_dual_is_dual_of_primal_minor():
+    # (M*)\X == (M/X)* and (M*)/X == (M\X)*: the minor keeps its own,
+    # smaller primal, so its sweep never lists the bases of all of M
+    m = uniform_matroid(8, 16)
+    gone = list(range(12))
+    for minor, want in (
+        (delete(dual(m), gone), uniform_matroid(4, 4)),
+        (contract(dual(m), gone), uniform_matroid(0, 4)),
+    ):
+        assert minor.primal.size == minor.size == 4
+        assert minor.ground.labels == ("e12", "e13", "e14", "e15")
+        assert family_masks(minor) == family_masks(want)
+        assert family_masks(minor) == family_masks(dataclasses.replace(minor, grow=None))
+
+
+def test_bases_of_a_rank_swept_non_closed_family_are_maximal():
+    # the rank sweep of from_explicit keeps {0} and {0,1,2} but not {0,1},
+    # so one-bit extension alone would call {0} maximal
+    g = GroundSet.of_size(3)
+    wrapped = from_explicit(explicit_system(g, [0, 0b1, 0b100, 0b110, 0b111], check=False))
+    assert family_masks(wrapped) == [0, 0b1, 0b100, 0b110, 0b111]
+    assert enumerate_bases(wrapped) == [0b111]
+    assert check_axioms(wrapped, "B").conformant
 
 
 def test_dual_of_explicit_uses_cobases():
