@@ -80,13 +80,17 @@ class _Parser(argparse.ArgumentParser):
 # argument resolution
 
 
+def _canned_n(text: str, head: str) -> int | None:
+    """n of a canned name head:n (ladder:n, ch4:r); None for anything else."""
+    name, sep, tail = text.partition(":")
+    return int(tail) if name == head and sep and tail.isdigit() else None
+
+
 def _canned_family(text: str):
     if text == "bean":
         return bean_family()
-    head, sep, tail = text.partition(":")
-    if head == "ladder" and sep and tail.isdigit():
-        return ladder_family(int(tail))
-    return None
+    n = _canned_n(text, "ladder")
+    return None if n is None else ladder_family(n)
 
 
 def _family_arg(text: str):
@@ -95,17 +99,13 @@ def _family_arg(text: str):
 
 
 def _pair_arg(text: str, cap: int | None) -> NestedPair:
-    head, sep, tail = text.partition(":")
-    if head == "ch4" and sep and tail.isdigit():
-        return ch4_system(int(tail), cap)
-    return load_nested_pair(read_json(text), cap)
+    r = _canned_n(text, "ch4")
+    return load_nested_pair(read_json(text), cap) if r is None else ch4_system(r, cap)
 
 
 def _system_arg(text: str):
-    head, sep, tail = text.partition(":")
-    if head == "ch4" and sep and tail.isdigit():
-        return ch4_inner(int(tail))
-    return load_system(read_json(text))
+    r = _canned_n(text, "ch4")
+    return load_system(read_json(text)) if r is None else ch4_inner(r)
 
 
 def _glue_arg(text: str, family):
@@ -283,9 +283,9 @@ def _scan_entry(text: str, glue_text: str, profile: tuple, cap: int | None):
     fam = _canned_family(text)
     if fam is not None:
         return (text, fam, _glue_arg(glue_text, fam))
-    head, sep, tail = text.partition(":")
-    if head == "ch4" and sep and tail.isdigit():
-        return (text, ch4_system(int(tail), cap))
+    r = _canned_n(text, "ch4")
+    if r is not None:
+        return (text, ch4_system(r, cap))
     obj = read_json(text)
     name = Path(text).stem
     if not isinstance(obj, dict):

@@ -16,7 +16,13 @@ and truncations, carry a grow pair that takes each step incrementally; so do
 their duals, when the primal has at most half the ground's rank.  Any other
 oracle (from_explicit and its wrappers, high-rank duals) takes the step with a
 rank call.  The axiom screens, base and circuit enumeration all read that
-family.
+family, and each fact about a family has one helper: _maximal for maximal
+members, _explicit_rank for an explicit family's rank, util.down_closure for
+all subsets of given sets, and for the I and F screens one addable table
+(addable[A]: the e outside A with A + e a member) and one search for a pair
+A, B with no element of B extending A (_first_unextended).  On a closed
+family F3 needs only the B one larger than A: a failing B has failing subsets
+of that size, and those come first in size order.
 
 Operations that sweep the full powerset are capped at SWEEP_CAP elements;
 encodings themselves are capped at ENUM_CAP.  Both caps can be overridden per
@@ -25,11 +31,12 @@ call by passing cap=... where offered.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Callable, Collection, Iterable
 
 from .errors import InputError, ResourceLimitError
-from .util import iter_bits, spanning_forest, submasks
+from .util import down_closure, iter_bits, spanning_forest
 
 ENUM_CAP = 24
 SWEEP_CAP = 16
@@ -252,17 +259,16 @@ def graphic_matroid(n_vertices: int, edges: Collection[tuple[int, int]], labels=
 def from_explicit(sys_: ExplicitSystem) -> OracleMatroid:
     """Wrap an explicit family as a rank oracle (max member size inside S)."""
     fam = sys_.independents
+    return OracleMatroid(sys_.ground, lambda mask: _explicit_rank(fam, mask), label="explicit")
 
-    def rk(mask: int) -> int:
-        best = 0
-        for s in fam:
-            if s & ~mask == 0:
-                c = s.bit_count()
-                if c > best:
-                    best = c
-        return best
 
-    return OracleMatroid(sys_.ground, rk, label="explicit")
+def _explicit_rank(fam, mask: int) -> int:
+    """Size of a largest member of fam inside mask."""
+    best = 0
+    for s in fam:
+        if s & ~mask == 0 and s.bit_count() > best:
+            best = s.bit_count()
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +342,7 @@ def rank_of(sys_: System, subset=None) -> int:
     mask = sys_.ground.full_mask if subset is None else as_mask(sys_.ground, subset)
     if isinstance(sys_, OracleMatroid):
         return sys_.rank(mask)
-    best = 0
-    for s in sys_.independents:
-        if s & ~mask == 0 and s.bit_count() > best:
-            best = s.bit_count()
-    return best
+    return _explicit_rank(sys_.independents, mask)
 
 
 def _missing_subset(s: int, fam_set) -> int | None:
@@ -359,46 +361,39 @@ def _downward_closed(fam_set) -> bool:
     return all(_missing_subset(s, fam_set) is None for s in fam_set)
 
 
-def _maximal_in_closed(fam: list[int], fam_set: set[int]) -> list[int]:
-    """Maximal members of a downward-closed family: no one-bit extension is in it."""
-    width = max(fam).bit_length() if fam else 0
-    return [
-        s
-        for s in fam
-        if not any(not s & (1 << e) and (s | (1 << e)) in fam_set for e in range(width))
-    ]
+def _maximal(fam: list[int], fam_set, closed: bool) -> list[int]:
+    """Inclusion-maximal members of the ascending family fam, ascending.
 
-
-def maximal_masks(fam: list[int]) -> list[int]:
-    """Inclusion-maximal members of a family of masks, ascending.
-
-    One-bit extension only detects maximality in downward-closed families, so
-    a non-closed family (possible with check=False) falls back to the exact
-    quadratic test; such families are hand-built counterexamples and small.
-    """
-    fam_set = set(fam)
-    if _downward_closed(fam_set):
-        return _maximal_in_closed(fam, fam_set)
+    When the caller knows fam is downward closed, a member is maximal when no
+    one-bit extension is in fam_set, and the probe stops at the first found.
+    Otherwise the exact quadratic test runs: such families are hand-built
+    counterexamples, and small."""
+    if closed:
+        width = max(fam).bit_length() if fam else 0
+        return [
+            s
+            for s in fam
+            if not any(not s & (1 << e) and (s | (1 << e)) in fam_set for e in range(width))
+        ]
     return [s for s in fam if not any(t != s and t & s == s for t in fam)]
 
 
+def maximal_masks(fam: list[int]) -> list[int]:
+    """Inclusion-maximal members of an ascending family of masks, ascending."""
+    fam_set = set(fam)
+    return _maximal(fam, fam_set, _downward_closed(fam_set))
+
+
 def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
-    """Maximal independent sets, ascending masks."""
+    """Maximal independent sets, ascending masks.
+
+    A grown family is a matroid's, so closed.  Any other may not be, not even
+    a rank sweep's: from_explicit of {}, {0}, {2}, {1,2}, {0,1,2} sweeps to
+    {0} and {0,1,2} without {0,1}; so its closure is tested."""
     fam = family_masks(sys_, cap)
-    return _maximal_members(sys_, fam, set(fam))
-
-
-def _maximal_members(sys_: System, fam: list[int], fam_set: set[int]) -> list[int]:
-    """Maximal members of sys_'s family fam.
-
-    A grown family is a matroid's, so downward closed, and one-bit extension
-    decides.  Any other family may not be closed, not even a rank sweep's:
-    from_explicit of the family {}, {0}, {2}, {1,2}, {0,1,2} sweeps to {0}
-    and {0,1,2} without {0,1}, so maximal_masks tests closure first.
-    """
-    if isinstance(sys_, OracleMatroid) and sys_.grow is not None:
-        return _maximal_in_closed(fam, fam_set)
-    return maximal_masks(fam)
+    fam_set = set(fam)
+    grown = isinstance(sys_, OracleMatroid) and sys_.grow is not None
+    return _maximal(fam, fam_set, grown or _downward_closed(fam_set))
 
 
 def enumerate_circuits(sys_: System, cap: int | None = None) -> list[int]:
@@ -468,96 +463,88 @@ def _by_card(masks):
 
 
 def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> AxiomReport:
-    """Check one axiom system (I, B, or F) exhaustively on a finite ground set."""
+    """Check one axiom system (I, B, or F) exhaustively on a finite ground set.
+
+    B reads only the bases.  I and F share the family, its first closure
+    failure and the addable table, addable[A] = the e outside A with A + e in
+    the family; (A, B) breaks augmentation exactly when B & addable[A] == 0.
+    I3 pairs each non-maximal A with the maximal members, F3 each A with the
+    larger members; in a closed family only those one larger than A, since a
+    failing B has failing subsets of size |A| + 1, all members, and _by_card
+    lists them first: the first witness is the same.
+    """
     if system_id not in AXIOM_SETS:
         raise InputError(f"unknown axiom system {system_id!r}; expected I, B, or F")
-    fam = family_masks(sys_, cap)
-    fam_set = set(fam)
-    ground = sys_.ground
     verdicts: dict[str, str] = {}
     witnesses: dict[str, dict] = {}
     notes: dict[str, str] = {}
 
-    def downward_witness():
-        # the first member by size, then mask, that misses a one-smaller subset
-        broken = (s for s in fam if _missing_subset(s, fam_set) is not None)
-        s = min(broken, key=lambda s: (s.bit_count(), s), default=None)
-        return None if s is None else (s, _missing_subset(s, fam_set))
+    def record(axiom: str, witness: dict | None):
+        verdicts[axiom] = "pass" if witness is None else "fail"
+        if witness is not None:
+            witnesses[axiom] = witness
 
+    if system_id == "B":
+        bases = enumerate_bases(sys_, cap)
+        record("B1", None if bases else {})
+        record("B2", _check_base_exchange(bases))
+        verdicts["B3"] = "vacuous-pass"
+        notes["B3"] = "subsets of maximal members form a finite family; see I4 note"
+        return AxiomReport(system_id, sys_.ground, verdicts, witnesses, notes)
+
+    fam = family_masks(sys_, cap)
+    fam_set = set(fam)
+    by_card = _by_card(fam)
+    # the first member by size, then mask, that misses a one-smaller subset
+    missing = ((s, _missing_subset(s, fam_set)) for s in by_card)
+    closure = next(({"set": s, "missing_subset": m} for s, m in missing if m is not None), None)
+    closed = closure is None
+    addable = dict.fromkeys(fam, 0)
+    for t in fam:
+        for e in iter_bits(t):
+            if t ^ 1 << e in addable:
+                addable[t ^ 1 << e] |= 1 << e
+    record(system_id + "1", None if 0 in fam_set else {})
+    record(system_id + "2", closure)
     if system_id == "I":
-        verdicts["I1"] = "pass" if 0 in fam_set else "fail"
-        if verdicts["I1"] == "fail":
-            witnesses["I1"] = {}
-        dw = downward_witness()
-        verdicts["I2"] = "pass" if dw is None else "fail"
-        if dw:
-            witnesses["I2"] = {"set": dw[0], "missing_subset": dw[1]}
-        # addable[s]: the elements e outside s with s + e in the family; with
-        # no downward witness the family is closed, and its maximal members
-        # are the sets with none
-        addable = dict.fromkeys(fam, 0)
-        for t in fam:
-            for e in iter_bits(t):
-                if t ^ 1 << e in addable:
-                    addable[t ^ 1 << e] |= 1 << e
-        bases = [s for s in fam if not addable[s]] if dw is None else maximal_masks(fam)
-        verdicts["I3"], w3 = _check_i3(fam, addable, set(bases))
-        if w3:
-            witnesses["I3"] = w3
+        # in a closed family the maximal members are the sets nothing extends
+        maximal = {s for s in fam if not addable[s]} if closed else set(_maximal(fam, fam_set, False))
+        bases = _by_card(maximal)
+        non_maximal = [a for a in by_card if a not in maximal]
+        record("I3", _first_unextended(non_maximal, lambda a: bases, addable))
         verdicts["I4"] = "vacuous-pass"
         notes["I4"] = (
             "every nonempty finite family has a maximal member; the candidate set "
             "always contains A, so the axiom cannot fail on a finite ground set"
         )
-    elif system_id == "B":
-        bases = _maximal_members(sys_, fam, fam_set)
-        verdicts["B1"] = "pass" if bases else "fail"
-        if not bases:
-            witnesses["B1"] = {}
-        verdicts["B2"], w2 = _check_base_exchange(bases)
-        if w2:
-            witnesses["B2"] = w2
-        verdicts["B3"] = "vacuous-pass"
-        notes["B3"] = "subsets of maximal members form a finite family; see I4 note"
     else:
-        verdicts["F1"] = "pass" if 0 in fam_set else "fail"
-        if verdicts["F1"] == "fail":
-            witnesses["F1"] = {}
-        dw = downward_witness()
-        verdicts["F2"] = "pass" if dw is None else "fail"
-        if dw:
-            witnesses["F2"] = {"set": dw[0], "missing_subset": dw[1]}
-        verdicts["F3"], w3 = _check_augmentation(fam, fam_set)
-        if w3:
-            witnesses["F3"] = w3
+        cards = [b.bit_count() for b in by_card]
+
+        def larger(a: int):
+            k = a.bit_count()
+            return by_card[bisect_right(cards, k) : bisect_right(cards, k + 1) if closed else None]
+
+        record("F3", _first_unextended(by_card, larger, addable))
         # on a finite ground every subset is finite and contains itself, so the
         # backward direction is automatic and F4 reduces to downward closure
-        verdicts["F4"] = "pass" if dw is None else "fail"
-        if dw:
-            witnesses["F4"] = {"set": dw[0], "missing_subset": dw[1]}
+        record("F4", closure)
         notes["F4"] = "finite ground: equivalent to downward closure"
+    return AxiomReport(system_id, sys_.ground, verdicts, witnesses, notes)
 
-    return AxiomReport(system_id, ground, verdicts, witnesses, notes)
 
-
-def _check_i3(fam, addable, bases_set):
-    """Maximality augmentation: non-maximal A, maximal B, some b in B-A extends A.
-
-    A violating pair is one where no element of B extends A, i.e. B avoids A's
-    addable mask entirely (addable never meets A, so B & X == 0 is the test).
-    """
-    base_by_card = _by_card(bases_set)
-    for a in _by_card(fam):
-        if a in bases_set:
-            continue
+def _first_unextended(members, candidates, addable) -> dict | None:
+    """The first A in members and B in candidates(A) with no element of B
+    extending A, as {"A": A, "B": B}; None when there is none.  addable never
+    meets A, so B & addable[A] == 0 is the test."""
+    for a in members:
         x = addable[a]
-        for b in base_by_card:
+        for b in candidates(a):
             if b & x == 0:
-                return "fail", {"A": a, "B": b}
-    return "pass", None
+                return {"A": a, "B": b}
+    return None
 
 
-def _check_base_exchange(bases):
+def _check_base_exchange(bases) -> dict | None:
     """B2: for bases B1 != B2 and x in B1 - B2, some y in B2 - B1 makes
     B1 - x + y a base.  Per B1, swaps pairs each x (ascending, as a bit) with
     the mask of y for which B1 - x + y is a base, so each (B1, B2, x) test is
@@ -579,20 +566,8 @@ def _check_base_exchange(bases):
             fresh = b2 & ~b1
             for x, ys in swaps:
                 if x & ~b2 and not ys & fresh:
-                    return "fail", {"B1": b1, "B2": b2, "x": x}
-    return "pass", None
-
-
-def _check_augmentation(fam, fam_set):
-    by_card = _by_card(fam)
-    for a in by_card:
-        ca = a.bit_count()
-        for b in by_card:
-            if b.bit_count() <= ca:
-                continue
-            if not any((a | (1 << e)) in fam_set for e in iter_bits(b & ~a)):
-                return "fail", {"A": a, "B": b}
-    return "pass", None
+                    return {"B1": b1, "B2": b2, "x": x}
+    return None
 
 
 def replay_witness(sys_: System, axiom: str, witness: dict, cap: int | None = None) -> bool:
@@ -673,11 +648,7 @@ def dual(sys_: System) -> System:
             primal=sys_,
         )
     full = sys_.ground.full_mask
-    closure = set()
-    for b in enumerate_bases(sys_):
-        for s in submasks(full ^ b):
-            closure.add(s)
-    return ExplicitSystem(sys_.ground, frozenset(closure))
+    return ExplicitSystem(sys_.ground, down_closure(full ^ b for b in enumerate_bases(sys_)))
 
 
 def _minor_ground(ground: GroundSet, keep_mask: int) -> tuple[GroundSet, list[int]]:

@@ -49,6 +49,7 @@ from .periodic import (
     edges_by_role,
     ends_of,
     full_edge_set,
+    reblock,
     run_machine,
     split_components,
 )
@@ -426,8 +427,6 @@ def spectrum_search(
     if q > MAX_WINDOW:
         raise ResourceLimitError(f"profile period {q}; periods are capped at {MAX_WINDOW}")
     if q != 1:
-        from .periodic import reblock
-
         report = spectrum_search(reblock(g, q), glue, (p, 1))
         report.bounds["profile_q"] = q
         report.bounds["witness_presentation"] = f"windows grouped {q} at a time"

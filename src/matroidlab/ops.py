@@ -21,17 +21,17 @@ from .core import (
     _check_sweep,
     _downward_closed,
     _expand,
+    _maximal,
     _wrap_grow,
     check_axioms,
     dual,
     enumerate_bases,
     family_masks,
-    maximal_masks,
     rank_of,
     uniform_matroid,
 )
 from .errors import InputError, ResourceLimitError
-from .util import submasks
+from .util import down_closure
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,13 @@ def union(m1: System, m2: System, cap: int | None = None) -> ExplicitSystem:
     ground = GroundSet(labels)
     map1 = [ground.index(l) for l in m1.ground.labels]
     map2 = [ground.index(l) for l in m2.ground.labels]
-    fam1 = [_expand(s, map1) for s in family_masks(m1, cap)]
-    fam2 = [_expand(s, map2) for s in family_masks(m2, cap)]
-    out: set[int] = set()
-    if _downward_closed(set(fam1)) and _downward_closed(set(fam2)):
-        bases2 = maximal_masks(sorted(fam2))
-        tops = {b1 | b2 for b1 in maximal_masks(sorted(fam1)) for b2 in bases2}
-        for top in maximal_masks(sorted(tops)):
-            out.update(submasks(top))
+    fam1 = sorted(_expand(s, map1) for s in family_masks(m1, cap))
+    fam2 = sorted(_expand(s, map2) for s in family_masks(m2, cap))
+    set1, set2 = set(fam1), set(fam2)
+    if _downward_closed(set1) and _downward_closed(set2):
+        bases2 = _maximal(fam2, set2, True)
+        tops = {b1 | b2 for b1 in _maximal(fam1, set1, True) for b2 in bases2}
+        out = down_closure(_maximal(sorted(tops), tops, False))
     else:
         out = {s1 | s2 for s1 in fam1 for s2 in fam2}
     return ExplicitSystem(ground, frozenset(out))
@@ -185,10 +184,8 @@ def _nested_base_pairs(pair: NestedPair, cap: int | None = None):
 def difference(outer: System, inner: System, cap: int | None = None) -> ExplicitSystem:
     """The system of subsets of F - B over nested base pairs B of inner, F of outer."""
     pair = NestedPair(inner, outer, cap)
-    fam: set[int] = set()
-    for b, f in _nested_base_pairs(pair, cap)[2]:
-        fam.update(submasks(f & ~b))
-    return ExplicitSystem(pair.ground, frozenset(fam))
+    fam = down_closure(f & ~b for b, f in _nested_base_pairs(pair, cap)[2])
+    return ExplicitSystem(pair.ground, fam)
 
 
 def verify_difference_duality(
@@ -273,10 +270,8 @@ def ch4_inner(r: int) -> ExplicitSystem:
     least one block entirely.  Its bases are the block complements, and for
     r >= 2 it fails I3."""
     ground = _ch4_ground(r)
-    fam: set[int] = set()
-    for block in ch4_blocks(r):
-        fam.update(submasks(ground.full_mask ^ ground.mask(block)))
-    return ExplicitSystem(ground, frozenset(fam))
+    fam = down_closure(ground.full_mask ^ ground.mask(block) for block in ch4_blocks(r))
+    return ExplicitSystem(ground, fam)
 
 
 def ch4_system(r: int, cap: int | None = None) -> NestedPair:

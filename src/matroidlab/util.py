@@ -29,6 +29,11 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def down_closure(tops) -> frozenset[int]:
+    """Every submask of every mask in tops."""
+    return frozenset().union(*map(submasks, tops))
+
+
 # ---------------------------------------------------------------------------
 # graph kernels: adjacency is a dict vertex -> iterable of neighbours
 

@@ -11,6 +11,7 @@ explicit families, where I2, I3, B2 and F3 do fail.
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,7 @@ from matroidlab import (
 )
 from matroidlab.core import AXIOM_SETS, AxiomReport, _check_sweep, maximal_masks
 from matroidlab.linear import MatrixRep, linear_matroid
+from matroidlab.ops import ch4_inner
 from matroidlab.util import iter_bits
 
 # ---------------------------------------------------------------------------
@@ -267,6 +269,26 @@ def test_dual_of_wrapped_family_keeps_the_rank_identity(sys_):
     )
     assert family_masks(co) == family_masks(identity)
     assert_same_screens(co, identity)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_screens_match_reference_on_block_systems(r):
+    """The block systems are closed but fail F3 only after many members, so
+    the screen's one-larger rule for closed families meets a late witness."""
+    blocks = ch4_inner(r)
+    assert_same_screens(blocks, blocks)
+    wrapped = from_explicit(blocks)
+    assert_same_screens(wrapped, wrapped)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_families(), st.booleans())
+def test_maximal_masks_is_the_quadratic_definition(sys_, close):
+    """On unchecked families and on their downward closures."""
+    fam = sys_.family()
+    if close:
+        fam = sorted({s for t in fam for s in _subsets(t)})
+    assert maximal_masks(fam) == [s for s in fam if not any(t != s and t & s == s for t in fam)]
 
 
 def test_every_minor_of_small_matroids_grows_exactly():

@@ -232,8 +232,8 @@ def test_block_pair_past_the_sweep_cap_stops_before_building(argv, code, monkeyp
     # r = 6, is built; axioms reads only the inner system, an explicit family
     # that no sweep cap governs, so it builds the family and answers
     built = []
-    monkeypatch.setattr(matroidlab.ops, "submasks",
-                        lambda mask, real=matroidlab.ops.submasks: built.append(mask) or real(mask))
+    monkeypatch.setattr(matroidlab.ops, "down_closure",
+                        lambda tops, real=matroidlab.ops.down_closure: built.append(tops) or real(tops))
     rc, out, err = run_in_process(argv)
     assert rc == code, err
     if code == 3:

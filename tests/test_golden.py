@@ -22,6 +22,7 @@ COMMANDS = {
     "bean": ["bean"],
     "ch4_r5": ["ch4", "-r", "5"],
     "axioms_ch4_5": ["axioms", "--system", "ch4:5"],
+    "axioms_ch4_5_F": ["axioms", "--system", "ch4:5", "--axioms", "F"],
     "rays_ladder2_glue_all": ["rays", "--family", "ladder:2", "--glue", "all"],
     "dominate_bean_v_k2": ["dominate", "--family", "bean", "--vertex", "v", "-k", "2"],
 }
