@@ -12,17 +12,19 @@ Edge instances are addressed as ("pre", i), ("win", j, w), ("spl", j, w)
 (the copy joining w to w+1), ("apx", j, w).  An UPEdgeSet picks instances
 explicitly over the first p windows and by a per-window pattern afterwards.
 
-All infinite-graph questions are answered by a window-sweep fixpoint: walk
-windows left to right, keep a union-find partition over prefix tokens plus the
-current window's lane tokens, retire the previous window, and stop when the
-projected partition repeats.  Once the state repeats it repeats forever (the
-transition is a deterministic function of the state), which is what makes the
-answers about the infinite object exact rather than sampled.
+All infinite-graph questions are answered by a window-sweep fixpoint.  The
+state after a window labels the prefix vertices, glue points and that window's
+lanes with their class, numbered by first occurrence, so equal partitions are
+equal tuples.  Each step joins the next window's lanes and retires the last.
+Past the explicit zone a step is a function of the state alone, so the sweep
+stops at the first repeat: one window apart is the fixpoint, which repeats
+forever and makes the answers about the infinite object exact rather than
+sampled; q >= 2 windows apart is a cycle that never stabilizes, and the sweep
+raises ResourceLimitError naming the period q.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -269,16 +271,11 @@ def edges_by_role(g: PeriodicGraphSpec, roles) -> UPEdgeSet:
 
 @dataclass
 class MachineResult:
-    depth: int              # first window whose projected state repeats the previous one
+    depth: int              # first window whose state repeats the previous one
     closed: int             # components fully retired by window `depth`
     delta: int              # components retiring per window at the fixpoint
     live: tuple             # stationary classes that persist forever (confirmed one step ahead)
     cycle_event: tuple | None  # (edge instance, window) of the first redundant union
-
-    def component_count(self):
-        if self.delta > 0:
-            return INF
-        return self.closed + len(self.live)
 
 
 # results are immutable in practice; sharing across callers is safe
@@ -297,14 +294,22 @@ def run_machine(
     glue_lanes: dict | None = None,
     glue_from: int = 0,
 ) -> MachineResult:
-    """Sweep windows until the projected partition repeats.
+    """Sweep windows until the state repeats the previous window's.
 
-    Tokens: ("P", name) persistent prefix vertices, ("R", lane) the current
-    window's repeat vertices, ("G", point) persistent glue points.  glue_lanes
-    maps ray-bearing lanes to glue point names; those unions start at window
-    glue_from (the caller passes the depth at which ray-bearing is certified).
+    Tokens: ("P", name) persistent prefix vertices, ("G", point) persistent
+    glue points and ("R", lane) the current window's repeat vertices.  The
+    state after a window labels the persistent tokens and then the lanes with
+    their class, numbered by first occurrence.  glue_lanes maps ray-bearing
+    lanes to glue point names; those unions start at window glue_from (the
+    caller passes the depth at which ray-bearing is certified).
     use_prefix=False sweeps the repeat-only structure: no prefix vertices and
     no prefix or apex edges.
+
+    Past window max(s.p, glue_from) every step is one function of the state,
+    so the sweep stops at the first repeat: a repeat one window apart is the
+    fixpoint, and a repeat q >= 2 windows apart means the states cycle with
+    period q forever, which raises ResourceLimitError.  So does running past
+    _window_bound windows.
     """
     glue_lanes = glue_lanes or {}
     cache_key = (g, s, use_prefix, tuple(sorted(glue_lanes.items())), glue_from)
@@ -313,103 +318,88 @@ def run_machine(
         return hit  # (g, s) was validated when the entry was made
     validate_edge_set(g, s)
 
-    # class id per token plus member sets, not util.UnionFind: retiring a
-    # window's tokens needs to delete them from their class
-    parent: dict = {}
-    members: dict = {}
-    next_id = itertools.count()
-
-    def add_token(tok):
-        cid = next(next_id)
-        parent[tok] = cid
-        members[cid] = {tok}
-
-    closed = 0
+    lane = {name: i for i, name in enumerate(g.repeat_vertices)}
+    tokens = [("P", name) for name in g.prefix_vertices] if use_prefix else []
+    tokens += [("G", point) for point in sorted(set(glue_lanes.values()))]
+    index = {tok: i for i, tok in enumerate(tokens)}
+    n_pers = len(tokens)
     cycle_event = None
 
-    def union(a, b, instance=None, window=None):
-        nonlocal cycle_event
-        ca, cb = parent[a], parent[b]
-        if ca == cb:
-            if instance is not None and cycle_event is None:
-                cycle_event = (instance, window)
-            return
-        if len(members[ca]) < len(members[cb]):
-            ca, cb = cb, ca
-        for tok in members[cb]:
-            parent[tok] = ca
-        members[ca] |= members[cb]
-        del members[cb]
+    # the first window whose step reads only pattern entries is p+1 (splices
+    # applied at window w have index w-1); same shift for glue unions
+    min_depth = max(s.p + 1, glue_from + 1)
+    memo: dict = {}
 
-    if use_prefix:
-        for name in g.prefix_vertices:
-            add_token(("P", name))
-    for point in sorted(set(glue_lanes.values())):
-        add_token(("G", point))
-
-    def resolve_pref(ref):
-        if isinstance(ref, str):
-            return ("P", ref)
-        return ("R", ref[1])
-
-    def apply_window(w):
-        for lane in g.repeat_vertices:
-            add_token(("R", lane))
+    def joins(w):
+        """(a, b, slot) per union of window w, in sweep order; slot (kind, j,
+        lag) names instance (kind, j, w - lag), and a glue union has none.
+        Every window from min_depth on joins the same pairs."""
+        w = min(w, min_depth)
+        if w in memo:
+            return memo[w]
+        # the previous window's lanes sit at n_pers, this window's at cur
+        cur = n_pers + len(lane) if w else n_pers
+        out = []
         if w == 0 and use_prefix:
             for i in sorted(s.prefix_present):
-                u, v, _ = g.prefix_edges[i]
-                union(resolve_pref(u), resolve_pref(v), ("pre", i), 0)
+                a, b = (index["P", r] if isinstance(r, str) else cur + lane[r[1]]
+                        for r in g.prefix_edges[i][:2])
+                out.append((a, b, ("pre", i, None)))
         if w > 0:
             for j, (u, v, _) in enumerate(g.splice_edges):
                 if s.has("spl", j, w - 1):
-                    union(("Q", u), ("R", v), ("spl", j, w - 1), w)
+                    out.append((n_pers + lane[u], cur + lane[v], ("spl", j, 1)))
         for j, (u, v, _) in enumerate(g.window_edges):
             if s.has("win", j, w):
-                union(("R", u), ("R", v), ("win", j, w), w)
+                out.append((cur + lane[u], cur + lane[v], ("win", j, 0)))
         if use_prefix:
             for j, (a, v, _) in enumerate(g.apex_edges):
                 if s.has("apx", j, w):
-                    union(("P", a), ("R", v), ("apx", j, w), w)
+                    out.append((index["P", a], cur + lane[v], ("apx", j, 0)))
         if w >= glue_from:
-            for lane, point in glue_lanes.items():
-                union(("G", point), ("R", lane))
+            for name, point in glue_lanes.items():
+                out.append((index["G", point], cur + lane[name], None))
+        memo[w] = out
+        return out
 
-    def retire():
-        d = 0
-        for lane in g.repeat_vertices:
-            tok = ("Q", lane)
-            if tok in parent:
-                cid = parent.pop(tok)
-                members[cid].discard(tok)
-                if not members[cid]:
-                    del members[cid]
-                    d += 1
-        return d
+    def step(state, w):
+        """Window w read from state: the class id of every token (the state's,
+        then w's lanes), the ids of the kept tokens (persistent ones and w's
+        lanes) and the number of classes retired with w-1's lanes."""
+        nonlocal cycle_event
+        cur = len(state)
+        # labels are below cur, so w's lanes take their own indices as ids
+        cls = list(state) + list(range(cur, cur + len(lane)))
+        for a, b, slot in joins(w):
+            ca, cb = cls[a], cls[b]
+            if ca == cb:
+                if slot is not None and cycle_event is None:
+                    kind, j, lag = slot
+                    cycle_event = ((kind, j) if lag is None else (kind, j, w - lag), w)
+            else:
+                cls = [ca if c == cb else c for c in cls]
+        kept = cls[:n_pers] + cls[cur:]
+        return cls, kept, len(set(cls)) - len(set(kept))
 
-    def relabel():
-        for lane in g.repeat_vertices:
-            tok = ("R", lane)
-            cid = parent.pop(tok)
-            members[cid].discard(tok)
-            qtok = ("Q", lane)
-            parent[qtok] = cid
-            members[cid].add(qtok)
-
-    sig_prev = None
-    # splices applied at window w have index w-1, so the first window whose
-    # step reads only pattern entries is p+1; same shift for glue unions
-    min_depth = max(s.p + 1, glue_from + 1)
     bound = _window_bound(g, s)
+    seen: dict = {}
+    state = tuple(range(n_pers))
+    closed = 0
     w = 0
     while True:
-        apply_window(w)
-        delta = retire()
+        _, kept, delta = step(state, w)
+        labels: dict = {}  # renumbered by first occurrence
+        state = tuple([labels.setdefault(c, len(labels)) for c in kept])
         closed += delta
-        sig = frozenset(frozenset(c) for c in members.values())
-        if w >= min_depth and sig == sig_prev:
-            break
-        sig_prev = sig
-        relabel()
+        if w >= min_depth and state in seen:
+            period = w - seen[state]
+            if period == 1:
+                break
+            raise ResourceLimitError(
+                f"window sweep repeats every {period} windows and never stabilizes"
+            )
+        if w >= min_depth - 1:
+            seen[state] = w
         w += 1
         if w > bound:
             raise ResourceLimitError(
@@ -417,22 +407,17 @@ def run_machine(
             )
     # the stationary state can still shed classes every window (delta > 0);
     # a class persists forever only if the next step keeps it inhabited
-    stationary = sorted(sig, key=lambda c: sorted(map(str, c)))
-    relabel()
-    apply_window(w + 1)
-    ids = {}
-    for cls in stationary:
-        tok = next(iter(cls))
-        if tok[0] == "R":
-            tok = ("Q", tok[1])
-        ids[cls] = parent[tok]
-    retire()
-    live = tuple(cls for cls in stationary if ids[cls] in members)
+    cls, kept, _ = step(state, w + 1)
+    kept = set(kept)
+    live: dict = {}
+    for tok, label, c in zip(tokens + [("R", name) for name in lane], state, cls):
+        if c in kept:
+            live.setdefault(label, set()).add(tok)
     result = MachineResult(
         depth=w,
         closed=closed,
         delta=delta,
-        live=live,
+        live=tuple(sorted(map(frozenset, live.values()), key=lambda c: sorted(map(str, c)))),
         cycle_event=cycle_event,
     )
     if len(_machine_cache) >= 16384:
@@ -587,14 +572,9 @@ def component_summary(g: PeriodicGraphSpec, s: UPEdgeSet, gluing: dict | None = 
     interface = {}
     for cid, cls in enumerate(res.live):
         for tok in sorted(cls, key=str):
-            if tok[0] == "P":
-                interface[tok[1]] = cid
-            elif tok[0] == "R":
-                interface[tok[1]] = cid
-            else:
-                interface[f"point:{tok[1]}"] = cid
+            interface[f"point:{tok[1]}" if tok[0] == "G" else tok[1]] = cid
     return ComponentSummary(
-        count=res.component_count(),
+        count=INF if res.delta > 0 else res.closed + len(res.live),
         interface=interface,
         depth=res.depth,
         closing_rate=res.delta,
@@ -703,30 +683,15 @@ def contains_double_ray(g: PeriodicGraphSpec, s: UPEdgeSet):
 
 
 def _finite_degree(g: PeriodicGraphSpec, v) -> int | None:
-    """Degree of a vertex ref; None when infinite (an apex)."""
-    if isinstance(v, str):
-        if v in g.apexes:
-            return None
-        d = 0
-        for u, w, _ in g.prefix_edges:
-            d += (u == v) + (w == v)
-        return d
-    lane, w = v
-    d = 0
-    if w == 0:
-        for u, x, _ in g.prefix_edges:
-            d += (not isinstance(u, str) and u[1] == lane) + (
-                not isinstance(x, str) and x[1] == lane
-            )
-    for u, x, _ in g.window_edges:
-        d += (u == lane) + (x == lane)
-    for u, x, _ in g.splice_edges:
-        d += u == lane        # copy leaving window w
-        if w > 0:
-            d += x == lane    # copy arriving from window w-1
-    for _, x, _ in g.apex_edges:
-        d += x == lane
-    return d
+    """Degree of a vertex ref; None when infinite (an apex).
+
+    Every window past 0 meets the same edges of the full set, so a
+    three-window truncation holds each vertex's edges, whatever its window.
+    """
+    if isinstance(v, str) and v in g.apexes:
+        return None
+    node = ("p", v) if isinstance(v, str) else (v[0], min(v[1], 1))
+    return len(adjacency(*truncate_graph(g, full_edge_set(g), 3))[node])
 
 
 def domination_witness(g: PeriodicGraphSpec, v, k: int):

@@ -636,6 +636,50 @@ def spec_profile_and_instances(draw):
     return g, draw(gluings(g)), p, slots, finite
 
 
+# two lanes whose splices swap them, with a link from p to lane a at window
+# 0: the full sweep alternates between {p, a} and {p, b} and never settles
+SWAP_LINK = PeriodicGraphSpec(
+    prefix_vertices=("p",),
+    repeat_vertices=("a", "b"),
+    prefix_edges=(("p", ("r", "a"), "link"),),
+    splice_edges=(("a", "b", "top"), ("b", "a", "bottom")),
+    ends=("e0", "e1"),
+)
+
+
+def test_hat_check_matches_the_reference_on_an_oscillating_sweep():
+    # a draw of test_hat_check_matches_the_reference that failed there when a
+    # sweep that never stabilizes named whichever window bound it hit first:
+    # the two sides sweep different sets, with bounds of 40 and 38 windows
+    g = PeriodicGraphSpec(
+        prefix_vertices=("p",),
+        repeat_vertices=("a", "b", "c"),
+        splice_edges=(("a", "c", "top"), ("b", "a", "top"), ("c", "a", "top")),
+        apex_edges=(("p", "b", "spoke"),),
+        ends=("e0", "e1", "e2"),
+    )
+    glue = GluingSpec((("e0", "e1", "e2"),), ())
+    s = UPEdgeSet(2, pattern=frozenset({("apx", 0)}))
+    answer = answer_or_error(hat_check, g, glue, s, (1, 1))
+    assert answer == answer_or_error(ref_hat_check, g, glue, s, (1, 1))
+    assert answer == ("ResourceLimitError",
+                      "window sweep repeats every 2 windows and never stabilizes")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="defect's full-graph sweep of the swap ladder has period 2; the "
+    "period-aware sweep of ROADMAP item 1 would answer it",
+)
+def test_contract_coloops_matches_the_reference_on_an_oscillating_sweep():
+    # a draw of test_contract_coloops_matches_the_reference: the candidate
+    # walk reads defect, whose sweep of the whole graph never stabilizes,
+    # while the reference never reads the defect and answers
+    t = [("spl", 0, 0)]
+    assert (answer_or_error(contract_coloops, SWAP_LINK, glue_all(SWAP_LINK), t, (0, 1))
+            == answer_or_error(ref_contract_coloops, SWAP_LINK, glue_all(SWAP_LINK), t, (0, 1)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_hat_check_matches_the_reference(data):
