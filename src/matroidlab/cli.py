@@ -83,7 +83,7 @@ class _Parser(argparse.ArgumentParser):
 def _canned_n(text: str, head: str) -> int | None:
     """n of a canned name head:n (ladder:n, ch4:r); None for anything else."""
     name, sep, tail = text.partition(":")
-    return int(tail) if name == head and sep and tail.isdigit() else None
+    return int(tail) if name == head and sep and tail.isdecimal() else None
 
 
 def _canned_family(text: str):
@@ -143,7 +143,7 @@ def _vertex_arg(text: str):
     name, sep, window = text.partition(":")
     if not sep:
         return name
-    if not window.isdigit():
+    if not window.isdecimal():
         raise InputError(f"window index in {text!r} must be a natural number")
     return (name, int(window))
 

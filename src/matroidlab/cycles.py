@@ -42,8 +42,8 @@ from .periodic import (
     MAX_WINDOW,
     PeriodicGraphSpec,
     UPEdgeSet,
-    _component_rays,
     _has_finite_cycle,
+    _ray_pieces,
     contains_finite_cycle,
     corridor_width,
     edges_by_role,
@@ -203,12 +203,12 @@ def _find_circle(g, s, glue):
         return None
     rays = Counter()
     lanes = {}
-    for cid, pieces in _component_rays(g, s, point_map).items():
-        for piece, label, width in pieces:
-            if width:
-                pair = (cid, point_map[label])
-                rays[pair] += width
-                lanes.setdefault(pair, set()).update(piece)
+    for cid, piece, label in _ray_pieces(g, s):
+        width = corridor_width(g, piece, s) if label in point_map else 0
+        if width:
+            pair = (cid, point_map[label])
+            rays[pair] += width
+            lanes.setdefault(pair, set()).update(piece)
     for (cid, point), n in sorted(rays.items()):
         if n >= 2:
             return {

@@ -13,18 +13,20 @@ Edge instances are addressed as ("pre", i), ("win", j, w), ("spl", j, w)
 explicitly over the first p windows and by a per-window pattern afterwards.
 
 All infinite-graph questions are answered by a window-sweep fixpoint.  The
-state after a window labels the prefix vertices, glue points and that window's
-lanes with their class, numbered by first occurrence, so equal partitions are
-equal tuples.  Each step joins the next window's lanes and retires the last.
-Past the explicit zone a step is a function of the state alone, so the sweep
-stops at the first repeat: one window apart is the fixpoint, which repeats
-forever and makes the answers about the infinite object exact rather than
-sampled; q >= 2 windows apart is a cycle that never stabilizes, and the sweep
-raises ResourceLimitError naming the period q.
+state after a window labels the prefix vertices and that window's lanes with
+their class, numbered by first occurrence, so equal partitions are equal
+tuples.  Each step joins the next window's lanes and retires the last.  Past
+the explicit zone a step is a function of the state alone, so the sweep stops
+at the first repeat: one window apart is the fixpoint, which repeats forever
+and makes the answers about the infinite object exact rather than sampled;
+q >= 2 windows apart is a cycle that never stabilizes, and the sweep raises
+ResourceLimitError naming the period q.  Gluing stays out of the sweep: glued
+components are read off the plain sweep's components and ray pieces.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -181,31 +183,24 @@ class UPEdgeSet:
         }
         return UPEdgeSet(p_new, self.prefix_present, self.explicit | extra, self.pattern)
 
-    def with_edge(self, instance) -> "UPEdgeSet":
-        """Add one instance; widens the explicit zone as needed."""
+    def _edited(self, op, instance) -> "UPEdgeSet":
+        """op (set union or difference) applied with {instance}; widens the
+        explicit zone as needed."""
         if instance[0] == "pre":
             return UPEdgeSet(
-                self.p, self.prefix_present | {instance[1]}, self.explicit, self.pattern
+                self.p, op(self.prefix_present, {instance[1]}), self.explicit, self.pattern
             )
         kind, j, w = instance
-        p_new = max(self.p, w + 1)
-        base = self.normalized(p_new)
-        return UPEdgeSet(
-            p_new, base.prefix_present, base.explicit | {(kind, j, w)}, base.pattern
-        )
+        base = self.normalized(max(self.p, w + 1))
+        return UPEdgeSet(base.p, base.prefix_present, op(base.explicit, {(kind, j, w)}), base.pattern)
+
+    def with_edge(self, instance) -> "UPEdgeSet":
+        """Add one instance; widens the explicit zone as needed."""
+        return self._edited(operator.or_, instance)
 
     def without_edge(self, instance) -> "UPEdgeSet":
         """Remove one instance; widens the explicit zone as needed."""
-        if instance[0] == "pre":
-            return UPEdgeSet(
-                self.p, self.prefix_present - {instance[1]}, self.explicit, self.pattern
-            )
-        kind, j, w = instance
-        p_new = max(self.p, w + 1)
-        base = self.normalized(p_new)
-        return UPEdgeSet(
-            p_new, base.prefix_present, base.explicit - {(kind, j, w)}, base.pattern
-        )
+        return self._edited(operator.sub, instance)
 
     def to_obj(self) -> dict:
         """JSON-ready form; one-off content under prefix_edges, slots under repeat_edges."""
@@ -269,7 +264,7 @@ def edges_by_role(g: PeriodicGraphSpec, roles) -> UPEdgeSet:
 # the window-sweep fixpoint machine
 
 
-@dataclass
+@dataclass(frozen=True)
 class MachineResult:
     depth: int              # first window whose state repeats the previous one
     closed: int             # components fully retired by window `depth`
@@ -278,61 +273,43 @@ class MachineResult:
     cycle_event: tuple | None  # (edge instance, window) of the first redundant union
 
 
-# results are immutable in practice; sharing across callers is safe
-_machine_cache: dict = {}
-
-
 def _window_bound(g: PeriodicGraphSpec, s: UPEdgeSet) -> int:
     tokens = len(g.prefix_vertices) + len(g.repeat_vertices) + len(g.apex_edges) + 2
     return 4 * tokens + 2 * s.p + 8
 
 
-def run_machine(
-    g: PeriodicGraphSpec,
-    s: UPEdgeSet,
-    use_prefix: bool = True,
-    glue_lanes: dict | None = None,
-    glue_from: int = 0,
-) -> MachineResult:
+@lru_cache(maxsize=16384)
+def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet, use_prefix: bool = True) -> MachineResult:
     """Sweep windows until the state repeats the previous window's.
 
-    Tokens: ("P", name) persistent prefix vertices, ("G", point) persistent
-    glue points and ("R", lane) the current window's repeat vertices.  The
-    state after a window labels the persistent tokens and then the lanes with
-    their class, numbered by first occurrence.  glue_lanes maps ray-bearing
-    lanes to glue point names; those unions start at window glue_from (the
-    caller passes the depth at which ray-bearing is certified).
-    use_prefix=False sweeps the repeat-only structure: no prefix vertices and
-    no prefix or apex edges.
+    Tokens: ("P", name) persistent prefix vertices and ("R", lane) the
+    current window's repeat vertices.  The state after a window labels the
+    prefix tokens and then the lanes with their class, numbered by first
+    occurrence.  use_prefix=False sweeps the repeat-only structure: no prefix
+    vertices and no prefix or apex edges.
 
-    Past window max(s.p, glue_from) every step is one function of the state,
-    so the sweep stops at the first repeat: a repeat one window apart is the
-    fixpoint, and a repeat q >= 2 windows apart means the states cycle with
-    period q forever, which raises ResourceLimitError.  So does running past
-    _window_bound windows.
+    Past window s.p every step is one function of the state, so the sweep
+    stops at the first repeat: a repeat one window apart is the fixpoint, and
+    a repeat q >= 2 windows apart means the states cycle with period q
+    forever, which raises ResourceLimitError.  So does running past
+    _window_bound windows.  Results are immutable and cached on the
+    arguments.
     """
-    glue_lanes = glue_lanes or {}
-    cache_key = (g, s, use_prefix, tuple(sorted(glue_lanes.items())), glue_from)
-    hit = _machine_cache.get(cache_key)
-    if hit is not None:
-        return hit  # (g, s) was validated when the entry was made
     validate_edge_set(g, s)
-
     lane = {name: i for i, name in enumerate(g.repeat_vertices)}
     tokens = [("P", name) for name in g.prefix_vertices] if use_prefix else []
-    tokens += [("G", point) for point in sorted(set(glue_lanes.values()))]
     index = {tok: i for i, tok in enumerate(tokens)}
     n_pers = len(tokens)
     cycle_event = None
 
     # the first window whose step reads only pattern entries is p+1 (splices
-    # applied at window w have index w-1); same shift for glue unions
-    min_depth = max(s.p + 1, glue_from + 1)
+    # applied at window w have index w-1)
+    min_depth = s.p + 1
     memo: dict = {}
 
     def joins(w):
         """(a, b, slot) per union of window w, in sweep order; slot (kind, j,
-        lag) names instance (kind, j, w - lag), and a glue union has none.
+        lag) names instance (kind, j, w - lag), or (kind, j) when lag is None.
         Every window from min_depth on joins the same pairs."""
         w = min(w, min_depth)
         if w in memo:
@@ -356,9 +333,6 @@ def run_machine(
             for j, (a, v, _) in enumerate(g.apex_edges):
                 if s.has("apx", j, w):
                     out.append((index["P", a], cur + lane[v], ("apx", j, 0)))
-        if w >= glue_from:
-            for name, point in glue_lanes.items():
-                out.append((index["G", point], cur + lane[name], None))
         memo[w] = out
         return out
 
@@ -370,11 +344,10 @@ def run_machine(
         cur = len(state)
         # labels are below cur, so w's lanes take their own indices as ids
         cls = list(state) + list(range(cur, cur + len(lane)))
-        for a, b, slot in joins(w):
+        for a, b, (kind, j, lag) in joins(w):
             ca, cb = cls[a], cls[b]
             if ca == cb:
-                if slot is not None and cycle_event is None:
-                    kind, j, lag = slot
+                if cycle_event is None:
                     cycle_event = ((kind, j) if lag is None else (kind, j, w - lag), w)
             else:
                 cls = [ca if c == cb else c for c in cls]
@@ -413,17 +386,13 @@ def run_machine(
     for tok, label, c in zip(tokens + [("R", name) for name in lane], state, cls):
         if c in kept:
             live.setdefault(label, set()).add(tok)
-    result = MachineResult(
+    return MachineResult(
         depth=w,
         closed=closed,
         delta=delta,
         live=tuple(sorted(map(frozenset, live.values()), key=lambda c: sorted(map(str, c)))),
         cycle_event=cycle_event,
     )
-    if len(_machine_cache) >= 16384:
-        _machine_cache.clear()
-    _machine_cache[cache_key] = result
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +477,6 @@ def ray_count(g: PeriodicGraphSpec) -> int:
     return sum(corridor_width(g, lanes) for lanes in corridors(g))
 
 
-def ray_bearing_lanes(g: PeriodicGraphSpec, s: UPEdgeSet) -> tuple[dict, int]:
-    """Lanes that carry a ray of s, mapped to their end label, plus the
-    certification depth (sweep depth of the repeat-only machine on s)."""
-    res = run_machine(g, s, use_prefix=False)
-    lane_end = _lane_ends(g)
-    return {lane: lane_end[lane] for lane in _live_lanes(res)}, res.depth
-
-
 def surviving_classes(g: PeriodicGraphSpec, s: UPEdgeSet) -> tuple[frozenset, ...]:
     """Ray-bearing lane classes of s itself (repeat-only machine), canonical order."""
     res = run_machine(g, s, use_prefix=False)
@@ -525,6 +486,21 @@ def surviving_classes(g: PeriodicGraphSpec, s: UPEdgeSet) -> tuple[frozenset, ..
         if lanes:
             out.append(lanes)
     return tuple(sorted(out, key=lambda lanes: sorted(lanes)))
+
+
+def _ray_pieces(g: PeriodicGraphSpec, s: UPEdgeSet) -> list:
+    """(component id, lanes, end label) per ray-bearing lane class of s, in
+    canonical order.
+
+    The id is the class's index in the live classes of the full sweep of s;
+    every surviving class is live there, since prefix and apex edges only
+    merge classes.
+    """
+    lane_cid = _live_lanes(run_machine(g, s))
+    lane_end = _lane_ends(g)
+    return [
+        (lane_cid[min(lanes)], lanes, lane_end[min(lanes)]) for lanes in surviving_classes(g, s)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -547,36 +523,42 @@ class ComponentSummary:
         }
 
 
-def _glued_run(g: PeriodicGraphSpec, s: UPEdgeSet, gluing: dict | None) -> MachineResult:
-    """Full sweep of s with glue points attached to its ray-bearing lanes.
-
-    gluing maps end labels to point names; unmapped labels stay open.
-    """
-    if not gluing:
-        return run_machine(g, s)
-    lane_end, depth = ray_bearing_lanes(g, s)
-    glue_lanes = {
-        lane: gluing[label] for lane, label in lane_end.items() if label in gluing
-    }
-    return run_machine(g, s, glue_lanes=glue_lanes, glue_from=depth)
-
-
 def component_summary(g: PeriodicGraphSpec, s: UPEdgeSet, gluing: dict | None = None) -> ComponentSummary:
     """Connected components of the edge set, with optional end gluing.
 
-    Components containing a ray whose end label is glued to a point are merged
-    at that point.  The interface partition at the fixpoint is the certificate:
-    one more window reproduces it exactly.
+    gluing maps end labels to point names; unmapped labels stay open.  The
+    components are those of the plain sweep of s, and a glue point merges the
+    components whose ray pieces (_ray_pieces) have an end label glued to it.
+    Finite components carry no ray, so they never merge, and the count is INF
+    exactly when the plain sweep retires components every window.  The
+    interface partition at the fixpoint is the certificate: one more window
+    reproduces it exactly.  depth is the plain sweep's, or, when anything is
+    glued, the larger of it and the repeat-only sweep's, which certifies the
+    ray pieces.
     """
-    res = _glued_run(g, s, gluing)
+    res = run_machine(g, s)
+    classes = [set(cls) for cls in res.live]
+    depth = res.depth
+    if gluing:
+        depth = max(depth, run_machine(g, s, use_prefix=False).depth)
+        uf = UnionFind()
+        for cid, _, label in _ray_pieces(g, s):
+            if label in gluing:
+                point = ("G", gluing[label])
+                classes[cid].add(point)
+                uf.union(cid, point)
+        merged: dict = {}
+        for cid, cls in enumerate(classes):
+            merged.setdefault(uf.find(cid), set()).update(cls)
+        classes = sorted(merged.values(), key=lambda c: sorted(map(str, c)))
     interface = {}
-    for cid, cls in enumerate(res.live):
+    for cid, cls in enumerate(classes):
         for tok in sorted(cls, key=str):
             interface[f"point:{tok[1]}" if tok[0] == "G" else tok[1]] = cid
     return ComponentSummary(
-        count=INF if res.delta > 0 else res.closed + len(res.live),
+        count=INF if res.delta > 0 else res.closed + len(classes),
         interface=interface,
-        depth=res.depth,
+        depth=depth,
         closing_rate=res.delta,
     )
 
@@ -645,35 +627,16 @@ def contains_finite_cycle(g: PeriodicGraphSpec, s: UPEdgeSet):
     return True, {"closing_edge": instance, "cycle_vertices": path}
 
 
-def _component_rays(g: PeriodicGraphSpec, s: UPEdgeSet, ends=None) -> dict:
-    """Component id -> [(lanes, end label, corridor width)] for the
-    ray-bearing lane classes of s, in canonical order.
-
-    The id is the class's index in the live classes of the full sweep of s;
-    every surviving class is live there, since prefix and apex edges only
-    merge classes.  Given ends, only classes with those end labels are listed
-    (and measured).
-    """
-    lane_cid = _live_lanes(run_machine(g, s))
-    lane_end = _lane_ends(g)
-    out: dict = {}
-    for lanes in surviving_classes(g, s):
-        label = lane_end[min(lanes)]
-        if ends is None or label in ends:
-            width = corridor_width(g, lanes, s)
-            out.setdefault(lane_cid[min(lanes)], []).append((lanes, label, width))
-    return out
-
-
 def contains_double_ray(g: PeriodicGraphSpec, s: UPEdgeSet):
     """(present, witness): true iff one component of s can seat two disjoint rays."""
-    for cid, pieces in sorted(_component_rays(g, s).items()):
-        if sum(width for _, _, width in pieces) >= 2:
+    rays: dict = {}
+    for cid, lanes, _ in _ray_pieces(g, s):
+        rays.setdefault(cid, []).append((lanes, corridor_width(g, lanes, s)))
+    for cid, pieces in sorted(rays.items()):
+        if sum(width for _, width in pieces) >= 2:
             return True, {
                 "component": cid,
-                "ray_pieces": [
-                    {"lanes": sorted(lanes), "width": width} for lanes, _, width in pieces
-                ],
+                "ray_pieces": [{"lanes": sorted(lanes), "width": width} for lanes, width in pieces],
             }
     return False, None
 

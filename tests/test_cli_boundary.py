@@ -122,6 +122,23 @@ def test_bad_input_exits_2_without_traceback(name, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["rays", "--family", "ladder:²"],
+        ["axioms", "--system", "ch4:³"],
+        ["dominate", "--family", "ladder:1", "--vertex", "t0:²", "-k", "1"],
+    ],
+    ids=["ladder-superscript", "ch4-superscript", "window-superscript"],
+)
+def test_superscript_digits_exit_2_without_traceback(argv):
+    # str.isdigit() accepts superscripts, which int() rejects
+    rc, _, err = run_fresh(argv)
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "argv, dominates",
     [
         (["--family", "ladder:1", "--vertex", f"t0:{MAX_WINDOW}", "-k", "2"], True),

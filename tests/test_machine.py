@@ -1,10 +1,17 @@
 """The window-sweep machine against the sweep it replaced, and the periods it names.
 
-ref_run_machine is the previous run_machine, kept verbatim: a union-find over
+ref_run_machine is an earlier run_machine, kept verbatim: a union-find over
 named tokens that relabels each window's lanes before the next window, and
-compares frozenset signatures.  The tuple-state sweep must give every
+compares frozenset signatures.  It still takes the glue arguments that put
+glue points inside the sweep.  The tuple-state sweep must give every
 MachineResult field the same value on every input, or both must hit a
 resource bound.
+
+ref_component_summary is the component summary that glued inside the sweep:
+every copy of a ray-bearing lane joins its glue point from the repeat-only
+sweep's depth on.  component_summary reads glued components off the plain
+sweep instead.  The two agree wherever no splice moves a lane; elsewhere the
+reference can report a finite glued count where the plain count is INF.
 """
 
 import itertools
@@ -14,21 +21,24 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matroidlab import periodic
 from matroidlab.errors import ResourceLimitError
 from matroidlab.io import dump_family
 from matroidlab.periodic import (
+    ComponentSummary,
     MachineResult,
     PeriodicGraphSpec,
     UPEdgeSet,
     _finite_degree,
+    _lane_ends,
     _window_bound,
+    component_summary,
     full_edge_set,
     reblock,
     run_machine,
     truncate_graph,
     validate_edge_set,
 )
+from matroidlab.util import INF
 
 from test_cli_boundary import run_in_process
 from test_glued_equivalence import SWAP_LINK, specs
@@ -201,27 +211,30 @@ def ref_run_machine(
 
 
 @st.composite
-def machine_inputs(draw):
-    """A random spec (splices may move lanes), an edge set with p <= 2 and
-    random gluing arguments."""
-    g = draw(specs())
+def edge_sets(draw, g):
+    """An edge set of g with p <= 2."""
     p = draw(st.integers(0, 2))
     slots = sorted(full_edge_set(g).pattern)
     instances = [(kind, j, w) for w in range(p) for kind, j in slots]
-    s = UPEdgeSet(
+    return UPEdgeSet(
         p,
         frozenset(draw(st.sets(st.integers(0, len(g.prefix_edges) - 1)))) if g.prefix_edges else frozenset(),
         frozenset(draw(st.sets(st.sampled_from(instances)))) if instances else frozenset(),
         frozenset(draw(st.sets(st.sampled_from(slots)))),
     )
-    lanes = draw(st.lists(st.sampled_from(g.repeat_vertices), unique=True))
-    glue_lanes = {lane: draw(st.sampled_from(("x", "y"))) for lane in lanes}
-    return g, s, draw(st.booleans()), glue_lanes, draw(st.integers(0, 3))
+
+
+@st.composite
+def machine_inputs(draw):
+    """A random spec (splices may move lanes), an edge set of it and whether
+    the sweep reads the prefix."""
+    g = draw(specs())
+    return g, draw(edge_sets(g)), draw(st.booleans())
 
 
 def result_or_bound(fn, *args):
     # sweep afresh: building the spec already ran some of these keys
-    periodic._machine_cache.clear()
+    run_machine.cache_clear()
     _machine_cache.clear()
     try:
         return fn(*args)
@@ -234,13 +247,79 @@ def result_or_bound(fn, *args):
 # random draws seldom meet a sweep that cycles, so three are given: the swap
 # ladder's full sweep has period 2, also read through an explicit zone, and
 # the rotation's has period 3
-@example((SWAP_LINK, full_edge_set(SWAP_LINK), True, {}, 0))
-@example((SWAP_LINK, full_edge_set(SWAP_LINK).normalized(2), True, {}, 1))
-@example((ROTATION_LINK, full_edge_set(ROTATION_LINK), True, {}, 0))
+@example((SWAP_LINK, full_edge_set(SWAP_LINK), True))
+@example((SWAP_LINK, full_edge_set(SWAP_LINK).normalized(2), True))
+@example((ROTATION_LINK, full_edge_set(ROTATION_LINK), True))
 def test_machine_matches_the_reference(case):
     new = result_or_bound(run_machine, *case)
     assert new == result_or_bound(ref_run_machine, *case)
     assert new == "resource bound" or isinstance(new, MachineResult)
+
+
+# ---------------------------------------------------------------------------
+# glued summaries
+
+
+def ref_component_summary(g, s, gluing):
+    """The full sweep of s with glue points attached, from the repeat-only
+    sweep's depth on, to every lane of a ray piece whose end is glued."""
+    if gluing:
+        ray_only = ref_run_machine(g, s, use_prefix=False)
+        lane_end = _lane_ends(g)
+        glue_lanes = {
+            tok[1]: gluing[lane_end[tok[1]]]
+            for cls in ray_only.live
+            for tok in cls
+            if lane_end[tok[1]] in gluing
+        }
+        res = ref_run_machine(g, s, True, glue_lanes, ray_only.depth)
+    else:
+        res = ref_run_machine(g, s)
+    interface = {}
+    for cid, cls in enumerate(res.live):
+        for tok in cls:
+            interface[f"point:{tok[1]}" if tok[0] == "G" else tok[1]] = cid
+    return ComponentSummary(
+        count=INF if res.delta > 0 else res.closed + len(res.live),
+        interface=interface,
+        depth=res.depth,
+        closing_rate=res.delta,
+    )
+
+
+@st.composite
+def glued_inputs(draw):
+    """A random spec, an edge set of it and a map from some of its end labels
+    (at least one, if it has any) to the glue points x and y."""
+    g = draw(specs())
+    labels = draw(st.lists(st.sampled_from(g.ends), min_size=1, unique=True)) if g.ends else []
+    return g, draw(edge_sets(g)), {label: draw(st.sampled_from(("x", "y"))) for label in labels}
+
+
+def fields_of(summary):
+    if summary == "resource bound":
+        return summary
+    return summary.count, summary.interface, summary.closing_rate
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(glued_inputs())
+def test_glued_summary_matches_the_in_sweep_reference(case):
+    g, s, gluing = case
+    plain = result_or_bound(component_summary, g, s)
+    assert plain == result_or_bound(ref_component_summary, g, s, {})
+    glued = result_or_bound(component_summary, g, s, gluing)
+    if all(u == v for u, v, _ in g.splice_edges):
+        assert fields_of(glued) == fields_of(result_or_bound(ref_component_summary, g, s, gluing))
+    if glued == "resource bound":
+        return
+    assert (glued.count is INF) == (plain.count is INF)
+    # gluing only merges plain components, and adds its points
+    assert {k for k in glued.interface if not k.startswith("point:")} == set(plain.interface)
+    for a in plain.interface:
+        for b in plain.interface:
+            if plain.interface[a] == plain.interface[b]:
+                assert glued.interface[a] == glued.interface[b]
 
 
 # ---------------------------------------------------------------------------
