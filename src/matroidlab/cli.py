@@ -148,6 +148,13 @@ def _vertex_arg(text: str):
     return (name, int(window))
 
 
+def _natural(text: str) -> int:
+    """--cap's type: anything but a natural number is a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a natural number")
+    return int(text)
+
+
 def _profile(args) -> tuple:
     if args.prefix < 0 or args.period < 1:
         raise InputError("profile bounds must be nonnegative prefix, positive period")
@@ -350,7 +357,7 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--out", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cap", type=int, default=None, help="enumeration cap")
+    common.add_argument("--cap", type=_natural, default=None, help="enumeration cap")
 
     profiled = _Parser(add_help=False)
     profiled.add_argument("--prefix", type=int, default=2, help="prefix block bound")

@@ -34,9 +34,10 @@ from .errors import InputError, ResourceLimitError
 from .util import INF, UnionFind, adjacency, bfs_path, disjoint_paths
 
 # Cap on the window index an edit or a domination query names, on the
-# domination path count, on a spectrum profile's period and on a support
-# depth: the specs, truncations and matrices they build grow with each, so
-# past the cap a query exits on ResourceLimitError.
+# domination path count, on a spectrum profile's period, on a support depth
+# and on the ladder count of ladder_family: the specs, truncations and
+# matrices they build grow with each, so past the cap a query exits on
+# ResourceLimitError.
 MAX_WINDOW = 64
 
 
@@ -260,6 +261,13 @@ def edges_by_role(g: PeriodicGraphSpec, roles) -> UPEdgeSet:
     return UPEdgeSet(0, pre, frozenset(), frozenset(pattern))
 
 
+def _repeat_part(s: UPEdgeSet) -> UPEdgeSet:
+    """s without its prefix and apex instances: its repeat-only structure."""
+    explicit = frozenset(inst for inst in s.explicit if inst[0] != "apx")
+    pattern = frozenset(slot for slot in s.pattern if slot[0] != "apx")
+    return UPEdgeSet(s.p, frozenset(), explicit, pattern)
+
+
 # ---------------------------------------------------------------------------
 # the window-sweep fixpoint machine
 
@@ -279,14 +287,14 @@ def _window_bound(g: PeriodicGraphSpec, s: UPEdgeSet) -> int:
 
 
 @lru_cache(maxsize=16384)
-def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet, use_prefix: bool = True) -> MachineResult:
+def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet) -> MachineResult:
     """Sweep windows until the state repeats the previous window's.
 
     Tokens: ("P", name) persistent prefix vertices and ("R", lane) the
     current window's repeat vertices.  The state after a window labels the
     prefix tokens and then the lanes with their class, numbered by first
-    occurrence.  use_prefix=False sweeps the repeat-only structure: no prefix
-    vertices and no prefix or apex edges.
+    occurrence.  The repeat-only structure is the sweep of _repeat_part(s),
+    where every prefix vertex stays a class of its own.
 
     Past window s.p every step is one function of the state, so the sweep
     stops at the first repeat: a repeat one window apart is the fixpoint, and
@@ -297,7 +305,7 @@ def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet, use_prefix: bool = True) -> 
     """
     validate_edge_set(g, s)
     lane = {name: i for i, name in enumerate(g.repeat_vertices)}
-    tokens = [("P", name) for name in g.prefix_vertices] if use_prefix else []
+    tokens = [("P", name) for name in g.prefix_vertices]
     index = {tok: i for i, tok in enumerate(tokens)}
     n_pers = len(tokens)
     cycle_event = None
@@ -317,7 +325,7 @@ def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet, use_prefix: bool = True) -> 
         # the previous window's lanes sit at n_pers, this window's at cur
         cur = n_pers + len(lane) if w else n_pers
         out = []
-        if w == 0 and use_prefix:
+        if w == 0:
             for i in sorted(s.prefix_present):
                 a, b = (index["P", r] if isinstance(r, str) else cur + lane[r[1]]
                         for r in g.prefix_edges[i][:2])
@@ -329,10 +337,9 @@ def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet, use_prefix: bool = True) -> 
         for j, (u, v, _) in enumerate(g.window_edges):
             if s.has("win", j, w):
                 out.append((cur + lane[u], cur + lane[v], ("win", j, 0)))
-        if use_prefix:
-            for j, (a, v, _) in enumerate(g.apex_edges):
-                if s.has("apx", j, w):
-                    out.append((index["P", a], cur + lane[v], ("apx", j, 0)))
+        for j, (a, v, _) in enumerate(g.apex_edges):
+            if s.has("apx", j, w):
+                out.append((index["P", a], cur + lane[v], ("apx", j, 0)))
         memo[w] = out
         return out
 
@@ -422,11 +429,9 @@ def _lane_ends(g: PeriodicGraphSpec) -> dict:
     return {lane: label for label, lanes in ends_of(g).items() for lane in lanes}
 
 
-def _live_lanes(res: MachineResult) -> dict:
-    """Lane -> index in res.live of the class holding it, for live lanes."""
-    return {
-        tok[1]: cid for cid, cls in enumerate(res.live) for tok in cls if tok[0] == "R"
-    }
+def _lane_classes(res: MachineResult) -> list:
+    """The lane set of each class in res.live, in the same order."""
+    return [frozenset(tok[1] for tok in cls if tok[0] == "R") for cls in res.live]
 
 
 def corridor_width(g: PeriodicGraphSpec, lanes: frozenset, s: UPEdgeSet | None = None) -> int:
@@ -478,14 +483,10 @@ def ray_count(g: PeriodicGraphSpec) -> int:
 
 
 def surviving_classes(g: PeriodicGraphSpec, s: UPEdgeSet) -> tuple[frozenset, ...]:
-    """Ray-bearing lane classes of s itself (repeat-only machine), canonical order."""
-    res = run_machine(g, s, use_prefix=False)
-    out = []
-    for cls in res.live:
-        lanes = frozenset(tok[1] for tok in cls if tok[0] == "R")
-        if lanes:
-            out.append(lanes)
-    return tuple(sorted(out, key=lambda lanes: sorted(lanes)))
+    """Ray-bearing lane classes of s itself, canonical order: the nonempty
+    lane sets of the live classes of the sweep of _repeat_part(s)."""
+    lanes = _lane_classes(run_machine(g, _repeat_part(s)))
+    return tuple(sorted(filter(None, lanes), key=sorted))
 
 
 def _ray_pieces(g: PeriodicGraphSpec, s: UPEdgeSet) -> list:
@@ -496,11 +497,9 @@ def _ray_pieces(g: PeriodicGraphSpec, s: UPEdgeSet) -> list:
     every surviving class is live there, since prefix and apex edges only
     merge classes.
     """
-    lane_cid = _live_lanes(run_machine(g, s))
+    cid = {lane: i for i, lanes in enumerate(_lane_classes(run_machine(g, s))) for lane in lanes}
     lane_end = _lane_ends(g)
-    return [
-        (lane_cid[min(lanes)], lanes, lane_end[min(lanes)]) for lanes in surviving_classes(g, s)
-    ]
+    return [(cid[min(lanes)], lanes, lane_end[min(lanes)]) for lanes in surviving_classes(g, s)]
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +532,14 @@ def component_summary(g: PeriodicGraphSpec, s: UPEdgeSet, gluing: dict | None = 
     exactly when the plain sweep retires components every window.  The
     interface partition at the fixpoint is the certificate: one more window
     reproduces it exactly.  depth is the plain sweep's, or, when anything is
-    glued, the larger of it and the repeat-only sweep's, which certifies the
-    ray pieces.
+    glued, the larger of it and the depth of the sweep of _repeat_part(s),
+    which certifies the ray pieces.
     """
     res = run_machine(g, s)
     classes = [set(cls) for cls in res.live]
     depth = res.depth
     if gluing:
-        depth = max(depth, run_machine(g, s, use_prefix=False).depth)
+        depth = max(depth, run_machine(g, _repeat_part(s)).depth)
         uf = UnionFind()
         for cid, _, label in _ray_pieces(g, s):
             if label in gluing:
@@ -880,6 +879,8 @@ def ladder_family(n: int = 1) -> PeriodicGraphSpec:
     """
     if n < 1:
         raise InputError("need at least one ladder")
+    if n > MAX_WINDOW:
+        raise ResourceLimitError(f"{n} ladders; ladder families are capped at {MAX_WINDOW}")
     rep = []
     win = []
     spl = []

@@ -212,6 +212,47 @@ def test_depth_period_and_block_count_caps(argv, answer, tmp_path):
         assert json.loads(out)["result"][key] == value
 
 
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        (["rays", "--family", f"ladder:{MAX_WINDOW}"], 2 * MAX_WINDOW),
+        (["rays", "--family", f"ladder:{MAX_WINDOW + 1}"], None),
+        (["rays", "--family", "ladder:100000"], None),
+        (["spectrum", "--family", f"ladder:{MAX_WINDOW}", "--prefix", "0"], MAX_WINDOW),
+        (["spectrum", "--family", f"ladder:{MAX_WINDOW + 1}", "--prefix", "0"], None),
+        (["scan", f"ladder:{MAX_WINDOW}", "--prefix", "0"], MAX_WINDOW),
+        (["scan", f"ladder:{MAX_WINDOW + 1}", "--prefix", "0"], None),
+    ],
+    ids=["rays-at-cap", "rays-past-cap", "rays-huge", "spectrum-at-cap", "spectrum-past-cap",
+         "scan-at-cap", "scan-past-cap"],
+)
+def test_ladder_count_cap(argv, answer):
+    # every sweep join relabels a list as long as the lane count, so past the
+    # cap the query stops before building the family
+    rc, out, err = run_in_process(argv)
+    if answer is None:
+        assert rc == 3, err
+        assert err.startswith("resource bound: ") and "ladder families are capped" in err
+        return
+    assert rc == 0, err
+    result = json.loads(out)["result"]
+    if argv[0] == "rays":
+        assert result["rays"] == answer
+    else:
+        values = result["rows"][0]["values"] if argv[0] == "scan" else result["values"]
+        assert values == list(range(answer + 1))
+
+
+@pytest.mark.parametrize("value", ["-1", "abc", "²"])
+@pytest.mark.parametrize("argv", [["ch4", "-r", "3"], ["bases", "--system", "ch4:3"]],
+                         ids=["ch4", "bases"])
+def test_cap_must_be_a_natural_number(argv, value):
+    # a negative cap was read as a cap: ch4 exited 3 and bases answered
+    rc, out, err = run_in_process([*argv, "--cap", value])
+    assert rc == 64 and out == ""
+    assert err.startswith(f"usage error: argument --cap: {value!r} is not a natural number\n")
+
+
 @pytest.mark.parametrize("r, answers", [(5, True), (6, False)])
 def test_block_system_encoding_cap(r, answers, monkeypatch):
     # r = 5 has 15 elements; with the encoding cap lowered to 15 it sits at

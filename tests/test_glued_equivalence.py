@@ -49,8 +49,9 @@ from matroidlab.periodic import (
     PeriodicGraphSpec,
     UPEdgeSet,
     _has_finite_cycle,
+    _lane_classes,
     _lane_ends,
-    _live_lanes,
+    _repeat_part,
     bean_family,
     contains_finite_cycle,
     corridor_width,
@@ -147,7 +148,8 @@ def nx_width(g, lanes, s):
 
 
 def ref_pieces(g, s, point_map):
-    lane_cid = _live_lanes(run_machine(g, s))
+    classes = _lane_classes(run_machine(g, s))
+    lane_cid = {lane: cid for cid, lanes in enumerate(classes) for lane in lanes}
     lane_end = _lane_ends(g)
     out = []
     for piece in surviving_classes(g, s):
@@ -167,7 +169,7 @@ def _glued_slots(g, s, pieces):
     truncation.
     """
     full = run_machine(g, s)
-    stab2 = run_machine(g, s, use_prefix=False).depth
+    stab2 = run_machine(g, _repeat_part(s)).depth
     start = max(full.depth, stab2, s.p) + 1
     depth = start + max(len(p) for p, _, _, _ in pieces) + sum(w for _, _, w, _ in pieces) + 4
     nodes, edges = truncate_graph(g, s, depth)

@@ -3,9 +3,11 @@
 ref_run_machine is an earlier run_machine, kept verbatim: a union-find over
 named tokens that relabels each window's lanes before the next window, and
 compares frozenset signatures.  It still takes the glue arguments that put
-glue points inside the sweep.  The tuple-state sweep must give every
-MachineResult field the same value on every input, or both must hit a
-resource bound.
+glue points inside the sweep, and use_prefix: its repeat-only sweep
+(use_prefix=False) is the library's sweep of _repeat_part(s), where each
+prefix vertex stays a class of its own.  The tuple-state sweep must give every
+MachineResult field the same value on every input, once those singleton
+classes are dropped from live, or both must hit a resource bound.
 
 ref_component_summary is the component summary that glued inside the sweep:
 every copy of a ray-bearing lane joins its glue point from the repeat-only
@@ -14,6 +16,7 @@ sweep instead.  The two agree wherever no splice moves a lane; elsewhere the
 reference can report a finite glued count where the plain count is INF.
 """
 
+import dataclasses
 import itertools
 import json
 
@@ -30,6 +33,7 @@ from matroidlab.periodic import (
     UPEdgeSet,
     _finite_degree,
     _lane_ends,
+    _repeat_part,
     _window_bound,
     component_summary,
     full_edge_set,
@@ -251,9 +255,22 @@ def result_or_bound(fn, *args):
 @example((SWAP_LINK, full_edge_set(SWAP_LINK).normalized(2), True))
 @example((ROTATION_LINK, full_edge_set(ROTATION_LINK), True))
 def test_machine_matches_the_reference(case):
-    new = result_or_bound(run_machine, *case)
-    assert new == result_or_bound(ref_run_machine, *case)
+    g, s, use_prefix = case
+    new = result_or_bound(run_machine, g, s if use_prefix else _repeat_part(s))
     assert new == "resource bound" or isinstance(new, MachineResult)
+    if new != "resource bound" and not use_prefix:
+        lane_classes = tuple(cls for cls in new.live if any(tok[0] == "R" for tok in cls))
+        new = dataclasses.replace(new, live=lane_classes)
+    assert new == result_or_bound(ref_run_machine, g, s, use_prefix)
+    # a set without prefix or apex instances is its own repeat part, so its
+    # full and repeat-only sweeps are one cache entry
+    bare = not s.prefix_present and all(item[0] != "apx" for item in s.explicit | s.pattern)
+    assert (_repeat_part(s) == s) == bare
+    if bare and new != "resource bound":
+        run_machine.cache_clear()
+        run_machine(g, s)
+        run_machine(g, _repeat_part(s))
+        assert run_machine.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

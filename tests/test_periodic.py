@@ -246,6 +246,18 @@ def test_full_ladder_has_cycle():
     assert present
 
 
+def test_window_snapshot_misses_joins_of_later_windows():
+    # the rails and the rung at window 1: after window 0, t0 and b0 are in
+    # separate classes, yet the rung at window 0 closes a square through
+    # window 1, so a window-0 snapshot cannot tell that the rung is not addable
+    s = RAILS.with_edge(("win", 0, 1))
+    assert contains_finite_cycle(LADDER, s) == (False, None)
+    assert trunc_components(LADDER, s, 1) == 2
+    present, wit = contains_finite_cycle(LADDER, s.with_edge(("win", 0, 0)))
+    assert present
+    assert sorted(wit["cycle_vertices"]) == [("b0", 0), ("b0", 1), ("t0", 0), ("t0", 1)]
+
+
 def test_bean_hub_triangle():
     # two consecutive spokes plus the lower rail edge between them
     s = UPEdgeSet(pattern=frozenset({("apx", 0), ("spl", 1)}))
