@@ -80,10 +80,23 @@ class _Parser(argparse.ArgumentParser):
 # argument resolution
 
 
+# A decimal this long is past every count, index and cap the CLI checks, and
+# int() refuses decimals past 4,300 digits, so _decimal saturates longer ones
+_MAX_DIGITS = 64
+
+
+def _decimal(text: str) -> int | None:
+    """text as a natural number, 10**_MAX_DIGITS past _MAX_DIGITS digits; None
+    unless every character is a decimal digit."""
+    if not text.isdecimal():
+        return None
+    return int(text) if len(text) <= _MAX_DIGITS else 10**_MAX_DIGITS
+
+
 def _canned_n(text: str, head: str) -> int | None:
     """n of a canned name head:n (ladder:n, ch4:r); None for anything else."""
     name, sep, tail = text.partition(":")
-    return int(tail) if name == head and sep and tail.isdecimal() else None
+    return _decimal(tail) if name == head and sep else None
 
 
 def _canned_family(text: str):
@@ -143,16 +156,18 @@ def _vertex_arg(text: str):
     name, sep, window = text.partition(":")
     if not sep:
         return name
-    if not window.isdecimal():
+    w = _decimal(window)
+    if w is None:
         raise InputError(f"window index in {text!r} must be a natural number")
-    return (name, int(window))
+    return (name, w)
 
 
 def _natural(text: str) -> int:
     """--cap's type: anything but a natural number is a usage error."""
-    if not text.isdecimal():
+    n = _decimal(text)
+    if n is None:
         raise argparse.ArgumentTypeError(f"{text!r} is not a natural number")
-    return int(text)
+    return n
 
 
 def _profile(args) -> tuple:

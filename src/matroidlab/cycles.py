@@ -24,7 +24,12 @@ infinite, and only then the glued base test.  A candidate of infinite defect
 is no base of either system: retiring more finite components per window than
 the graph, it has a finite component C that is not a whole component of the
 graph; an absent edge leaving C joins two components, so it closes no finite
-cycle, and C carries no ray, so it closes no circle either.  Everything here
+cycle, and C carries no ray, so it closes no circle either.  The walk also
+sweeps no candidate that holds a cyclic candidate one bit smaller: an edge
+superset keeps every finite cycle.  Candidates come in ascending order of
+their bit mask (one bit per pattern slot, explicit instance and prefix
+edge), so every set one bit smaller comes first and its verdict is known;
+that order also fixes which witness comes first.  Everything here
 reduces to the window-sweep machine plus bounded enumeration, so results are
 exact within the stated bounds.
 """
@@ -334,6 +339,9 @@ def extend_to_fin_base(g: PeriodicGraphSpec, s: UPEdgeSet):
 
 
 def _candidate_sets(g, p):
+    """Every edge set explicit over p windows, the k-th with bit mask k:
+    pattern slots in the high bits, explicit instances in window-major order
+    below them, prefix edges in the low bits."""
     slots = sorted(full_edge_set(g).pattern)
     bits = len(slots) * (p + 1) + len(g.prefix_edges)
     if bits > 16:
@@ -355,16 +363,33 @@ def _candidate_sets(g, p):
                 yield UPEdgeSet(p, prefix, explicit, pattern)
 
 
+def _has_cyclic_subset(mask: int, cyclic: set) -> bool:
+    """Is mask with one of its bits cleared in cyclic?"""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if (mask ^ low) in cyclic:
+            return True
+        rest ^= low
+    return False
+
+
 def _glued_bases(g, glue, p, skip=lambda cand: False, known=()):
     """(base, defect) for the glued bases within p, in candidate order.
 
     skip(cand) is asked first, so an error it raises surfaces before any base
     test; a true answer passes the candidate over, as does a finite cycle, an
     infinite defect (never a base's, see the module docstring) or a defect
-    already in known.
+    already in known.  A candidate's index in the walk is its bit mask, and
+    one that a cyclic candidate one bit smaller contains holds that cycle
+    too, so it is recorded as cyclic without a sweep.
     """
-    for cand in _candidate_sets(g, p):
-        if skip(cand) or _has_finite_cycle(g, cand):
+    cyclic = set()
+    for mask, cand in enumerate(_candidate_sets(g, p)):
+        if skip(cand):
+            continue
+        if _has_cyclic_subset(mask, cyclic) or _has_finite_cycle(g, cand):
+            cyclic.add(mask)
             continue
         d = defect(g, cand)
         if d is not INF and d not in known and cycle_is_base(g, cand, glue)[0]:

@@ -15,7 +15,10 @@ explicitly over the first p windows and by a per-window pattern afterwards.
 All infinite-graph questions are answered by a window-sweep fixpoint.  The
 state after a window labels the prefix vertices and that window's lanes with
 their class, numbered by first occurrence, so equal partitions are equal
-tuples.  Each step joins the next window's lanes and retires the last.  Past
+tuples.  Each step joins the next window's lanes and retires the last.  A
+window's content is a slot mask, one bit per edge slot present in it, and a
+step depends only on the spec, the mask and the state, so each step is
+computed once per spec and every later sweep of that spec looks it up.  Past
 the explicit zone a step is a function of the state alone, so the sweep stops
 at the first repeat: one window apart is the fixpoint, which repeats forever
 and makes the answers about the infinite object exact rather than sampled;
@@ -286,6 +289,107 @@ def _window_bound(g: PeriodicGraphSpec, s: UPEdgeSet) -> int:
     return 4 * tokens + 2 * s.p + 8
 
 
+class _CompiledSweep:
+    """The window step of one spec, compiled once and memoized across sweeps.
+
+    Tokens are the prefix vertices, then the previous window's lanes, then
+    the current window's.  A window mask has one bit per edge slot present in
+    the window, in sweep order: prefix edges by index (window 0 only), then
+    splices from the previous window, window edges and apex edges.  joins
+    lists (bit, a, b, slot) per slot in that order; a current lane is a
+    negative index, counted from the end of the class list, because window 0
+    has no previous lanes.  slot (kind, j, lag) names instance (kind, j,
+    w - lag) at window w, or (kind, j) when lag is None.
+    """
+
+    def __init__(self, g: PeriodicGraphSpec):
+        lane = {name: i for i, name in enumerate(g.repeat_vertices)}
+        pers = {name: i for i, name in enumerate(g.prefix_vertices)}
+        self.n_pers = len(pers)
+        self.n_lanes = n = len(lane)
+        self.tokens = [("P", name) for name in pers] + [("R", name) for name in lane]
+
+        def cur(name):
+            return lane[name] - n
+
+        def pre_ref(ref):
+            return pers[ref] if isinstance(ref, str) else cur(ref[1])
+
+        kinds = (
+            ("pre", None, [(pre_ref(u), pre_ref(v)) for u, v, _ in g.prefix_edges]),
+            ("spl", 1, [(self.n_pers + lane[u], cur(v)) for u, v, _ in g.splice_edges]),
+            ("win", 0, [(cur(u), cur(v)) for u, v, _ in g.window_edges]),
+            ("apx", 0, [(pers[a], cur(v)) for a, v, _ in g.apex_edges]),
+        )
+        joins = [(a, b, (kind, j, lag)) for kind, lag, ends in kinds for j, (a, b) in enumerate(ends)]
+        self.joins = [(1 << k, a, b, slot) for k, (a, b, slot) in enumerate(joins)]
+        self.bit = {slot[:2]: bit for bit, _, _, slot in self.joins}
+        self.splices = sum(self.bit["spl", j] for j in range(len(g.splice_edges)))
+        self.steps: dict = {}  # (mask, state) -> (next state, retired, first redundant slot)
+        self.lives: dict = {}  # (mask, state) -> live classes of the stationary state
+
+    def masks(self, s: UPEdgeSet) -> list:
+        """The mask of each window 0..s.p, then the pattern's; a window's
+        splices come from the window before it."""
+        masks = [0] * (s.p + 2)
+        masks[0] = sum(self.bit["pre", i] for i in s.prefix_present)
+        for kind, j, w in s.explicit:
+            masks[w + 1 if kind == "spl" else w] |= self.bit[kind, j]
+        masks[-1] = sum(self.bit[slot] for slot in s.pattern)
+        masks[s.p] |= masks[-1] & ~self.splices
+        return masks
+
+    def _classes(self, mask: int, state: tuple):
+        """The class id of every token after mask's unions, with the first
+        redundant union's slot."""
+        cur = len(state)
+        # labels are below cur, so the current lanes take their own indices
+        cls = list(state) + list(range(cur, cur + self.n_lanes))
+        first = None
+        for bit, a, b, slot in self.joins:
+            if mask & bit:
+                ca, cb = cls[a], cls[b]
+                if ca != cb:
+                    cls = [ca if c == cb else c for c in cls]
+                elif first is None:
+                    first = slot
+        return cls, cls[: self.n_pers] + cls[cur:], first
+
+    def step(self, mask: int, state: tuple) -> tuple:
+        """(next state, classes retired with the previous lanes, first
+        redundant slot) of one window."""
+        out = self.steps.get((mask, state))
+        if out is None:
+            cls, kept, first = self._classes(mask, state)
+            labels: dict = {}  # renumbered by first occurrence
+            nxt = tuple([labels.setdefault(c, len(labels)) for c in kept])
+            out = self.steps[mask, state] = (nxt, len(set(cls)) - len(labels), first)
+        return out
+
+    def live(self, mask: int, state: tuple) -> tuple:
+        """The classes of a stationary state that the next step keeps
+        inhabited, as token sets in canonical order."""
+        out = self.lives.get((mask, state))
+        if out is None:
+            cls, kept, _ = self._classes(mask, state)
+            kept = set(kept)
+            live: dict = {}
+            for tok, label, c in zip(self.tokens, state, cls):
+                if c in kept:
+                    live.setdefault(label, set()).add(tok)
+            out = self.lives[mask, state] = tuple(
+                sorted(map(frozenset, live.values()), key=lambda c: sorted(map(str, c)))
+            )
+        return out
+
+
+# each compiled spec keeps a step memo that grows with the states its sweeps
+# reach, and a query sweeps its few specs together, so few need to stay
+@lru_cache(maxsize=64)
+def _compiled(g: PeriodicGraphSpec) -> _CompiledSweep:
+    return _CompiledSweep(g)
+
+
 @lru_cache(maxsize=16384)
 def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet) -> MachineResult:
     """Sweep windows until the state repeats the previous window's.
@@ -294,7 +398,9 @@ def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet) -> MachineResult:
     current window's repeat vertices.  The state after a window labels the
     prefix tokens and then the lanes with their class, numbered by first
     occurrence.  The repeat-only structure is the sweep of _repeat_part(s),
-    where every prefix vertex stays a class of its own.
+    where every prefix vertex stays a class of its own.  Each window is a
+    slot mask read from s, and each step is a lookup in the spec's compiled
+    step (_CompiledSweep).
 
     Past window s.p every step is one function of the state, so the sweep
     stops at the first repeat: a repeat one window apart is the fixpoint, and
@@ -304,73 +410,23 @@ def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet) -> MachineResult:
     arguments.
     """
     validate_edge_set(g, s)
-    lane = {name: i for i, name in enumerate(g.repeat_vertices)}
-    tokens = [("P", name) for name in g.prefix_vertices]
-    index = {tok: i for i, tok in enumerate(tokens)}
-    n_pers = len(tokens)
-    cycle_event = None
-
+    sweep = _compiled(g)
+    masks = sweep.masks(s)
     # the first window whose step reads only pattern entries is p+1 (splices
     # applied at window w have index w-1)
     min_depth = s.p + 1
-    memo: dict = {}
-
-    def joins(w):
-        """(a, b, slot) per union of window w, in sweep order; slot (kind, j,
-        lag) names instance (kind, j, w - lag), or (kind, j) when lag is None.
-        Every window from min_depth on joins the same pairs."""
-        w = min(w, min_depth)
-        if w in memo:
-            return memo[w]
-        # the previous window's lanes sit at n_pers, this window's at cur
-        cur = n_pers + len(lane) if w else n_pers
-        out = []
-        if w == 0:
-            for i in sorted(s.prefix_present):
-                a, b = (index["P", r] if isinstance(r, str) else cur + lane[r[1]]
-                        for r in g.prefix_edges[i][:2])
-                out.append((a, b, ("pre", i, None)))
-        if w > 0:
-            for j, (u, v, _) in enumerate(g.splice_edges):
-                if s.has("spl", j, w - 1):
-                    out.append((n_pers + lane[u], cur + lane[v], ("spl", j, 1)))
-        for j, (u, v, _) in enumerate(g.window_edges):
-            if s.has("win", j, w):
-                out.append((cur + lane[u], cur + lane[v], ("win", j, 0)))
-        for j, (a, v, _) in enumerate(g.apex_edges):
-            if s.has("apx", j, w):
-                out.append((index["P", a], cur + lane[v], ("apx", j, 0)))
-        memo[w] = out
-        return out
-
-    def step(state, w):
-        """Window w read from state: the class id of every token (the state's,
-        then w's lanes), the ids of the kept tokens (persistent ones and w's
-        lanes) and the number of classes retired with w-1's lanes."""
-        nonlocal cycle_event
-        cur = len(state)
-        # labels are below cur, so w's lanes take their own indices as ids
-        cls = list(state) + list(range(cur, cur + len(lane)))
-        for a, b, (kind, j, lag) in joins(w):
-            ca, cb = cls[a], cls[b]
-            if ca == cb:
-                if cycle_event is None:
-                    cycle_event = ((kind, j) if lag is None else (kind, j, w - lag), w)
-            else:
-                cls = [ca if c == cb else c for c in cls]
-        kept = cls[:n_pers] + cls[cur:]
-        return cls, kept, len(set(cls)) - len(set(kept))
-
     bound = _window_bound(g, s)
     seen: dict = {}
-    state = tuple(range(n_pers))
+    state = tuple(range(sweep.n_pers))
     closed = 0
+    cycle_event = None
     w = 0
     while True:
-        _, kept, delta = step(state, w)
-        labels: dict = {}  # renumbered by first occurrence
-        state = tuple([labels.setdefault(c, len(labels)) for c in kept])
+        state, delta, slot = sweep.step(masks[min(w, min_depth)], state)
         closed += delta
+        if slot is not None and cycle_event is None:
+            kind, j, lag = slot
+            cycle_event = ((kind, j) if lag is None else (kind, j, w - lag), w)
         if w >= min_depth and state in seen:
             period = w - seen[state]
             if period == 1:
@@ -387,17 +443,11 @@ def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet) -> MachineResult:
             )
     # the stationary state can still shed classes every window (delta > 0);
     # a class persists forever only if the next step keeps it inhabited
-    cls, kept, _ = step(state, w + 1)
-    kept = set(kept)
-    live: dict = {}
-    for tok, label, c in zip(tokens + [("R", name) for name in lane], state, cls):
-        if c in kept:
-            live.setdefault(label, set()).add(tok)
     return MachineResult(
         depth=w,
         closed=closed,
         delta=delta,
-        live=tuple(sorted(map(frozenset, live.values()), key=lambda c: sorted(map(str, c)))),
+        live=sweep.live(masks[-1], state),
         cycle_event=cycle_event,
     )
 

@@ -253,6 +253,27 @@ def test_cap_must_be_a_natural_number(argv, value):
     assert err.startswith(f"usage error: argument --cap: {value!r} is not a natural number\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rays", "--family", "ladder:{n}"],
+        ["axioms", "--system", "ch4:{n}"],
+        ["dominate", "--family", "ladder:1", "--vertex", "t0:{n}", "-k", "1"],
+        ["bases", "--system", "ch4:3", "--cap", "{n}"],
+    ],
+    ids=["ladder", "ch4", "window", "cap"],
+)
+def test_huge_decimals_exit_as_twenty_digit_ones(argv):
+    # int() refuses decimals past 4,300 digits: the first three raised
+    # ValueError, and the cap was a usage error that echoed every digit
+    def run(digits):
+        return run_in_process([a.format(n="1" * digits) for a in argv])
+
+    rc, out, err = run(5000)
+    assert rc == run(20)[0]
+    assert len(out) + len(err) < 1000
+
+
 @pytest.mark.parametrize("r, answers", [(5, True), (6, False)])
 def test_block_system_encoding_cap(r, answers, monkeypatch):
     # r = 5 has 15 elements; with the encoding cap lowered to 15 it sits at

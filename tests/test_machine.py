@@ -5,9 +5,10 @@ named tokens that relabels each window's lanes before the next window, and
 compares frozenset signatures.  It still takes the glue arguments that put
 glue points inside the sweep, and use_prefix: its repeat-only sweep
 (use_prefix=False) is the library's sweep of _repeat_part(s), where each
-prefix vertex stays a class of its own.  The tuple-state sweep must give every
+prefix vertex stays a class of its own.  The compiled sweep must give every
 MachineResult field the same value on every input, once those singleton
-classes are dropped from live, or both must hit a resource bound.
+classes are dropped from live, or both must hit a resource bound; it must do
+so cold, and again warm, when every step is a hit in the spec's step memo.
 
 ref_component_summary is the component summary that glued inside the sweep:
 every copy of a ray-bearing lane joins its glue point from the repeat-only
@@ -31,6 +32,7 @@ from matroidlab.periodic import (
     MachineResult,
     PeriodicGraphSpec,
     UPEdgeSet,
+    _compiled,
     _finite_degree,
     _lane_ends,
     _repeat_part,
@@ -236,9 +238,12 @@ def machine_inputs(draw):
     return g, draw(edge_sets(g)), draw(st.booleans())
 
 
-def result_or_bound(fn, *args):
-    # sweep afresh: building the spec already ran some of these keys
+def result_or_bound(fn, *args, warm=False):
+    # sweep afresh: building the spec already ran some of these keys; a warm
+    # sweep keeps each spec's compiled steps, so its steps are memo hits
     run_machine.cache_clear()
+    if not warm:
+        _compiled.cache_clear()
     _machine_cache.clear()
     try:
         return fn(*args)
@@ -256,12 +261,15 @@ def result_or_bound(fn, *args):
 @example((ROTATION_LINK, full_edge_set(ROTATION_LINK), True))
 def test_machine_matches_the_reference(case):
     g, s, use_prefix = case
-    new = result_or_bound(run_machine, g, s if use_prefix else _repeat_part(s))
-    assert new == "resource bound" or isinstance(new, MachineResult)
-    if new != "resource bound" and not use_prefix:
-        lane_classes = tuple(cls for cls in new.live if any(tok[0] == "R" for tok in cls))
-        new = dataclasses.replace(new, live=lane_classes)
-    assert new == result_or_bound(ref_run_machine, g, s, use_prefix)
+    ref = result_or_bound(ref_run_machine, g, s, use_prefix)
+    # cold, then warm: the second sweep reads every step from the first's memo
+    for warm in (False, True):
+        new = result_or_bound(run_machine, g, s if use_prefix else _repeat_part(s), warm=warm)
+        assert new == "resource bound" or isinstance(new, MachineResult)
+        if new != "resource bound" and not use_prefix:
+            lane_classes = tuple(cls for cls in new.live if any(tok[0] == "R" for tok in cls))
+            new = dataclasses.replace(new, live=lane_classes)
+        assert new == ref
     # a set without prefix or apex instances is its own repeat part, so its
     # full and repeat-only sweeps are one cache entry
     bare = not s.prefix_present and all(item[0] != "apx" for item in s.explicit | s.pattern)
