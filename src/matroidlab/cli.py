@@ -163,7 +163,8 @@ def _vertex_arg(text: str):
 
 
 def _natural(text: str) -> int:
-    """--cap's type: anything but a natural number is a usage error."""
+    """The type of every count, bound and cap option but --seed: anything but
+    a natural number is a usage error."""
     n = _decimal(text)
     if n is None:
         raise argparse.ArgumentTypeError(f"{text!r} is not a natural number")
@@ -171,7 +172,7 @@ def _natural(text: str) -> int:
 
 
 def _profile(args) -> tuple:
-    if args.prefix < 0 or args.period < 1:
+    if args.period < 1:
         raise InputError("profile bounds must be nonnegative prefix, positive period")
     return (args.prefix, args.period)
 
@@ -375,8 +376,8 @@ def build_parser() -> _Parser:
     common.add_argument("--cap", type=_natural, default=None, help="enumeration cap")
 
     profiled = _Parser(add_help=False)
-    profiled.add_argument("--prefix", type=int, default=2, help="prefix block bound")
-    profiled.add_argument("--period", type=int, default=1, help="pattern period bound")
+    profiled.add_argument("--prefix", type=_natural, default=2, help="prefix block bound")
+    profiled.add_argument("--period", type=_natural, default=1, help="pattern period bound")
 
     parser = _Parser(
         prog="matroidlab",
@@ -415,7 +416,7 @@ def build_parser() -> _Parser:
     p.add_argument("--system")
     p.add_argument("--family")
     p.add_argument("--glue", default="all")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_natural, required=True)
 
     p = add("diff", "difference system of a nested pair of system files")
     p.add_argument("--outer", required=True)
@@ -436,7 +437,7 @@ def build_parser() -> _Parser:
     p.add_argument("--outer")
 
     p = add("ch4", "block counterexample: spectrum and exchange-failure witness")
-    p.add_argument("-r", type=int, required=True)
+    p.add_argument("-r", type=_natural, required=True)
 
     p = add("rays", "ray census of a family; verdict when a gluing is given")
     p.add_argument("--family", required=True)
@@ -445,7 +446,7 @@ def build_parser() -> _Parser:
     p = add("dominate", "smallest depth giving k disjoint paths from a vertex to the tail")
     p.add_argument("--family", required=True)
     p.add_argument("--vertex", required=True, help="prefix name, or lane:window")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_natural, required=True)
 
     add("bean", "canonical exchange-failure family, all sub-claims checked")
 
@@ -456,7 +457,7 @@ def build_parser() -> _Parser:
 
     p = add("thin", "rows of a periodic column family with growing support")
     p.add_argument("--matrix-family", required=True)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_natural, default=2)
 
     p = add("scan", "batch spectra with gap flags", parents=(common, profiled))
     p.add_argument("targets", nargs="+", help="family/edit/pair files or canned names")

@@ -29,9 +29,18 @@ sweeps no candidate that holds a cyclic candidate one bit smaller: an edge
 superset keeps every finite cycle.  Candidates come in ascending order of
 their bit mask (one bit per pattern slot, explicit instance and prefix
 edge), so every set one bit smaller comes first and its verdict is known;
-that order also fixes which witness comes first.  Everything here
-reduces to the window-sweep machine plus bounded enumeration, so results are
-exact within the stated bounds.
+that order also fixes which witness comes first.
+
+A base test asks whether any of infinitely many absent instances can be
+added.  Representatives answer it with finitely many: the explicit-zone
+instances one by one, then each absent pattern slot at the windows up to the
+tail start T of the set (periodic._tail_start), the first window from which
+its plain and repeat-only sweeps both repeat.  From T on, an added instance
+enters both sweeps in their stationary states, and the windows after it are
+translates of each other, so every later window gives the same verdict as T.
+
+Everything here reduces to the window-sweep machine plus bounded
+enumeration, so results are exact within the stated bounds.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ from .periodic import (
     UPEdgeSet,
     _has_finite_cycle,
     _ray_pieces,
+    _tail_start,
     contains_finite_cycle,
     corridor_width,
     edges_by_role,
@@ -155,12 +165,13 @@ def absent_representatives(g: PeriodicGraphSpec, s: UPEdgeSet):
     """Finitely many absent instances standing for all of them.
 
     Explicit-zone absences are listed one by one.  For a slot missing from the
-    pattern, instances at windows past the sweep depth of s behave identically
-    (the machine state there is the stationary one), so windows up to that
-    depth plus a splice margin represent the whole tail.
+    pattern, the instances at windows s.p..T follow, T = _tail_start(g, s).
+    Adding the slot's instance at any window w >= T gives s + e the same
+    finite-cycle verdict, the same live and surviving classes and the same
+    pattern widths (the proof is _tail_start's), so when some instance of the
+    slot is addable, the first one lies at T or before.
     """
-    stab = run_machine(g, s).depth
-    hi = max(s.p, stab) + 3
+    hi = _tail_start(g, s) + 1
     reps = []
     for i in range(len(g.prefix_edges)):
         if i not in s.prefix_present:
@@ -176,10 +187,12 @@ def absent_representatives(g: PeriodicGraphSpec, s: UPEdgeSet):
 
 
 def present_representatives(g: PeriodicGraphSpec, s: UPEdgeSet, context: UPEdgeSet):
-    """Present instances of s, with pattern tails represented up to the sweep
-    depth of the context set (the set the instances will be tested against)."""
-    stab = run_machine(g, context).depth
-    hi = max(s.p, context.p, stab) + 3
+    """Present instances of s, with pattern tails represented up to the tail
+    start of the context set (the set the instances will be tested against):
+    past it an instance either lies in the context's pattern, and adding it
+    changes nothing, or is absent there, and stands for the rest of its tail
+    (absent_representatives)."""
+    hi = max(s.p, _tail_start(g, context)) + 1
     reps = [("pre", i) for i in sorted(s.prefix_present)]
     reps += sorted(s.explicit)
     for kind, j in sorted(s.pattern):
@@ -530,6 +543,8 @@ def mk_spectrum(
     because each removed edge of an independent set splits one component."""
     if k < 0:
         raise InputError("removal count must be a natural number")
+    if k > MAX_WINDOW:
+        raise ResourceLimitError(f"removal count {k}; removal counts are capped at {MAX_WINDOW}")
     glue = _gluing(g, glue)
     base_report = spectrum_search(g, glue, profile)
     witnesses = {}

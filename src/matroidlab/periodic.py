@@ -37,10 +37,10 @@ from .errors import InputError, ResourceLimitError
 from .util import INF, UnionFind, adjacency, bfs_path, disjoint_paths
 
 # Cap on the window index an edit or a domination query names, on the
-# domination path count, on a spectrum profile's period, on a support depth
-# and on the ladder count of ladder_family: the specs, truncations and
-# matrices they build grow with each, so past the cap a query exits on
-# ResourceLimitError.
+# domination path count, on a spectrum profile's period, on a support depth,
+# on the removal count of mk_spectrum and on the ladder count of
+# ladder_family: the specs, truncations, matrices and witness lists they
+# build grow with each, so past the cap a query exits on ResourceLimitError.
 MAX_WINDOW = 64
 
 
@@ -452,6 +452,26 @@ def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet) -> MachineResult:
     )
 
 
+def _tail_start(g: PeriodicGraphSpec, s: UPEdgeSet) -> int:
+    """The first window T from which both sweeps of s, the plain one and the
+    repeat-only one, repeat: the larger of their depths.
+
+    Each sweep is in its stationary state after every window from its depth
+    minus one on.  Let e be an instance absent from s at a window w >= T (so
+    w >= s.p).  The sweep of s + e and the repeat-only sweep of s + e match
+    those of s up to window w - 1, so both enter window w in a stationary
+    state, and from there on read the same window masks as s + e' for the
+    same slot's instance e' at any other window w' >= T, shifted by w' - w.
+    Their states, redundant unions and live classes are therefore translates
+    of each other, and the window bound, which grows with the explicit zone,
+    only grows with the shift.  So every w >= T gives s + e the same
+    finite-cycle verdict, the same live and surviving classes, and the same
+    pattern (hence the same corridor widths): one instance per slot at
+    windows s.p..T stands for the whole tail.
+    """
+    return max(run_machine(g, s).depth, run_machine(g, _repeat_part(s)).depth)
+
+
 # ---------------------------------------------------------------------------
 # corridors, ends, widths, rays
 
@@ -488,8 +508,10 @@ def corridor_width(g: PeriodicGraphSpec, lanes: frozenset, s: UPEdgeSet | None =
     """Maximum vertex-disjoint forward paths the corridor sustains per window.
 
     Computed as max flow across k-window strips of the pattern zone; the
-    values decrease with k, and a plateau of length |lanes|+1 is taken as the
-    limit.  Only pattern-zone edges matter: widths describe tails.  The
+    values never rise with k, and a plateau of |lanes|+1 equal values is
+    taken as the limit.  That stopping rule is unproven: nothing yet shows
+    that such a plateau has reached the limit, so a later drop would go
+    unseen.  Only pattern-zone edges matter: widths describe tails.  The
     plateau is cached on what the strips are built from: the sorted lanes and
     the window and splice pairs of s.pattern with both ends inside them.
     """
@@ -582,14 +604,13 @@ def component_summary(g: PeriodicGraphSpec, s: UPEdgeSet, gluing: dict | None = 
     exactly when the plain sweep retires components every window.  The
     interface partition at the fixpoint is the certificate: one more window
     reproduces it exactly.  depth is the plain sweep's, or, when anything is
-    glued, the larger of it and the depth of the sweep of _repeat_part(s),
-    which certifies the ray pieces.
+    glued, the tail start (_tail_start), which also certifies the ray pieces.
     """
     res = run_machine(g, s)
     classes = [set(cls) for cls in res.live]
     depth = res.depth
     if gluing:
-        depth = max(depth, run_machine(g, _repeat_part(s)).depth)
+        depth = _tail_start(g, s)
         uf = UnionFind()
         for cid, _, label in _ray_pieces(g, s):
             if label in gluing:
@@ -710,10 +731,24 @@ def domination_witness(g: PeriodicGraphSpec, v, k: int):
     """Smallest truncation depth realizing k paths from v into the deep region.
 
     The paths are internally vertex-disjoint (they share only v) and must end
-    beyond the stabilization horizon of the full graph, so they genuinely
-    approach the tail.  Returns None when no depth under the search cap works;
-    a finite-degree vertex with degree < k fails immediately.  Past that
-    check, k or a window above MAX_WINDOW raises ResourceLimitError.
+    in the deep region, the windows from the horizon on, which lies past the
+    stabilization depth of the full graph and past v's window, so the paths
+    genuinely approach the tail.  Returns None when no depth works; a
+    finite-degree vertex with degree < k fails immediately.  Past that check,
+    k or a window above MAX_WINDOW raises ResourceLimitError.
+
+    Depth horizon + k suffices whenever any depth does.  A deeper truncation
+    only adds vertices and edges, so a depth that works keeps working, and
+    the scan up to horizon + k finds the least one.  Take k paths at any
+    depth and cut each at its first deep vertex; before it, a path stays in
+    the prefix and in windows below the horizon.  Nothing from there reaches
+    a deep vertex but a splice from window horizon - 1, which lands in
+    window horizon, and an apex edge, which the full edge set holds at every
+    window.  An apex other than v lies on at most one path, and v's own apex
+    edges leave it to distinct neighbours, so re-aim each apex jump at the
+    same lane in its own window among horizon..horizon + k - 1, leaving
+    window horizon to the splice entries when there are any: the paths stay
+    disjoint and all lie below depth horizon + k.
     """
     if k < 1:
         raise InputError("path count must be at least 1")
@@ -737,7 +772,7 @@ def domination_witness(g: PeriodicGraphSpec, v, k: int):
     if not isinstance(v, str):
         horizon = max(horizon, v[1] + 1)
     src = ("p", v) if isinstance(v, str) else (v[0], v[1])
-    for depth in range(horizon + 1, horizon + max(4 * k, 32) + 1):
+    for depth in range(horizon + 1, horizon + k + 1):
         nodes, edges = truncate_graph(g, s, depth)
         adj = adjacency(nodes, edges)
         # paths leave v through distinct neighbours and never return to it

@@ -260,18 +260,61 @@ def test_cap_must_be_a_natural_number(argv, value):
         ["axioms", "--system", "ch4:{n}"],
         ["dominate", "--family", "ladder:1", "--vertex", "t0:{n}", "-k", "1"],
         ["bases", "--system", "ch4:3", "--cap", "{n}"],
+        ["mk", "--family", "ladder:1", "-k", "{n}"],
+        ["mk", "--system", "ch4:3", "-k", "{n}"],
+        ["dominate", "--family", "bean", "--vertex", "v", "-k", "{n}"],
+        ["ch4", "-r", "{n}"],
+        ["spectrum", "--family", "ladder:1", "--prefix", "{n}"],
+        ["spectrum", "--family", "ladder:1", "--period", "{n}"],
+        ["thin", "--matrix-family", "{matrix}", "--depth", "{n}"],
     ],
-    ids=["ladder", "ch4", "window", "cap"],
+    ids=["ladder", "ch4", "window", "cap", "mk-family-k", "mk-system-k", "dominate-k", "ch4-r",
+         "prefix", "period", "depth"],
 )
-def test_huge_decimals_exit_as_twenty_digit_ones(argv):
+def test_huge_decimals_exit_as_twenty_digit_ones(argv, tmp_path):
     # int() refuses decimals past 4,300 digits: the first three raised
-    # ValueError, and the cap was a usage error that echoed every digit
+    # ValueError, and the options read with int() were usage errors that
+    # echoed every digit
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(GROWING_ROW_FAMILY))
+
     def run(digits):
-        return run_in_process([a.format(n="1" * digits) for a in argv])
+        return run_in_process([a.format(n="1" * digits, matrix=matrix) for a in argv])
 
     rc, out, err = run(5000)
     assert rc == run(20)[0]
     assert len(out) + len(err) < 1000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mk", "--family", "ladder:1", "-k", "-1"],
+        ["dominate", "--family", "bean", "--vertex", "v", "-k", "-1"],
+        ["ch4", "-r", "-1"],
+        ["spectrum", "--family", "ladder:1", "--prefix", "-1"],
+        ["spectrum", "--family", "ladder:1", "--period", "-1"],
+        ["thin", "--matrix-family", "m.json", "--depth", "-1"],
+    ],
+    ids=["mk-k", "dominate-k", "ch4-r", "prefix", "period", "depth"],
+)
+def test_negative_counts_are_usage_errors(argv):
+    rc, out, err = run_in_process(argv)
+    assert rc == 64 and out == ""
+    assert err.startswith(f"usage error: argument {argv[-2]}: '-1' is not a natural number\n")
+
+
+@pytest.mark.parametrize("k, answer", [(MAX_WINDOW, [MAX_WINDOW, MAX_WINDOW + 1]), (MAX_WINDOW + 1, None)])
+def test_removal_count_cap(k, answer):
+    # each value's witness lists the k instances removed, so past the cap the
+    # query stops before the spectrum search
+    rc, out, err = run_in_process(["mk", "--family", "ladder:1", "-k", str(k)])
+    if answer is None:
+        assert rc == 3 and out == ""
+        assert err == f"resource bound: removal count {k}; removal counts are capped at {MAX_WINDOW}\n"
+    else:
+        assert rc == 0, err
+        assert json.loads(out)["result"]["values"] == answer
 
 
 @pytest.mark.parametrize("r, answers", [(5, True), (6, False)])

@@ -29,6 +29,7 @@ from matroidlab.cycles import (
     _candidate_sets,
     _glued_bases,
     _gluing,
+    _independent,
     _prefix_forest,
     _project_glue,
     absent_representatives,
@@ -38,10 +39,12 @@ from matroidlab.cycles import (
     edge_sets_difference,
     edge_sets_intersect,
     edge_sets_union,
+    extend_to_fin_base,
     fin_is_base,
     glue_all,
     hat_check,
     spectrum_search,
+    verify_i3_violation,
 )
 from matroidlab.errors import InputError, ResourceLimitError, StructuralMismatchError
 from matroidlab.families import ContractedSystem, _collect_finite, contract_coloops
@@ -52,6 +55,7 @@ from matroidlab.periodic import (
     _lane_classes,
     _lane_ends,
     _repeat_part,
+    _tail_start,
     bean_family,
     contains_finite_cycle,
     corridor_width,
@@ -847,3 +851,133 @@ def test_walk_does_not_sweep_a_superset_of_parallel_prefix_edges():
         assert list(_glued_bases(g, glue, 0, known=range(4))) == []
     assert len(swept) == 7 and UPEdgeSet(0, frozenset({0, 1})) in swept
     assert full_edge_set(g) not in swept
+
+
+# ---------------------------------------------------------------------------
+# the tail window of the representatives
+
+
+def ref_absent_representatives(g, s):
+    """absent_representatives with a fixed margin in place of the tail start:
+    pattern windows up to the sweep depth of s plus 2."""
+    hi = max(s.p, run_machine(g, s).depth) + 3
+    reps = [("pre", i) for i in range(len(g.prefix_edges)) if i not in s.prefix_present]
+    for kind, n in g.slot_counts().items():
+        for j in range(n):
+            reps.extend((kind, j, w) for w in range(s.p) if not s.has(kind, j, w))
+            if (kind, j) not in s.pattern:
+                reps.extend((kind, j, w) for w in range(s.p, hi))
+    return reps
+
+
+def ref_present_representatives(g, s, context):
+    """present_representatives with the same fixed margin."""
+    hi = max(s.p, context.p, run_machine(g, context).depth) + 3
+    reps = [("pre", i) for i in sorted(s.prefix_present)]
+    reps += sorted(s.explicit)
+    for kind, j in sorted(s.pattern):
+        reps.extend((kind, j, w) for w in range(s.p, hi))
+    return reps
+
+
+def subset(draw, items):
+    return frozenset(draw(st.sets(st.sampled_from(items)))) if items else frozenset()
+
+
+@st.composite
+def edge_sets_of(draw, g):
+    """An edge set of g, explicit over 0-2 windows."""
+    slots = sorted(full_edge_set(g).pattern)
+    p = draw(st.integers(0, 2))
+    return UPEdgeSet(
+        p,
+        subset(draw, range(len(g.prefix_edges))),
+        subset(draw, [(kind, j, w) for w in range(p) for kind, j in slots]),
+        subset(draw, slots),
+    )
+
+
+def tail_answers(g, glue, s):
+    return (
+        answer_or_error(cycle_is_base, g, s, glue),
+        answer_or_error(extend_to_fin_base, g, s),
+        answer_or_error(verify_i3_violation, g, glue),
+    )
+
+
+def test_tail_window_matches_the_margin_reference():
+    met = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        g = data.draw(specs())
+        glue = data.draw(gluings(g))
+        s = data.draw(edge_sets_of(g))
+        new = tail_answers(g, glue, s)
+        with mock.patch.object(matroidlab.cycles, "absent_representatives", ref_absent_representatives), \
+                mock.patch.object(matroidlab.cycles, "present_representatives", ref_present_representatives):
+            assert tail_answers(g, glue, s) == new
+        ok, why = new[0]
+        met[why["kind"] if isinstance(why, dict) else ok] += 1
+
+    check()
+    assert met["addable"] and met[True], met
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_absent_instances_from_the_tail_start_on_agree(data):
+    g = data.draw(specs())
+    glue = _gluing(g, data.draw(gluings(g)))
+    s = data.draw(edge_sets_of(g))
+    try:
+        start = _tail_start(g, s)
+    except ResourceLimitError:
+        return
+    for kind, j in sorted(full_edge_set(g).pattern - s.pattern):
+        verdicts = {
+            outcome(_independent, g, s.with_edge((kind, j, w)), glue)
+            for w in (start, start + 1, start + 2)
+        }
+        assert len(verdicts) == 1, (kind, j, verdicts)
+
+
+def diagonal_v(n):
+    """n lanes with splices down a diagonal chain, a rung from lane a to lane b,
+    an apex on lane a, and links from p to the other lanes at window 0."""
+    lanes = tuple("abcdefg"[:n])
+    return PeriodicGraphSpec(
+        prefix_vertices=("p",),
+        repeat_vertices=lanes,
+        prefix_edges=tuple(("p", ("r", lane), "link") for lane in lanes[2:]),
+        window_edges=(("a", "b", "rung"),),
+        splice_edges=tuple((u, v, "top") for u, v in zip(lanes, lanes[1:])),
+        apex_edges=(("p", "a", "spoke"),),
+        ends=("e0",),
+    )
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_tail_start_can_lie_past_the_reference_margin(n):
+    # the rung at window 0 rides the diagonal down the lanes, so the
+    # repeat-only sweep settles only at window n, while the links and the
+    # apex put every lane in p's class from window 0 and the plain sweep
+    # settles at window 2; the verdicts are those of the reference, whose
+    # margin stops at window 4
+    g = diagonal_v(n)
+    slots = sorted(full_edge_set(g).pattern)
+    s = UPEdgeSet(
+        1,
+        frozenset(range(len(g.prefix_edges))),
+        frozenset((kind, j, 0) for kind, j in slots),
+        frozenset(slot for slot in slots if slot[0] != "win"),
+    )
+    assert run_machine(g, s).depth == 2 and _tail_start(g, s) == n
+    reps = absent_representatives(g, s)
+    assert ("win", 0, n) in reps and ("win", 0, 5) not in ref_absent_representatives(g, s)
+    for glue in (glue_all(g), None):
+        assert cycle_is_base(g, s, glue) == (True, None)
+        with mock.patch.object(matroidlab.cycles, "absent_representatives", ref_absent_representatives):
+            assert cycle_is_base(g, s, glue) == (True, None)
+    assert extend_to_fin_base(g, s) == s

@@ -1,13 +1,19 @@
 """Window-sweep engine vs explicit truncations of the same infinite graphs."""
 
+from collections import Counter
+from unittest import mock
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroidlab.errors import InputError
+from matroidlab import periodic
+from matroidlab.errors import InputError, ResourceLimitError
 from matroidlab.periodic import (
     PeriodicGraphSpec,
     UPEdgeSet,
+    _finite_degree,
+    _strip_width,
     bean_family,
     component_summary,
     contains_double_ray,
@@ -28,8 +34,9 @@ from matroidlab.periodic import (
     truncate_graph,
     unroll,
 )
-from matroidlab.util import INF
+from matroidlab.util import INF, adjacency, disjoint_paths
 
+from test_glued_equivalence import specs
 
 LADDER = ladder_family(1)
 BEAN = bean_family()
@@ -344,6 +351,43 @@ def test_width_respects_edge_set():
     assert corridor_width(LADDER, lanes, COMB) == 1
 
 
+def strip_flow(lane_list, win_present, spl_present, k):
+    """Vertex-disjoint paths across a k-window strip, by networkx."""
+    G = nx.Graph()
+    G.add_nodes_from((l, w) for l in lane_list for w in range(k))
+    G.add_edges_from(((u, w), (v, w)) for u, v in win_present for w in range(k))
+    G.add_edges_from(((u, w), (v, w + 1)) for u, v in spl_present for w in range(k - 1))
+    G.add_edges_from(("S", (l, 0)) for l in lane_list)
+    G.add_edges_from(((l, k - 1), "T") for l in lane_list)
+    try:
+        return len(list(nx.node_disjoint_paths(G, "S", "T")))
+    except nx.NetworkXNoPath:
+        return 0
+
+
+@st.composite
+def corridor_strips(draw):
+    lane_list = ("a", "b", "c", "d")[: draw(st.integers(1, 4))]
+    lane = st.sampled_from(lane_list)
+    win = draw(st.lists(st.tuples(lane, lane).filter(lambda e: e[0] != e[1]), max_size=4)
+               if len(lane_list) > 1 else st.just([]))
+    spl = draw(st.lists(st.tuples(lane, lane), max_size=6))
+    return lane_list, tuple(win), tuple(spl)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(corridor_strips())
+def test_width_plateau_equals_the_flow_at_the_last_strip_length(strip):
+    # the plateau of |lanes|+1 equal flows is an unproven stopping rule; this
+    # pins it to the flow at the longest strip the loop would build
+    lane_list, win, spl = strip
+    try:
+        width = _strip_width(lane_list, win, spl)
+    except ResourceLimitError:
+        return
+    assert width == strip_flow(lane_list, win, spl, 8 * (len(lane_list) + 2) - 1)
+
+
 # ---------------------------------------------------------------------------
 # domination
 
@@ -367,6 +411,78 @@ def test_domination_monotone_in_k():
     d2 = domination_witness(BEAN, "v", 2)
     d5 = domination_witness(BEAN, "v", 5)
     assert d2 <= d5
+
+
+def ref_domination_witness(g, v, k):
+    """domination_witness with a fixed search cap in place of the proved
+    bound: every depth from horizon + 1 to horizon + max(4k, 32)."""
+    if k < 1:
+        raise InputError("path count must be at least 1")
+    if isinstance(v, str):
+        if v not in g.prefix_vertices:
+            raise InputError(f"unknown prefix vertex {v!r}")
+    else:
+        lane, w = v
+        if lane not in g.repeat_vertices or w < 0:
+            raise InputError(f"unknown repeat vertex {v!r}")
+    deg = _finite_degree(g, v)
+    if deg is not None and deg < k:
+        return None
+    s = full_edge_set(g)
+    horizon = run_machine(g, s).depth + 1
+    if not isinstance(v, str):
+        horizon = max(horizon, v[1] + 1)
+    src = ("p", v) if isinstance(v, str) else (v[0], v[1])
+    for depth in range(horizon + 1, horizon + max(4 * k, 32) + 1):
+        nodes, edges = truncate_graph(g, s, depth)
+        adj = adjacency(nodes, edges)
+        starts = list(dict.fromkeys(n for n in adj.pop(src) if n != src))
+        for n in starts:
+            adj[n] = [m for m in adj[n] if m != src]
+        deep = [(lane, w) for lane in g.repeat_vertices for w in range(horizon, depth)]
+        if len(disjoint_paths(adj, starts, [n for n in deep if n != src])) >= k:
+            return depth
+    return None
+
+
+def depth_or_bound(fn, g, v, k):
+    try:
+        return fn(g, v, k)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+def test_domination_matches_the_linear_search():
+    met = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        g = data.draw(specs())
+        refs = list(g.prefix_vertices) + [(lane, w) for lane in g.repeat_vertices for w in range(4)]
+        v = data.draw(st.sampled_from(refs))
+        k = data.draw(st.integers(1, 6))
+        with mock.patch.object(periodic, "disjoint_paths", wraps=disjoint_paths) as flows:
+            depth = depth_or_bound(domination_witness, g, v, k)
+        assert depth == depth_or_bound(ref_domination_witness, g, v, k)
+        if depth is None:
+            assert flows.call_count <= k
+        met["apex" if v in g.apexes else "prefix" if isinstance(v, str) else "lane"] += 1
+
+    check()
+    assert all(met[kind] for kind in ("apex", "prefix", "lane")), met
+
+
+def test_hub_domination_depths_are_pinned():
+    # the hub's horizon is 2, so the bound horizon + k is one past each depth
+    assert [domination_witness(BEAN, "v", k) for k in range(1, 9)] == [3, 3, 4, 5, 6, 7, 8, 9]
+
+
+def test_failing_domination_query_makes_k_flow_calls():
+    # one flow per depth from horizon + 1 to horizon + k
+    with mock.patch.object(periodic, "disjoint_paths", wraps=disjoint_paths) as flows:
+        assert domination_witness(LADDER, ("t0", 5), 3) is None
+    assert flows.call_count == 3
 
 
 def test_domination_input_validation():
