@@ -325,8 +325,7 @@ class _CompiledSweep:
         self.joins = [(1 << k, a, b, slot) for k, (a, b, slot) in enumerate(joins)]
         self.bit = {slot[:2]: bit for bit, _, _, slot in self.joins}
         self.splices = sum(self.bit["spl", j] for j in range(len(g.splice_edges)))
-        self.steps: dict = {}  # (mask, state) -> (next state, retired, first redundant slot)
-        self.lives: dict = {}  # (mask, state) -> live classes of the stationary state
+        self.steps: dict = {}  # (mask, state) -> step(mask, state)
 
     def masks(self, s: UPEdgeSet) -> list:
         """The mask of each window 0..s.p, then the pattern's; a window's
@@ -339,9 +338,17 @@ class _CompiledSweep:
         masks[s.p] |= masks[-1] & ~self.splices
         return masks
 
-    def _classes(self, mask: int, state: tuple):
-        """The class id of every token after mask's unions, with the first
-        redundant union's slot."""
+    def step(self, mask: int, state: tuple) -> tuple:
+        """(next state, classes retired with the previous lanes, first
+        redundant slot, live) of one window.
+
+        live is None unless the step is stationary (next state == state);
+        then it lists the classes of the state that the step keeps inhabited,
+        as token sets in canonical order.
+        """
+        out = self.steps.get((mask, state))
+        if out is not None:
+            return out
         cur = len(state)
         # labels are below cur, so the current lanes take their own indices
         cls = list(state) + list(range(cur, cur + self.n_lanes))
@@ -353,33 +360,16 @@ class _CompiledSweep:
                     cls = [ca if c == cb else c for c in cls]
                 elif first is None:
                     first = slot
-        return cls, cls[: self.n_pers] + cls[cur:], first
-
-    def step(self, mask: int, state: tuple) -> tuple:
-        """(next state, classes retired with the previous lanes, first
-        redundant slot) of one window."""
-        out = self.steps.get((mask, state))
-        if out is None:
-            cls, kept, first = self._classes(mask, state)
-            labels: dict = {}  # renumbered by first occurrence
-            nxt = tuple([labels.setdefault(c, len(labels)) for c in kept])
-            out = self.steps[mask, state] = (nxt, len(set(cls)) - len(labels), first)
-        return out
-
-    def live(self, mask: int, state: tuple) -> tuple:
-        """The classes of a stationary state that the next step keeps
-        inhabited, as token sets in canonical order."""
-        out = self.lives.get((mask, state))
-        if out is None:
-            cls, kept, _ = self._classes(mask, state)
-            kept = set(kept)
-            live: dict = {}
+        labels: dict = {}  # renumbered by first occurrence
+        nxt = tuple([labels.setdefault(c, len(labels)) for c in cls[: self.n_pers] + cls[cur:]])
+        live = None
+        if nxt == state:
+            groups: dict = {}
             for tok, label, c in zip(self.tokens, state, cls):
-                if c in kept:
-                    live.setdefault(label, set()).add(tok)
-            out = self.lives[mask, state] = tuple(
-                sorted(map(frozenset, live.values()), key=lambda c: sorted(map(str, c)))
-            )
+                if c in labels:
+                    groups.setdefault(label, set()).add(tok)
+            live = tuple(sorted(map(frozenset, groups.values()), key=lambda c: sorted(map(str, c))))
+        out = self.steps[mask, state] = (nxt, len(set(cls)) - len(labels), first, live)
         return out
 
 
@@ -422,7 +412,7 @@ def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet) -> MachineResult:
     cycle_event = None
     w = 0
     while True:
-        state, delta, slot = sweep.step(masks[min(w, min_depth)], state)
+        state, delta, slot, live = sweep.step(masks[min(w, min_depth)], state)
         closed += delta
         if slot is not None and cycle_event is None:
             kind, j, lag = slot
@@ -441,15 +431,8 @@ def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet) -> MachineResult:
             raise ResourceLimitError(
                 f"window sweep did not stabilize within {bound} windows"
             )
-    # the stationary state can still shed classes every window (delta > 0);
-    # a class persists forever only if the next step keeps it inhabited
-    return MachineResult(
-        depth=w,
-        closed=closed,
-        delta=delta,
-        live=sweep.live(masks[-1], state),
-        cycle_event=cycle_event,
-    )
+    # the step that ends the sweep is the pattern mask's stationary step
+    return MachineResult(depth=w, closed=closed, delta=delta, live=live, cycle_event=cycle_event)
 
 
 def _tail_start(g: PeriodicGraphSpec, s: UPEdgeSet) -> int:
