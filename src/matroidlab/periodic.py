@@ -280,7 +280,7 @@ class MachineResult:
     depth: int              # first window whose state repeats the previous one
     closed: int             # components fully retired by window `depth`
     delta: int              # components retiring per window at the fixpoint
-    live: tuple             # stationary classes that persist forever (confirmed one step ahead)
+    live: tuple             # stationary classes that persist forever (_CompiledSweep.step)
     cycle_event: tuple | None  # (edge instance, window) of the first redundant union
 
 
@@ -343,8 +343,11 @@ class _CompiledSweep:
         redundant slot, live) of one window.
 
         live is None unless the step is stationary (next state == state);
-        then it lists the classes of the state that the step keeps inhabited,
-        as token sets in canonical order.
+        then it lists the live classes of the state as token sets in
+        canonical order.  A stationary step maps each class to the one class
+        it feeds (every lane it reaches is joined through it), or to none when
+        it retires.  A class is live when following that map never reaches
+        "retires", that is, when it reaches a cycle: then it persists forever.
         """
         out = self.steps.get((mask, state))
         if out is not None:
@@ -364,9 +367,13 @@ class _CompiledSweep:
         nxt = tuple([labels.setdefault(c, len(labels)) for c in cls[: self.n_pers] + cls[cur:]])
         live = None
         if nxt == state:
+            feeds = {label: labels.get(c) for label, c in zip(state, cls)}
+            alive = set(feeds)
+            for _ in feeds:  # each pass but the last drops a label
+                alive = {label for label in alive if feeds[label] in alive}
             groups: dict = {}
-            for tok, label, c in zip(self.tokens, state, cls):
-                if c in labels:
+            for tok, label in zip(self.tokens, state):
+                if label in alive:
                     groups.setdefault(label, set()).add(tok)
             live = tuple(sorted(map(frozenset, groups.values()), key=lambda c: sorted(map(str, c))))
         out = self.steps[mask, state] = (nxt, len(set(cls)) - len(labels), first, live)

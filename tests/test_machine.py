@@ -1,8 +1,10 @@
 """The window-sweep machine against the sweep it replaced, and the periods it names.
 
-ref_run_machine is an earlier run_machine, kept verbatim: a union-find over
-named tokens that relabels each window's lanes before the next window, and
-compares frozenset signatures.  It still takes the glue arguments that put
+ref_run_machine is an earlier run_machine, kept verbatim but for liveness: a
+union-find over named tokens that relabels each window's lanes before the next
+window, and compares frozenset signatures.  It calls a stationary class live
+when it is still inhabited after as many more windows as there are classes,
+where the library follows the stationary step's class map to a cycle.  It still takes the glue arguments that put
 glue points inside the sweep, and use_prefix: its repeat-only sweep
 (use_prefix=False) is the library's sweep of _repeat_part(s), where each
 prefix vertex stays a class of its own.  The compiled sweep must give every
@@ -186,19 +188,19 @@ def ref_run_machine(
             raise ResourceLimitError(
                 f"window sweep did not stabilize within {bound} windows"
             )
-    # the stationary state can still shed classes every window (delta > 0);
-    # a class persists forever only if the next step keeps it inhabited
+    # the stationary state can still shed classes every window (delta > 0).
+    # Follow one token of each class, through merged class ids, for
+    # len(stationary) + 1 more windows: a class still inhabited then has
+    # revisited a stationary class, so it persists forever
     stationary = sorted(sig, key=lambda c: sorted(map(str, c)))
-    relabel()
-    apply_window(w + 1)
-    ids = {}
-    for cls in stationary:
-        tok = next(iter(cls))
-        if tok[0] == "R":
-            tok = ("Q", tok[1])
-        ids[cls] = parent[tok]
-    retire()
-    live = tuple(cls for cls in stationary if ids[cls] in members)
+    trail = {cls: next(iter(cls)) for cls in stationary}
+    for extra in range(len(stationary) + 1):
+        relabel()
+        apply_window(w + 1 + extra)
+        ids = {cls: parent[("Q", tok[1]) if tok[0] == "R" else tok] for cls, tok in trail.items()}
+        retire()
+        trail = {cls: next(iter(members[cid])) for cls, cid in ids.items() if cid in members}
+    live = tuple(cls for cls in stationary if cls in trail)
     result = MachineResult(
         depth=w,
         closed=closed,
@@ -345,6 +347,29 @@ def test_glued_summary_matches_the_in_sweep_reference(case):
         for b in plain.interface:
             if plain.interface[a] == plain.interface[b]:
                 assert glued.interface[a] == glued.interface[b]
+
+
+# ---------------------------------------------------------------------------
+# live classes
+
+
+def test_a_class_feeding_a_retiring_class_is_not_live(tmp_path):
+    # lane a reaches lane b one window later and b goes nowhere, so every a-b
+    # piece is finite and lane c carries the one end; a class that the next
+    # step alone keeps inhabited (a's, through b) is not thereby live
+    family = {"repeat": {"vertices": ["a", "b", "c"]}, "splice": [["a", "b"], ["c", "c"]]}
+    path = tmp_path / "passing.json"
+    path.write_text(json.dumps({**family, "ends": ["e0"]}))
+    rc, out, err = run_in_process(["rays", "--family", str(path), "--glue", "all"])
+    assert rc == 0, err
+    result = json.loads(out)["result"]
+    assert result["rays"] == 1 and result["corridor_widths"] == {"e0": 1}
+    rc, out, _ = run_in_process(["spectrum", "--family", str(path), "--prefix", "1"])
+    assert rc == 0 and json.loads(out)["result"]["values"] == [0]
+    path.write_text(json.dumps({**family, "ends": ["e0", "e1"]}))
+    rc, out, err = run_in_process(["rays", "--family", str(path)])
+    assert rc == 2 and out == ""
+    assert err == "error: spec declares 2 ends but the repeat structure has 1 corridors\n"
 
 
 # ---------------------------------------------------------------------------
