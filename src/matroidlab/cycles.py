@@ -361,6 +361,8 @@ def _candidate_sets(g, p):
         raise ResourceLimitError(
             f"profile spans {bits} free instance choices; enumeration is capped at 16"
         )
+    if p > MAX_WINDOW:
+        raise ResourceLimitError(f"profile prefix {p}; prefixes are capped at {MAX_WINDOW}")
     instances = [(kind, j, w) for w in range(p) for (kind, j) in slots]
     prefixes = list(range(len(g.prefix_edges)))
     for pat_bits in range(1 << len(slots)):

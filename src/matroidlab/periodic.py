@@ -37,10 +37,10 @@ from .errors import InputError, ResourceLimitError
 from .util import INF, UnionFind, adjacency, bfs_path, disjoint_paths
 
 # Cap on the window index an edit or a domination query names, on the
-# domination path count, on a spectrum profile's period, on a support depth,
-# on the removal count of mk_spectrum and on the ladder count of
-# ladder_family: the specs, truncations, matrices and witness lists they
-# build grow with each, so past the cap a query exits on ResourceLimitError.
+# domination path count, on a spectrum profile's prefix and period, on the
+# removal count of mk_spectrum and on the ladder count of ladder_family: the
+# specs, truncations, candidate walks and witness lists they build grow with
+# each, so past the cap a query exits on ResourceLimitError.
 MAX_WINDOW = 64
 
 

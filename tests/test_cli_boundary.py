@@ -163,7 +163,7 @@ def test_dominate_caps_window_and_path_count(argv, dominates):
 
 
 # a splice-free family: its q-fold spec has no edge slot, so the one empty
-# candidate answers at every period up to the cap
+# candidate answers at every prefix and period up to the cap
 LANE_ONLY_FAMILY = {"repeat": {"vertices": ["a"]}, "ends": []}
 
 GROWING_ROW_FAMILY = {
@@ -183,6 +183,9 @@ GROWING_ROW_FAMILY = {
         (["thin", "--matrix-family", "{matrix}", "--depth", str(MAX_WINDOW)],
          ("growing_rows", ["a"])),
         (["thin", "--matrix-family", "{matrix}", "--depth", str(MAX_WINDOW + 1)], None),
+        (["spectrum", "--family", "{lanes}", "--prefix", str(MAX_WINDOW)], ("values", [0])),
+        (["spectrum", "--family", "{lanes}", "--prefix", str(MAX_WINDOW + 1)], None),
+        (["spectrum", "--family", "{lanes}", "--prefix", "1" * 20], None),
         (["spectrum", "--family", "{lanes}", "--prefix", "0", "--period", str(MAX_WINDOW)],
          ("values", [0])),
         (["spectrum", "--family", "{lanes}", "--prefix", "0", "--period", str(MAX_WINDOW + 1)],
@@ -192,12 +195,14 @@ GROWING_ROW_FAMILY = {
         (["spectrum", "--family", "ladder:1", "--prefix", "0", "--period", "100000"], None),
         (["ch4", "-r", "7"], None),
     ],
-    ids=["depth-at-cap", "depth-past-cap", "period-at-cap", "period-past-cap",
+    ids=["depth-at-cap", "depth-past-cap", "prefix-at-cap", "prefix-past-cap", "prefix-huge",
+         "period-at-cap", "period-past-cap",
          "ladder-period-past-cap", "ladder-period-huge", "blocks-past-encoding-cap"],
 )
 def test_depth_period_and_block_count_caps(argv, answer, tmp_path):
     # past each cap the query stops before building the materialized columns,
-    # the q-fold spec or the block family, which grow with the bound
+    # the candidate walk, the q-fold spec or the block family, which grow with
+    # the bound
     files = {"matrix": GROWING_ROW_FAMILY, "lanes": LANE_ONLY_FAMILY}
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
