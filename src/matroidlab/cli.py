@@ -298,7 +298,7 @@ def cmd_bean(args):
 
 def cmd_thin(args):
     spec = load_matrix_family(read_json(args.matrix_family))
-    count, rows = nearly_thin_count(spec, args.depth)
+    count, rows = nearly_thin_count(spec)
     return {"count": count, "growing_rows": list(rows)}, None
 
 
@@ -457,7 +457,6 @@ def build_parser() -> _Parser:
 
     p = add("thin", "rows of a periodic column family with growing support")
     p.add_argument("--matrix-family", required=True)
-    p.add_argument("--depth", type=_natural, default=2)
 
     p = add("scan", "batch spectra with gap flags", parents=(common, profiled))
     p.add_argument("targets", nargs="+", help="family/edit/pair files or canned names")

@@ -378,12 +378,6 @@ def _maximal(fam: list[int], fam_set, closed: bool) -> list[int]:
     return [s for s in fam if not any(t != s and t & s == s for t in fam)]
 
 
-def maximal_masks(fam: list[int]) -> list[int]:
-    """Inclusion-maximal members of an ascending family of masks, ascending."""
-    fam_set = set(fam)
-    return _maximal(fam, fam_set, _downward_closed(fam_set))
-
-
 def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
     """Maximal independent sets, ascending masks.
 

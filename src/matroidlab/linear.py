@@ -16,8 +16,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .core import GroundSet, OracleMatroid, graphic_matroid, family_masks
-from .errors import InputError, ResourceLimitError
-from .periodic import MAX_WINDOW
+from .errors import InputError
 from .util import iter_bits
 
 GF2 = "gf2"
@@ -74,25 +73,12 @@ class MatrixRep:
     def n_cols(self) -> int:
         return len(self.col_labels)
 
-    def column_bitsets(self) -> tuple[int, ...]:
-        """GF(2) columns packed as ints, row i = bit i."""
-        if self.field != GF2:
-            raise InputError("bitset view is a GF(2) representation")
-        out = []
-        for col in self.columns:
-            m = 0
-            for i, v in enumerate(col):
-                if v:
-                    m |= 1 << i
-            out.append(m)
-        return tuple(out)
-
     @cached_property
     def rank_columns(self) -> tuple:
-        """Columns as the rank kernels take them: bitsets over GF(2), integer
-        multiples (see _integer_column) over Q."""
+        """Columns as the rank kernels take them: bitsets over GF(2), row i
+        = bit i, and integer multiples (see _integer_column) over Q."""
         if self.field == GF2:
-            return self.column_bitsets()
+            return tuple(sum(1 << i for i, v in enumerate(col) if v) for col in self.columns)
         return tuple(_integer_column(col) for col in self.columns)
 
 
@@ -337,18 +323,13 @@ def materialize(spec: PeriodicMatrixSpec, n_windows: int) -> MatrixRep:
     return MatrixRep(spec.field, tuple(row_labels), tuple(col_labels), tuple(cols))
 
 
-def nearly_thin_count(spec: PeriodicMatrixSpec, depth: int = 2) -> tuple[int, tuple[str, ...]]:
+def nearly_thin_count(spec: PeriodicMatrixSpec) -> tuple[int, tuple[str, ...]]:
     """Persistent rows whose column support keeps growing with the window count.
 
     Returns (count, growing row names).  Each window adds one column per
     pattern, and pattern entries are nonzero, so after n windows a persistent
     row's support is n times the number of patterns naming it: it grows
-    exactly when some pattern names it, at every depth alike.  depth is only
-    range-checked (below 2 is bad input, above MAX_WINDOW a resource bound).
+    exactly when some pattern names it, at every window count alike.
     """
-    if depth < 2:
-        raise InputError("support comparison needs depth >= 2")
-    if depth > MAX_WINDOW:
-        raise ResourceLimitError(f"support depth {depth}; depths are capped at {MAX_WINDOW}")
     named = {ref[1] for col in spec.block_cols for ref, _ in col if ref[0] == "p"}
     return len(named), tuple(sorted(named))

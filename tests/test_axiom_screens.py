@@ -31,7 +31,7 @@ from matroidlab import (
     truncate_top,
     uniform_matroid,
 )
-from matroidlab.core import AXIOM_SETS, AxiomReport, _check_sweep, maximal_masks
+from matroidlab.core import AXIOM_SETS, AxiomReport, _check_sweep
 from matroidlab.linear import MatrixRep, linear_matroid
 from matroidlab.ops import ch4_inner
 from matroidlab.util import iter_bits
@@ -77,7 +77,7 @@ def ref_check_axioms(sys_, system_id="I", cap=None):
                     return s, s ^ (1 << e)
         return None
 
-    bases = maximal_masks(fam)
+    bases = [s for s in fam if not any(t != s and t & s == s for t in fam)]
     bases_set = set(bases)
     addable: dict[int, int] = {}
     for s in fam:
@@ -279,16 +279,6 @@ def test_screens_match_reference_on_block_systems(r):
     assert_same_screens(blocks, blocks)
     wrapped = from_explicit(blocks)
     assert_same_screens(wrapped, wrapped)
-
-
-@settings(max_examples=200, deadline=None)
-@given(raw_families(), st.booleans())
-def test_maximal_masks_is_the_quadratic_definition(sys_, close):
-    """On unchecked families and on their downward closures."""
-    fam = sys_.family()
-    if close:
-        fam = sorted({s for t in fam for s in _subsets(t)})
-    assert maximal_masks(fam) == [s for s in fam if not any(t != s and t & s == s for t in fam)]
 
 
 def test_every_minor_of_small_matroids_grows_exactly():

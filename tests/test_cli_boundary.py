@@ -166,23 +166,9 @@ def test_dominate_caps_window_and_path_count(argv, dominates):
 # candidate answers at every prefix and period up to the cap
 LANE_ONLY_FAMILY = {"repeat": {"vertices": ["a"]}, "ends": []}
 
-GROWING_ROW_FAMILY = {
-    "field": "q",
-    "persistent_rows": ["a"],
-    "block_rows": ["x"],
-    "block_cols": [
-        [[["p", "a"], 1], [["b", "x", 0], 1]],
-        [[["b", "x", 0], 1], [["b", "x", 1], -1]],
-    ],
-}
-
-
 @pytest.mark.parametrize(
     "argv, answer",
     [
-        (["thin", "--matrix-family", "{matrix}", "--depth", str(MAX_WINDOW)],
-         ("growing_rows", ["a"])),
-        (["thin", "--matrix-family", "{matrix}", "--depth", str(MAX_WINDOW + 1)], None),
         (["spectrum", "--family", "{lanes}", "--prefix", str(MAX_WINDOW)], ("values", [0])),
         (["spectrum", "--family", "{lanes}", "--prefix", str(MAX_WINDOW + 1)], None),
         (["spectrum", "--family", "{lanes}", "--prefix", "1" * 20], None),
@@ -195,18 +181,16 @@ GROWING_ROW_FAMILY = {
         (["spectrum", "--family", "ladder:1", "--prefix", "0", "--period", "100000"], None),
         (["ch4", "-r", "7"], None),
     ],
-    ids=["depth-at-cap", "depth-past-cap", "prefix-at-cap", "prefix-past-cap", "prefix-huge",
+    ids=["prefix-at-cap", "prefix-past-cap", "prefix-huge",
          "period-at-cap", "period-past-cap",
          "ladder-period-past-cap", "ladder-period-huge", "blocks-past-encoding-cap"],
 )
 def test_depth_period_and_block_count_caps(argv, answer, tmp_path):
-    # past each cap the query stops before building the materialized columns,
-    # the candidate walk, the q-fold spec or the block family, which grow with
-    # the bound
-    files = {"matrix": GROWING_ROW_FAMILY, "lanes": LANE_ONLY_FAMILY}
-    for name, obj in files.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
-    argv = [a.format(**{k: str(tmp_path / f"{k}.json") for k in files}) for a in argv]
+    # past each cap the query stops before building the candidate walk, the
+    # q-fold spec or the block family, which grow with the bound
+    lanes = tmp_path / "lanes.json"
+    lanes.write_text(json.dumps(LANE_ONLY_FAMILY))
+    argv = [a.format(lanes=lanes) for a in argv]
     rc, out, err = run_in_process(argv)
     if answer is None:
         assert rc == 3, err
@@ -271,20 +255,17 @@ def test_cap_must_be_a_natural_number(argv, value):
         ["ch4", "-r", "{n}"],
         ["spectrum", "--family", "ladder:1", "--prefix", "{n}"],
         ["spectrum", "--family", "ladder:1", "--period", "{n}"],
-        ["thin", "--matrix-family", "{matrix}", "--depth", "{n}"],
     ],
     ids=["ladder", "ch4", "window", "cap", "mk-family-k", "mk-system-k", "dominate-k", "ch4-r",
-         "prefix", "period", "depth"],
+         "prefix", "period"],
 )
-def test_huge_decimals_exit_as_twenty_digit_ones(argv, tmp_path):
+def test_huge_decimals_exit_as_twenty_digit_ones(argv):
     # int() refuses decimals past 4,300 digits: the first three raised
     # ValueError, and the options read with int() were usage errors that
     # echoed every digit
-    matrix = tmp_path / "matrix.json"
-    matrix.write_text(json.dumps(GROWING_ROW_FAMILY))
 
     def run(digits):
-        return run_in_process([a.format(n="1" * digits, matrix=matrix) for a in argv])
+        return run_in_process([a.format(n="1" * digits) for a in argv])
 
     rc, out, err = run(5000)
     assert rc == run(20)[0]
@@ -299,9 +280,8 @@ def test_huge_decimals_exit_as_twenty_digit_ones(argv, tmp_path):
         ["ch4", "-r", "-1"],
         ["spectrum", "--family", "ladder:1", "--prefix", "-1"],
         ["spectrum", "--family", "ladder:1", "--period", "-1"],
-        ["thin", "--matrix-family", "m.json", "--depth", "-1"],
     ],
-    ids=["mk-k", "dominate-k", "ch4-r", "prefix", "period", "depth"],
+    ids=["mk-k", "dominate-k", "ch4-r", "prefix", "period"],
 )
 def test_negative_counts_are_usage_errors(argv):
     rc, out, err = run_in_process(argv)

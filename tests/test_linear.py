@@ -303,11 +303,6 @@ def test_nearly_thin_rail_apex_is_one():
     assert count == 1 and rows == ("apex",)
 
 
-def test_nearly_thin_depth_validation():
-    with pytest.raises(InputError):
-        nearly_thin_count(spec_all_ones(), depth=1)
-
-
 def reference_thin_count(spec, depth):
     """Growing rows by materialized supports at depth, depth + 1 and depth + 2;
     the two growth steps must agree."""
@@ -344,7 +339,7 @@ def matrix_specs(draw):
 @settings(max_examples=200, deadline=None)
 @given(matrix_specs(), st.integers(2, 6))
 def test_nearly_thin_matches_materialized_supports(spec, depth):
-    assert nearly_thin_count(spec, depth) == reference_thin_count(spec, depth)
+    assert nearly_thin_count(spec) == reference_thin_count(spec, depth)
 
 
 def test_periodic_spec_validation():
