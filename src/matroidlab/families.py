@@ -11,8 +11,11 @@ from dataclasses import dataclass, replace
 
 from .cycles import (
     GluingSpec,
+    _components,
     _glued_bases,
     _gluing,
+    _prefix_forest,
+    _remap_edge_set,
     cycle_independent,
     cycle_is_base,
     edge_set_is_empty,
@@ -136,25 +139,42 @@ def contract_coloops(
 ) -> ContractedSystem:
     """View of the glued system with the finite edge set t contracted.
 
-    Every element of t must lie in every base found within the profile; the
-    first base avoiding part of t is returned inside the error instead.
+    Every element of t must lie in every base found within the profile.
+    Bases are unions of one base per structural component, so each component
+    holding part of t is certified on its own, as hat_check walks them; the
+    first component base avoiding part of t is named, in the family's edge
+    indices, inside the error instead.
     """
     glue = _gluing(g, glue)
     t_set = _collect_finite(g, t)
     p, q = profile
     if q != 1:
         raise InputError("coloop certificates use period-1 profiles")
-    if not (t_set.prefix_present or t_set.explicit):
-        return ContractedSystem(g, glue, t_set, profile)
-    def covers(cand):
-        return edge_set_is_empty(edge_sets_difference(t_set, cand))
+    for spec, local_glue, up, down in _components(g, glue):
+        if spec is None:
+            # a finite all-prefix piece: an edge lies in every spanning forest
+            # exactly when dropping it shrinks the forest
+            ids = list(down["pre"])
+            part = UPEdgeSet(0, frozenset(i for i in t_set.prefix_present if i in down["pre"]))
+            size = len(_prefix_forest(g, ids))
+            forests = (_prefix_forest(g, [j for j in ids if j != i]) for i in sorted(part.prefix_present))
+            base = next((UPEdgeSet(0, frozenset(f)) for f in forests if len(f) == size), None)
+        else:
+            local_t = _remap_edge_set(down, t_set)
+            if edge_set_is_empty(local_t):
+                continue
+            part = _remap_edge_set(up, local_t)
 
-    cand, _ = next(_glued_bases(g, glue, p, covers), (None, None))
-    if cand is not None:
-        raise InputError(
-            f"not a coloop set within bounds: {edge_sets_difference(t_set, cand).to_obj()} "
-            f"stays outside the base {cand.to_obj()}"
-        )
+            def covers(cand):
+                return edge_set_is_empty(edge_sets_difference(local_t, cand))
+
+            found, _ = next(_glued_bases(spec, local_glue, p, covers), (None, None))
+            base = None if found is None else _remap_edge_set(up, found)
+        if base is not None:
+            raise InputError(
+                f"not a coloop set within bounds: {edge_sets_difference(part, base).to_obj()} "
+                f"stays outside the base {base.to_obj()}"
+            )
     return ContractedSystem(g, glue, t_set, profile)
 
 

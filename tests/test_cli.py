@@ -256,6 +256,23 @@ def test_scan_mixes_targets(run, tmp_path):
     assert not any(row["gap"] for row in rows)
 
 
+def test_scan_certifies_a_contraction_per_component(run, tmp_path):
+    # the ladder pair has 18 free instance choices at prefix 2, but each
+    # ladder has 9: the certificate walks the ladder holding the contracted
+    # rail splice, and a base of it leaves the splice out
+    (tmp_path / "l2.json").write_text(json.dumps(dump_family(ladder_family(2))))
+    edit = tmp_path / "edit.json"
+    edit.write_text(json.dumps({"base": "l2.json", "contract": [["spl", 0, 0]]}))
+    rc, out, err = run("scan", str(edit))
+    assert rc == 2 and out == ""
+    assert err == (
+        "error: not a coloop set within bounds: {'prefix_blocks': 2, 'prefix_edges': "
+        "[['spl', 0, 0]], 'repeat_edges': []} stays outside the base {'prefix_blocks': 2, "
+        "'prefix_edges': [['spl', 0, 1], ['spl', 1, 0], ['spl', 1, 1], ['win', 0, 0]], "
+        "'repeat_edges': [['spl', 0], ['spl', 1]]}\n"
+    )
+
+
 def test_scan_csv_form(run):
     rc, out, _ = run("scan", "ladder:1", "--prefix", "1", "--out", "csv")
     assert rc == 0

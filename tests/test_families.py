@@ -106,6 +106,20 @@ def test_pendant_bar_contracts_cleanly():
     assert view.spectrum().values == (0, 1)
 
 
+def test_a_doubled_bar_is_not_a_coloop():
+    # the pendant piece's spanning forests are its two bars; the one avoiding
+    # bar 0 is named in the family's indices, without the ladder's edges
+    pend = pendant_family()
+    pend = replace(pend, prefix_edges=pend.prefix_edges * 2)
+    with pytest.raises(InputError) as err:
+        contract_coloops(pend, glue_all(pend), [("pre", 0)])
+    assert str(err.value) == (
+        "not a coloop set within bounds: {'prefix_blocks': 0, 'prefix_edges': [['pre', 0]], "
+        "'repeat_edges': []} stays outside the base {'prefix_blocks': 0, 'prefix_edges': "
+        "[['pre', 1]], 'repeat_edges': []}"
+    )
+
+
 def test_contracted_view_answers_queries():
     pend = pendant_family()
     view = contract_coloops(pend, glue_all(pend), [("pre", 0)])

@@ -517,7 +517,9 @@ def test_spec_hash_is_recomputed_after_unpickling():
 
 # ---------------------------------------------------------------------------
 # hat checks and coloop certificates against the per-caller candidate loops
-# they used before sharing one candidate walk (kept verbatim as references)
+# they used before sharing one candidate walk (kept verbatim as references,
+# but for the coloop loop, which now walks each structural component as the
+# hat check's does)
 
 
 def _remap_instance(maps, inst):
@@ -606,19 +608,45 @@ def ref_contract_coloops(
     p, q = profile
     if q != 1:
         raise InputError("coloop certificates use period-1 profiles")
-    if not (t_set.prefix_present or t_set.explicit):
-        return ContractedSystem(g, glue, t_set, profile)
-    for cand in _candidate_sets(g, p):
-        missing = edge_sets_difference(t_set, cand)
-        if not (missing.prefix_present or missing.explicit):
+
+    def fail(missing, base):
+        raise InputError(
+            f"not a coloop set within bounds: {missing.to_obj()} stays outside "
+            f"the base {base.to_obj()}"
+        )
+
+    # each structural component on its own, as ref_hat_check walks them
+    for spec, maps in split_components(g):
+        if spec is None:
+            # a forest avoiding a bridge is smaller than the piece's forests
+            size = len(_prefix_forest(g, maps["pre"]))
+            part = frozenset(i for i in t_set.prefix_present if i in maps["pre"])
+            for i in sorted(part):
+                forest = frozenset(_prefix_forest(g, [j for j in maps["pre"] if j != i]))
+                if len(forest) == size:
+                    fail(UPEdgeSet(0, part - forest), UPEdgeSet(0, forest))
             continue
-        if _has_finite_cycle(g, cand):
+        local_glue = _project_glue(glue, spec.ends)
+        local_t = UPEdgeSet(
+            t_set.p,
+            frozenset(maps["pre"].index(i) for i in t_set.prefix_present if i in maps["pre"]),
+            frozenset(
+                (kind, maps[kind].index(j), w)
+                for kind, j, w in t_set.explicit
+                if j in maps[kind]
+            ),
+            frozenset(),
+        )
+        if not (local_t.prefix_present or local_t.explicit):
             continue
-        if cycle_is_base(g, cand, glue)[0]:
-            raise InputError(
-                f"not a coloop set within bounds: {missing.to_obj()} stays outside "
-                f"the base {cand.to_obj()}"
-            )
+        for cand in _candidate_sets(spec, p):
+            missing = edge_sets_difference(local_t, cand)
+            if not (missing.prefix_present or missing.explicit):
+                continue
+            if _has_finite_cycle(spec, cand):
+                continue
+            if cycle_is_base(spec, cand, local_glue)[0]:
+                fail(_remap_edge_set(maps, missing), _remap_edge_set(maps, cand))
     return ContractedSystem(g, glue, t_set, profile)
 
 
