@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .errors import InputError, ResourceLimitError
-from .util import INF, UnionFind, adjacency, bfs_path, disjoint_paths
+from .util import INF, UnionFind, adjacency, bfs_path, disjoint_paths, spanning_forest
 
 # Cap on the window index an edit or a domination query names, on the
 # domination path count, on a spectrum profile's prefix and period, on the
@@ -42,6 +42,10 @@ from .util import INF, UnionFind, adjacency, bfs_path, disjoint_paths
 # specs, truncations, candidate walks and witness lists they build grow with
 # each, so past the cap a query exits on ResourceLimitError.
 MAX_WINDOW = 64
+
+# Cap on the vertices of the strip a corridor width is read off: the proved
+# strip length is exponential in the number of window-edge components.
+MAX_STRIP = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +501,12 @@ def _lane_classes(res: MachineResult) -> list:
 def corridor_width(g: PeriodicGraphSpec, lanes: frozenset, s: UPEdgeSet | None = None) -> int:
     """Maximum vertex-disjoint forward paths the corridor sustains per window.
 
-    Computed as max flow across k-window strips of the pattern zone; the
-    values never rise with k, and a plateau of |lanes|+1 equal values is
-    taken as the limit.  That stopping rule is unproven: nothing yet shows
-    that such a plateau has reached the limit, so a later drop would go
-    unseen.  Only pattern-zone edges matter: widths describe tails.  The
-    plateau is cached on what the strips are built from: the sorted lanes and
+    Computed as one max flow across a strip of the pattern zone long enough
+    that longer strips have the same flow (_strip_width has the proof); the
+    flows never rise with the strip length, so that value is their limit,
+    the number of disjoint rays by König's infinity lemma (Diestel, Graph
+    Theory, ch. 8).  Only pattern-zone edges matter: widths describe tails.
+    The width is cached on what the strip is built from: the sorted lanes and
     the window and splice pairs of s.pattern with both ends inside them.
     """
     pattern = full_edge_set(g).pattern if s is None else s.pattern
@@ -521,22 +525,41 @@ def corridor_width(g: PeriodicGraphSpec, lanes: frozenset, s: UPEdgeSet | None =
 
 @lru_cache(maxsize=4096)
 def _strip_width(lane_list: tuple, win_present: tuple, spl_present: tuple) -> int:
-    history = []
-    needed = len(lane_list) + 1
-    for k in range(2, 8 * (len(lane_list) + 2)):
-        nodes = [(l, w) for l in lane_list for w in range(k)]
-        edges = []
-        for w in range(k):
-            edges += [((u, w), (v, w)) for u, v in win_present]
-        for w in range(k - 1):
-            edges += [((u, w), (v, w + 1)) for u, v in spl_present]
-        paths = disjoint_paths(
-            adjacency(nodes, edges), [(l, 0) for l in lane_list], [(l, k - 1) for l in lane_list]
+    """Vertex-disjoint paths across a strip of K = 2^m + n + 1 windows, where
+    n is the lane count and m the number of components of the window edges.
+
+    Let f(k) be the number of vertex-disjoint paths from window 0 to window
+    k-1 of a k-window strip; by Menger it is the size of a least separator X.
+    f never rises with k: a path that reaches window k has already met
+    window k-1, so cut it there.  Let R be the set reachable from window 0
+    while avoiding X, and R_w the lanes of R in window w.  Suppose two
+    windows 1 <= a < b <= k-1 both miss X and R_a = R_b.  Drop windows
+    a..b-1 and shift the rest down.  The only new edges join window a-1 to
+    old window b, and an old splice into window a ends in R exactly when the
+    new one into window b does, so the image of R is still closed and the
+    image of X still separates the shorter strip: f has the same value there.
+    A window that misses X holds in R a union of window-edge components, so
+    one of at most 2^m sets, and X, of size at most n, meets at most n
+    windows.  So every k > K shortens in this way, and f(k) = f(K) for all
+    k >= K.
+
+    K is exponential in m, so a strip of more than MAX_STRIP vertices raises
+    ResourceLimitError instead.
+    """
+    n = len(lane_list)
+    k = 2 ** (n - len(spanning_forest(win_present))) + n + 1
+    if k * n > MAX_STRIP:
+        raise ResourceLimitError(
+            f"corridor width strip of {k} windows of {n} lanes; strips are "
+            f"capped at {MAX_STRIP} vertices"
         )
-        history.append(len(paths))
-        if len(history) >= needed and len(set(history[-needed:])) == 1:
-            return history[-1]
-    raise ResourceLimitError("corridor width flow did not plateau")
+    nodes = [(l, w) for l in lane_list for w in range(k)]
+    edges = [((u, w), (v, w)) for u, v in win_present for w in range(k)]
+    edges += [((u, w), (v, w + 1)) for u, v in spl_present for w in range(k - 1)]
+    paths = disjoint_paths(
+        adjacency(nodes, edges), [(l, 0) for l in lane_list], [(l, k - 1) for l in lane_list]
+    )
+    return len(paths)
 
 
 def ray_count(g: PeriodicGraphSpec) -> int:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import matroidlab
 from matroidlab.cli import main
-from matroidlab.periodic import MAX_WINDOW
+from matroidlab.periodic import MAX_STRIP, MAX_WINDOW
 
 # a lane-merging spec whose profile-0 search finds no glued base, so
 # spectrum_search raises StructuralMismatchError
@@ -230,6 +230,31 @@ def test_ladder_count_cap(argv, answer):
     else:
         values = result["rows"][0]["values"] if argv[0] == "scan" else result["values"]
         assert values == list(range(answer + 1))
+
+
+def rail_fan(n):
+    """n rails l -> l joined by fan splices l0 -> li: one end, no window edges."""
+    lanes = [f"l{i}" for i in range(n)]
+    return {
+        "repeat": {"vertices": lanes},
+        "splice": [[lane, lane] for lane in lanes] + [["l0", lane] for lane in lanes[1:]],
+        "ends": ["e0"],
+    }
+
+
+@pytest.mark.parametrize("n, rays", [(10, 10), (11, None)])
+def test_corridor_width_strip_cap(n, rays, tmp_path):
+    # with no window edges each lane is a component of its own, so the proved
+    # strip has 2^n + n + 1 windows: 10,350 vertices at n = 10, 22,660 at 11
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(rail_fan(n)))
+    rc, out, err = run_in_process(["rays", "--family", str(path)])
+    if rays is None:
+        assert rc == 3 and out == ""
+        assert err.startswith("resource bound: ") and f"capped at {MAX_STRIP} vertices" in err
+        return
+    assert rc == 0, err
+    assert json.loads(out)["result"]["rays"] == rays
 
 
 @pytest.mark.parametrize("value", ["-1", "abc", "²"])

@@ -133,7 +133,12 @@ def gluings(draw, g):
 
 
 def nx_width(g, lanes, s):
-    """Vertex-disjoint paths across a strip longer than any width plateau."""
+    """Vertex-disjoint paths across a strip of 8(n+2) windows for n lanes.
+
+    That is no shorter than the strip length K = 2^m + n + 1 past which the
+    flow is constant (m <= n window-edge components, periodic._strip_width)
+    whenever n <= 5, which holds for every corridor drawn here.
+    """
     k = 8 * (len(lanes) + 2)
     G = nx.Graph()
     G.add_nodes_from((l, w) for l in lanes for w in range(k))

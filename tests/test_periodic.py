@@ -366,8 +366,8 @@ def strip_flow(lane_list, win_present, spl_present, k):
 
 
 @st.composite
-def corridor_strips(draw):
-    lane_list = ("a", "b", "c", "d")[: draw(st.integers(1, 4))]
+def corridor_strips(draw, max_lanes=4):
+    lane_list = ("a", "b", "c", "d", "e")[: draw(st.integers(1, max_lanes))]
     lane = st.sampled_from(lane_list)
     win = draw(st.lists(st.tuples(lane, lane).filter(lambda e: e[0] != e[1]), max_size=4)
                if len(lane_list) > 1 else st.just([]))
@@ -378,14 +378,28 @@ def corridor_strips(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(corridor_strips())
 def test_width_plateau_equals_the_flow_at_the_last_strip_length(strip):
-    # the plateau of |lanes|+1 equal flows is an unproven stopping rule; this
-    # pins it to the flow at the longest strip the loop would build
+    # the flow at the proved strip length K = 2^m + n + 1 is the flow at every
+    # longer strip; for n <= 4 lanes K <= 8(n+2) - 1, so this checks the width
+    # against a longer strip than the proof needs
     lane_list, win, spl = strip
     try:
         width = _strip_width(lane_list, win, spl)
     except ResourceLimitError:
         return
     assert width == strip_flow(lane_list, win, spl, 8 * (len(lane_list) + 2) - 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(corridor_strips(max_lanes=5))
+def test_width_is_the_flow_at_the_proved_strip_length(strip):
+    # K = 2^m + n + 1 windows, m the number of window-edge components
+    lane_list, win, spl = strip
+    G = nx.Graph(win)
+    G.add_nodes_from(lane_list)
+    m, n = nx.number_connected_components(G), len(lane_list)
+    k = 2**m + n + 1
+    width = _strip_width(lane_list, win, spl)
+    assert width == strip_flow(lane_list, win, spl, k) == strip_flow(lane_list, win, spl, k + 2**m)
 
 
 # ---------------------------------------------------------------------------
