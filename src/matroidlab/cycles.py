@@ -597,11 +597,10 @@ def hat_check(
     witness = UPEdgeSet()
     for spec, local_glue, up, down in _components(g, glue):
         if spec is None:
-            # a forest avoiding s exists iff dropping s's edges keeps the
-            # piece connected, i.e. its spanning forests keep their size
-            ids = _prefix_forest(g, [i for i in down["pre"] if i not in s.prefix_present])
-            if len(ids) != len(_prefix_forest(g, down["pre"])):
+            # B spans the piece, so any edge of s in it closes a cycle with B
+            if not s.prefix_present.isdisjoint(down["pre"]):
                 return False, None
+            ids = _prefix_forest(g, down["pre"])
             witness = edge_sets_union(witness, UPEdgeSet(0, frozenset(ids)))
             continue
         # restrict the fixed set to this component's edges

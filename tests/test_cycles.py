@@ -444,21 +444,37 @@ def test_empty_set_always_fits():
     assert hat_check(LADDER, GA, UPEdgeSet())[0]
 
 
-def test_parallel_prefix_copy_avoids_a_fixed_edge():
-    # a prefix-only piece joined by two parallel copies: fixing either copy
-    # leaves the other to span the piece, fixing both disconnects it
-    g = PeriodicGraphSpec(
-        prefix_vertices=("x", "y"),
+def beside_the_ladder(prefix_vertices, prefix_edges):
+    """The one-ladder family with a finite all-prefix piece beside it."""
+    return PeriodicGraphSpec(
+        prefix_vertices=prefix_vertices,
         repeat_vertices=LADDER.repeat_vertices,
-        prefix_edges=(("x", "y", "link"), ("x", "y", "link")),
+        prefix_edges=prefix_edges,
         window_edges=LADDER.window_edges,
         splice_edges=LADDER.splice_edges,
         ends=LADDER.ends,
     )
-    for fixed, other in (({0}, 1), ({1}, 0)):
-        ok, wit = hat_check(g, glue_all(g), UPEdgeSet(0, frozenset(fixed)), (1, 1))
-        assert ok and wit["raw"].prefix_present == {other}
-    assert hat_check(g, glue_all(g), UPEdgeSet(0, frozenset({0, 1})), (1, 1)) == (False, None)
+
+
+def test_parallel_prefix_copy_avoids_a_fixed_edge():
+    # a prefix-only piece joined by two parallel copies: a base spans the
+    # piece with one copy, and a fixed copy closes a 2-cycle with it
+    g = beside_the_ladder(("x", "y"), (("x", "y", "link"), ("x", "y", "link")))
+    for fixed in ({0}, {1}, {0, 1}):
+        assert hat_check(g, glue_all(g), UPEdgeSet(0, frozenset(fixed)), (1, 1)) == (False, None)
+    ok, wit = hat_check(g, glue_all(g), UPEdgeSet(), (1, 1))
+    assert ok and wit["raw"].prefix_present == {0}
+
+
+def test_a_fixed_edge_of_a_prefix_triangle_does_not_fit():
+    # the other two triangle edges span x, y, z, and with the fixed edge
+    # they close the triangle, a finite cycle
+    g = beside_the_ladder(
+        ("x", "y", "z"), (("x", "y", "link"), ("y", "z", "link"), ("x", "z", "link"))
+    )
+    assert hat_check(g, glue_all(g), UPEdgeSet(0, frozenset({0})), (1, 1)) == (False, None)
+    ok, wit = hat_check(g, glue_all(g), UPEdgeSet(), (1, 1))
+    assert ok and wit["raw"].prefix_present == {0, 1}
 
 
 # ---------------------------------------------------------------------------

@@ -557,11 +557,10 @@ def ref_hat_check(
     chosen = []
     for spec, maps in split_components(g):
         if spec is None:
-            # a forest avoiding s exists iff dropping s's edges keeps the
-            # piece connected, i.e. its spanning forests keep their size
-            ids = _prefix_forest(g, [i for i in maps["pre"] if i not in s.prefix_present])
-            if len(ids) != len(_prefix_forest(g, maps["pre"])):
+            # the base spans the piece, so an edge of s in it closes a cycle
+            if any(i in s.prefix_present for i in maps["pre"]):
                 return False, None
+            ids = _prefix_forest(g, maps["pre"])
             chosen.append(UPEdgeSet(0, frozenset(ids), frozenset(), frozenset()))
             continue
         local_glue = _project_glue(glue, spec.ends)
