@@ -1,6 +1,7 @@
 """Linear algebra kernels and matrix matroids, checked against brute force."""
 
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -468,7 +469,8 @@ def oracle_cases(draw):
             return ref([rep.columns[j] for j in range(m) if mask >> j & 1])
 
         sys_ = linear_matroid(rep)
-    return sys_, OracleMatroid(sys_.ground, ref_rank, label="reference")
+    # the reference is pure, so each mask is ranked once per case
+    return sys_, OracleMatroid(sys_.ground, functools.cache(ref_rank), label="reference")
 
 
 @settings(max_examples=300, deadline=None)
