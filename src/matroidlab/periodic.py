@@ -547,7 +547,8 @@ def _strip_width(lane_list: tuple, win_present: tuple, spl_present: tuple) -> in
     ResourceLimitError instead.
     """
     n = len(lane_list)
-    k = 2 ** (n - len(spanning_forest(win_present))) + n + 1
+    m = n - len(spanning_forest(win_present))
+    k = 2**m + n + 1
     if k * n > MAX_STRIP:
         raise ResourceLimitError(
             f"corridor width strip of {k} windows of {n} lanes; strips are "
