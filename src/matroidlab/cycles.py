@@ -420,8 +420,7 @@ def _components(g, glue):
     gluing None and maps for its prefix edges alone.
     """
     for spec, maps in split_components(g):
-        kinds = ("pre",) if spec is None else ("pre", "win", "spl", "apx")
-        up = {kind: dict(enumerate(maps[kind])) for kind in kinds}
+        up = {kind: dict(enumerate(ids)) for kind, ids in maps.items()}
         down = {kind: {j: i for i, j in m.items()} for kind, m in up.items()}
         local = None if spec is None else _project_glue(glue, spec.ends)
         yield spec, local, up, down

@@ -9,8 +9,10 @@ repeat vertices (one copy per window w = 0, 1, 2, ...).  Four edge kinds:
 * apex edges: from a prefix vertex to a lane, repeated at every window.
 
 Edge instances are addressed as ("pre", i), ("win", j, w), ("spl", j, w)
-(the copy joining w to w+1), ("apx", j, w).  An UPEdgeSet picks instances
-explicitly over the first p windows and by a per-window pattern afterwards.
+(the copy joining w to w+1), ("apx", j, w).  The slot table (_slot_table) is
+the one place where the ends of the four kinds are defined.  An UPEdgeSet
+picks instances explicitly over the first p windows and by a per-window
+pattern afterwards.
 
 All infinite-graph questions are answered by a window-sweep fixpoint.  The
 state after a window labels the prefix vertices and that window's lanes with
@@ -129,10 +131,7 @@ class PeriodicGraphSpec:
         }
 
     def roles(self) -> set[str]:
-        out = set()
-        for decl in self.prefix_edges + self.window_edges + self.splice_edges + self.apex_edges:
-            out.add(decl[2])
-        return out
+        return {row[-1] for row in _slot_table(self)[0]}
 
     def __hash__(self):
         # specs key the machine and width caches; hash the nested tuples once
@@ -256,16 +255,44 @@ def full_edge_set(g: PeriodicGraphSpec) -> UPEdgeSet:
     return UPEdgeSet(0, frozenset(range(len(g.prefix_edges))), frozenset(), frozenset(pattern))
 
 
+# the ends of a recurring slot's instance as window offsets from the
+# instance's own window; None is a prefix vertex
+_OFFSETS = {"win": (0, 0), "spl": (0, 1), "apx": (None, 0)}
+
+
+@lru_cache(maxsize=512)
+def _slot_table(g: PeriodicGraphSpec) -> tuple:
+    """(rows, heads): every slot of g with its two ends.
+
+    A row (kind, j, a, da, b, db, role) says that each instance of slot j of
+    kind joins end a to end b, where an end x, d is the prefix vertex x when d
+    is None and else lane x at the window d after the instance's own.  A
+    prefix edge has one instance, at window 0, so its ends are prefix
+    vertices or window-0 lanes; a recurring kind's are _OFFSETS[kind], and b,
+    the head, is a lane no earlier than a.  rows lists the prefix edges, then
+    the window, splice and apex slots, each in declaration order; heads
+    groups the recurring rows by db as (db, rows) pairs, db ascending.
+    """
+
+    def end(ref):
+        return (ref, None) if isinstance(ref, str) else (ref[1], 0)
+
+    rows = [("pre", i, *end(u), *end(v), role) for i, (u, v, role) in enumerate(g.prefix_edges)]
+    for kind, decls in (("win", g.window_edges), ("spl", g.splice_edges), ("apx", g.apex_edges)):
+        da, db = _OFFSETS[kind]
+        rows += [(kind, j, u, da, v, db, role) for j, (u, v, role) in enumerate(decls)]
+    groups: dict = {}
+    for row in rows[len(g.prefix_edges):]:
+        groups.setdefault(row[5], []).append(row)
+    return tuple(rows), tuple((h, tuple(groups[h])) for h in sorted(groups))
+
+
 def edges_by_role(g: PeriodicGraphSpec, roles) -> UPEdgeSet:
     """The edge set holding every instance whose declaration has one of the roles."""
     roles = {roles} if isinstance(roles, str) else set(roles)
-    pre = frozenset(i for i, (_, _, r) in enumerate(g.prefix_edges) if r in roles)
-    pattern = set()
-    for kind, decls in (("win", g.window_edges), ("spl", g.splice_edges), ("apx", g.apex_edges)):
-        for j, (_, _, r) in enumerate(decls):
-            if r in roles:
-                pattern.add((kind, j))
-    return UPEdgeSet(0, pre, frozenset(), frozenset(pattern))
+    picked = [(kind, j) for kind, j, *_, role in _slot_table(g)[0] if role in roles]
+    pre = frozenset(j for kind, j in picked if kind == "pre")
+    return UPEdgeSet(0, pre, frozenset(), frozenset(slot for slot in picked if slot[0] != "pre"))
 
 
 def _repeat_part(s: UPEdgeSet) -> UPEdgeSet:
@@ -297,49 +324,46 @@ class _CompiledSweep:
     """The window step of one spec, compiled once and memoized across sweeps.
 
     Tokens are the prefix vertices, then the previous window's lanes, then
-    the current window's.  A window mask has one bit per edge slot present in
-    the window, in sweep order: prefix edges by index (window 0 only), then
-    splices from the previous window, window edges and apex edges.  joins
-    lists (bit, a, b, slot) per slot in that order; a current lane is a
-    negative index, counted from the end of the class list, because window 0
-    has no previous lanes.  slot (kind, j, lag) names instance (kind, j,
-    w - lag) at window w, or (kind, j) when lag is None.
+    the current window's.  An instance is joined at the window of its head
+    (_slot_table), so each window joins its prefix edges (window 0 only),
+    then the slots whose instances reach it from the window before, then its
+    own.  A window mask has one bit per edge slot present in the window, in
+    that order, and joins lists (bit, a, b, slot) per slot in it; a current
+    lane is a negative index, counted from the end of the class list,
+    because window 0 has no previous lanes.  slot (kind, j, lag) names
+    instance (kind, j, w - lag) at window w, or (kind, j) when lag is None.
     """
 
     def __init__(self, g: PeriodicGraphSpec):
         lane = {name: i for i, name in enumerate(g.repeat_vertices)}
         pers = {name: i for i, name in enumerate(g.prefix_vertices)}
-        self.n_pers = len(pers)
+        self.n_pers = n_pers = len(pers)
         self.n_lanes = n = len(lane)
         self.tokens = [("P", name) for name in pers] + [("R", name) for name in lane]
-
-        def cur(name):
-            return lane[name] - n
-
-        def pre_ref(ref):
-            return pers[ref] if isinstance(ref, str) else cur(ref[1])
-
-        kinds = (
-            ("pre", None, [(pre_ref(u), pre_ref(v)) for u, v, _ in g.prefix_edges]),
-            ("spl", 1, [(self.n_pers + lane[u], cur(v)) for u, v, _ in g.splice_edges]),
-            ("win", 0, [(cur(u), cur(v)) for u, v, _ in g.window_edges]),
-            ("apx", 0, [(pers[a], cur(v)) for a, v, _ in g.apex_edges]),
-        )
-        joins = [(a, b, (kind, j, lag)) for kind, lag, ends in kinds for j, (a, b) in enumerate(ends)]
-        self.joins = [(1 << k, a, b, slot) for k, (a, b, slot) in enumerate(joins)]
+        rows, heads = _slot_table(g)
+        order = rows[: len(g.prefix_edges)] + tuple(row for _, group in reversed(heads) for row in group)
+        self.joins = []
+        self.lag = {}
+        for k, (kind, j, a, da, b, db, _) in enumerate(order):
+            head = db or 0  # the window offset the instance is joined at
+            ta = pers[a] if da is None else lane[a] - n if da == head else n_pers + lane[a]
+            tb = pers[b] if db is None else lane[b] - n if db == head else n_pers + lane[b]
+            lag = self.lag[kind, j] = None if kind == "pre" else head
+            self.joins.append((1 << k, ta, tb, (kind, j, lag)))
         self.bit = {slot[:2]: bit for bit, _, _, slot in self.joins}
-        self.splices = sum(self.bit["spl", j] for j in range(len(g.splice_edges)))
+        # slots whose instances are joined a window later than their own
+        self.late = sum(self.bit[slot] for slot, lag in self.lag.items() if lag)
         self.steps: dict = {}  # (mask, state) -> step(mask, state)
 
     def masks(self, s: UPEdgeSet) -> list:
-        """The mask of each window 0..s.p, then the pattern's; a window's
-        splices come from the window before it."""
+        """The mask of each window 0..s.p, then the pattern's; an instance
+        counts in the window it is joined at."""
         masks = [0] * (s.p + 2)
         masks[0] = sum(self.bit["pre", i] for i in s.prefix_present)
         for kind, j, w in s.explicit:
-            masks[w + 1 if kind == "spl" else w] |= self.bit[kind, j]
+            masks[w + self.lag[kind, j]] |= self.bit[kind, j]
         masks[-1] = sum(self.bit[slot] for slot in s.pattern)
-        masks[s.p] |= masks[-1] & ~self.splices
+        masks[s.p] |= masks[-1] & ~self.late
         return masks
 
     def step(self, mask: int, state: tuple) -> tuple:
@@ -510,17 +534,16 @@ def corridor_width(g: PeriodicGraphSpec, lanes: frozenset, s: UPEdgeSet | None =
     the window and splice pairs of s.pattern with both ends inside them.
     """
     pattern = full_edge_set(g).pattern if s is None else s.pattern
-    win_present = tuple(
-        (u, v)
-        for j, (u, v, _) in enumerate(g.window_edges)
-        if ("win", j) in pattern and u in lanes and v in lanes
+    present = [
+        (a, b, db - da)
+        for kind, j, a, da, b, db, _ in _slot_table(g)[0]
+        if a in lanes and b in lanes and (kind, j) in pattern
+    ]
+    return _strip_width(
+        tuple(sorted(lanes)),
+        tuple((a, b) for a, b, step in present if not step),
+        tuple((a, b) for a, b, step in present if step),
     )
-    spl_present = tuple(
-        (u, v)
-        for j, (u, v, _) in enumerate(g.splice_edges)
-        if ("spl", j) in pattern and u in lanes and v in lanes
-    )
-    return _strip_width(tuple(sorted(lanes)), win_present, spl_present)
 
 
 @lru_cache(maxsize=4096)
@@ -660,27 +683,18 @@ def truncate_graph(g: PeriodicGraphSpec, s: UPEdgeSet, depth: int) -> tuple[list
     validate_edge_set(g, s)
     nodes = [("p", name) for name in g.prefix_vertices]
     nodes += [(lane, w) for w in range(depth) for lane in g.repeat_vertices]
-
-    def node_of(ref):
-        if isinstance(ref, str):
-            return ("p", ref)
-        return (ref[1], 0)
-
-    edges = []
-    for i in sorted(s.prefix_present):
-        u, v, _ = g.prefix_edges[i]
-        edges.append((node_of(u), node_of(v), ("pre", i)))
-    for w in range(depth):
-        for j, (u, v, _) in enumerate(g.window_edges):
-            if s.has("win", j, w):
-                edges.append(((u, w), (v, w), ("win", j, w)))
-        for j, (a, v, _) in enumerate(g.apex_edges):
-            if s.has("apx", j, w):
-                edges.append((("p", a), (v, w), ("apx", j, w)))
-    for w in range(depth - 1):
-        for j, (u, v, _) in enumerate(g.splice_edges):
-            if s.has("spl", j, w):
-                edges.append(((u, w), (v, w + 1), ("spl", j, w)))
+    rows, heads = _slot_table(g)
+    edges = [
+        (("p", a) if da is None else (a, da), ("p", b) if db is None else (b, db), ("pre", i))
+        for _, i, a, da, b, db, _ in rows[: len(g.prefix_edges)]
+        if i in s.prefix_present
+    ]
+    for h, group in heads:
+        for w in range(depth - h):
+            for kind, j, a, da, b, db, _ in group:
+                if s.has(kind, j, w):
+                    a_node = ("p", a) if da is None else (a, w + da)
+                    edges.append((a_node, ("p", b) if db is None else (b, w + db), (kind, j, w)))
     return nodes, edges
 
 
@@ -821,41 +835,28 @@ def _unrolled(g: PeriodicGraphSpec, k: int) -> tuple[PeriodicGraphSpec, dict]:
     if k == 0:
         return g, {}
 
-    def pv(lane, w):
-        return f"{lane}@{w}"
-
-    new_prefix_vertices = g.prefix_vertices + tuple(
-        pv(lane, w) for w in range(k) for lane in g.repeat_vertices
+    rows, heads = _slot_table(g)
+    n_pre = len(g.prefix_edges)
+    # (window, row) per prefix edge, then per instance of windows 0..k-1
+    placed = [(0, row) for row in rows[:n_pre]]
+    placed += [(w, row) for w in range(k) for _, group in heads for row in group]
+    # an end in an absorbed window becomes the prefix vertex lane@w, and one
+    # in window k the window-0 lane of the result
+    new_prefix_edges = tuple(
+        tuple(
+            x if d is None else f"{x}@{w + d}" if w + d < k else ("r", x)
+            for x, d in ((a, da), (b, db))
+        ) + (role,)
+        for w, (_, _, a, da, b, db, role) in placed
     )
-
-    def shift_ref(ref, w):
-        # a repeat endpoint at absorbed window w becomes a prefix vertex
-        if w < k:
-            return pv(ref, w)
-        return ("r", ref)
-
-    new_prefix_edges = []
-    for u, v, role in g.prefix_edges:
-        nu = u if isinstance(u, str) else shift_ref(u[1], 0)
-        nv = v if isinstance(v, str) else shift_ref(v[1], 0)
-        new_prefix_edges.append((nu, nv, role))
-    absorbed = {}
-
-    def absorb(inst, edge):
-        absorbed[inst] = len(new_prefix_edges)
-        new_prefix_edges.append(edge)
-
-    for w in range(k):
-        for j, (u, v, role) in enumerate(g.window_edges):
-            absorb(("win", j, w), (shift_ref(u, w), shift_ref(v, w), role))
-        for j, (a, v, role) in enumerate(g.apex_edges):
-            absorb(("apx", j, w), (a, shift_ref(v, w), role))
-        for j, (u, v, role) in enumerate(g.splice_edges):
-            absorb(("spl", j, w), (shift_ref(u, w), shift_ref(v, w + 1), role))
+    absorbed = {(row[0], row[1], w): i for i, (w, row) in enumerate(placed) if i >= n_pre}
+    new_prefix_vertices = g.prefix_vertices + tuple(
+        f"{lane}@{w}" for w in range(k) for lane in g.repeat_vertices
+    )
     rolled = PeriodicGraphSpec(
         prefix_vertices=new_prefix_vertices,
         repeat_vertices=g.repeat_vertices,
-        prefix_edges=tuple(new_prefix_edges),
+        prefix_edges=new_prefix_edges,
         window_edges=g.window_edges,
         splice_edges=g.splice_edges,
         apex_edges=g.apex_edges,
@@ -885,13 +886,10 @@ def split_components(g: PeriodicGraphSpec):
     without repeat vertices is (None, maps) with its prefix edges alone.
     """
     nodes = list(g.prefix_vertices) + list(g.repeat_vertices)
+    rows = _slot_table(g)[0]
     uf = UnionFind()
-
-    def name_of(ref):
-        return ref if isinstance(ref, str) else ref[1]
-
-    for u, v, _ in g.prefix_edges + g.window_edges + g.splice_edges + g.apex_edges:
-        uf.union(name_of(u), name_of(v))
+    for _, _, a, _, b, _, _ in rows:
+        uf.union(a, b)
     groups: dict = {}
     for n in nodes:
         groups.setdefault(uf.find(n), []).append(n)
@@ -900,28 +898,24 @@ def split_components(g: PeriodicGraphSpec):
     for root in sorted(groups, key=lambda r: sorted(groups[r])[0]):
         names = set(groups[root])
         rep = tuple(l for l in g.repeat_vertices if l in names)
-        pre_ids = [
-            i for i, (u, v, _) in enumerate(g.prefix_edges) if name_of(u) in names
-        ]
+        ids: dict = {kind: [] for kind in ("pre", *_OFFSETS)}
+        for row in rows:
+            if row[2] in names:
+                ids[row[0]].append(row[1])
         if not rep:
-            comps.append((None, {"pre": pre_ids}))
+            comps.append((None, {"pre": ids["pre"]}))
             continue
-        win_ids = [j for j, (u, _, _) in enumerate(g.window_edges) if u in names]
-        spl_ids = [j for j, (u, _, _) in enumerate(g.splice_edges) if u in names]
-        apx_ids = [j for j, (a, _, _) in enumerate(g.apex_edges) if a in names]
-        ends = tuple(
-            label for label, lanes in end_map.items() if lanes <= names
-        )
+        ends = tuple(label for label, lanes in end_map.items() if lanes <= names)
         spec = PeriodicGraphSpec(
             prefix_vertices=tuple(p for p in g.prefix_vertices if p in names),
             repeat_vertices=rep,
-            prefix_edges=tuple(g.prefix_edges[i] for i in pre_ids),
-            window_edges=tuple(g.window_edges[j] for j in win_ids),
-            splice_edges=tuple(g.splice_edges[j] for j in spl_ids),
-            apex_edges=tuple(g.apex_edges[j] for j in apx_ids),
+            prefix_edges=tuple(g.prefix_edges[i] for i in ids["pre"]),
+            window_edges=tuple(g.window_edges[j] for j in ids["win"]),
+            splice_edges=tuple(g.splice_edges[j] for j in ids["spl"]),
+            apex_edges=tuple(g.apex_edges[j] for j in ids["apx"]),
             ends=ends,
         )
-        comps.append((spec, {"pre": pre_ids, "win": win_ids, "spl": spl_ids, "apx": apx_ids}))
+        comps.append((spec, ids))
     return comps
 
 
@@ -932,36 +926,32 @@ def reblock(g: PeriodicGraphSpec, q: int) -> PeriodicGraphSpec:
     if q == 1:
         return g
 
-    def lane(name, r):
-        return f"{name}%{r}"
-
-    rep = tuple(lane(n, r) for r in range(q) for n in g.repeat_vertices)
-    win = []
-    for r in range(q):
-        for u, v, role in g.window_edges:
-            win.append((lane(u, r), lane(v, r), role))
-    for r in range(q - 1):
-        for u, v, role in g.splice_edges:
-            win.append((lane(u, r), lane(v, r + 1), role))
-    spl = tuple((lane(u, q - 1), lane(v, 0), role) for u, v, role in g.splice_edges)
-    apx = tuple(
-        (a, lane(v, r), role) for r in range(q) for a, v, role in g.apex_edges
-    )
-    pre = tuple(
-        (
-            u if isinstance(u, str) else ("r", lane(u[1], 0)),
-            v if isinstance(v, str) else ("r", lane(v[1], 0)),
-            role,
+    rows, heads = _slot_table(g)
+    n_pre = len(g.prefix_edges)
+    # (window r < q of a block, row) per prefix edge, then per slot of each
+    # window of a block
+    placed = [(0, row) for row in rows[:n_pre]]
+    placed += [(r, row) for _, group in heads for r in range(q) for row in group]
+    kind_of = {offsets: kind for kind, offsets in _OFFSETS.items()}
+    out: dict = {kind: [] for kind in ("pre", *_OFFSETS)}
+    for i, (r, (_, _, a, da, b, db, role)) in enumerate(placed):
+        # lane x of window r + d is lane x%((r + d) % q) of the block (r + d) // q
+        # after the instance's own
+        (a, da), (b, db) = (
+            (x, d) if d is None else (f"{x}%{(r + d) % q}", (r + d) // q)
+            for x, d in ((a, da), (b, db))
         )
-        for u, v, role in g.prefix_edges
-    )
+        if i < n_pre:
+            out["pre"].append((a if da is None else ("r", a), b if db is None else ("r", b), role))
+        else:
+            out[kind_of[da, db]].append((a, b, role))
     return PeriodicGraphSpec(
         prefix_vertices=g.prefix_vertices,
-        repeat_vertices=rep,
-        prefix_edges=pre,
-        window_edges=tuple(win),
-        splice_edges=spl,
-        apex_edges=apx,
+        repeat_vertices=tuple(f"{n}%{r}" for r in range(q) for n in g.repeat_vertices),
+        prefix_edges=tuple(out["pre"]),
+        window_edges=tuple(out["win"]),
+        splice_edges=tuple(out["spl"]),
+        apex_edges=tuple(out["apx"]),
         ends=g.ends,
     )
 
