@@ -36,7 +36,8 @@ from .periodic import (
 
 
 def _in_range(index, bound) -> bool:
-    return isinstance(index, int) and 0 <= index < bound
+    # JSON true loads as a bool, which is an int subclass but no index
+    return type(index) is int and 0 <= index < bound
 
 
 def _collect_finite(g: PeriodicGraphSpec, instances) -> UPEdgeSet:
@@ -59,7 +60,7 @@ def _collect_finite(g: PeriodicGraphSpec, instances) -> UPEdgeSet:
         kind, j, w = inst
         if kind not in ("win", "spl", "apx") or not _in_range(j, g.slot_counts()[kind]):
             raise InputError(f"no such edge slot: {inst!r}")
-        if not isinstance(w, int) or w < 0:
+        if type(w) is not int or w < 0:
             raise InputError(f"window index must be a natural number: {inst!r}")
         if w > MAX_WINDOW:
             # an edit at window w unrolls w + 1 windows into the prefix

@@ -46,7 +46,10 @@ def _require(obj, key, context):
 
 
 def _number(value, what, field=None):
-    """value as a Fraction when field is Q, else as an int."""
+    """value as a Fraction when field is Q, else as an int; a boolean or a
+    number with a fractional part is not an int."""
+    if field != Q and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"{what} must be an integer: {value!r}")
     try:
         return Fraction(str(value)) if field == Q else int(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
@@ -54,11 +57,14 @@ def _number(value, what, field=None):
 
 
 def _array(value, what) -> list:
-    """value's items as a list; InputError when it is not iterable."""
-    try:
-        return list(value)
-    except TypeError:
-        raise InputError(f"{what} must be an array: {value!r}") from None
+    """value's items as a list; InputError unless it is an array (a string
+    or an object is not one)."""
+    if not isinstance(value, (str, dict)):
+        try:
+            return list(value)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be an array: {value!r}")
 
 
 def _names(value, what) -> tuple:

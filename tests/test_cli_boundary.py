@@ -24,6 +24,13 @@ NO_BASE_FAMILY = {
     "ends": ["e0"],
 }
 
+# one ladder: a rung in every window, two rails
+LADDER_FAMILY = {
+    "repeat": {"vertices": ["t", "b"], "edges": [["t", "b", "rung"]]},
+    "splice": [["t", "t", "top"], ["b", "b", "bottom"]],
+    "ends": ["e"],
+}
+
 CASES = {
     "uniform-rank-not-a-number": (
         {"ground": ["a", "b"], "kind": "uniform", "rank": "q"},
@@ -89,6 +96,72 @@ CASES = {
     "family-splice-not-an-array": (
         {"repeat": {"vertices": ["a"]}, "splice": [5], "ends": ["e"]},
         ["rays", "--family"],
+    ),
+    # a string or an object is iterable but is not an array
+    "ground-is-a-string": (
+        {"ground": "abc", "kind": "uniform", "rank": 1},
+        ["bases", "--system"],
+    ),
+    "ground-is-an-object": (
+        {"ground": {"x": 1, "y": 2}, "kind": "uniform", "rank": 1},
+        ["bases", "--system"],
+    ),
+    "family-repeat-vertices-is-a-string": (
+        {"repeat": {"vertices": "lane"}, "splice": [["l", "l"]], "ends": ["e"]},
+        ["rays", "--family"],
+    ),
+    "family-ends-is-a-string": (
+        {
+            "repeat": {"vertices": ["a", "b", "c", "d"]},
+            "splice": [["a", "a"], ["b", "b"], ["c", "c"], ["d", "d"]],
+            "ends": "wxyz",
+        },
+        ["rays", "--family"],
+    ),
+    # an integer field takes neither a fraction nor a boolean
+    "uniform-rank-is-a-fraction": (
+        {"ground": ["a", "b"], "kind": "uniform", "rank": 1.9},
+        ["bases", "--system"],
+    ),
+    "uniform-rank-is-a-boolean": (
+        {"ground": ["a", "b"], "kind": "uniform", "rank": True},
+        ["bases", "--system"],
+    ),
+    "graphic-vertex-count-is-a-fraction": (
+        {"ground": ["a"], "kind": "graphic", "vertices": 2.9, "edges": [[0, 1]]},
+        ["bases", "--system"],
+    ),
+    "graphic-endpoint-is-a-fraction": (
+        {"ground": ["a"], "kind": "graphic", "vertices": 2, "edges": [[0, 1.7]]},
+        ["bases", "--system"],
+    ),
+    "gluing-psi-is-a-fraction": (
+        {"groups": [["end0"]], "psi": [0.5]},
+        ["spectrum", "--prefix", "0", "--family", "ladder:1", "--glue"],
+    ),
+    "block-row-offset-is-a-fraction": (
+        {
+            "field": "q",
+            "persistent_rows": ["a"],
+            "block_rows": ["x"],
+            "block_cols": [[[["p", "a"], 1], [["b", "x", 0.5], 1]]],
+        },
+        ["thin", "--matrix-family"],
+    ),
+    "edit-slot-is-a-boolean": (
+        {"base": LADDER_FAMILY, "delete": [["spl", True, 0]]},
+        ["scan", "--prefix", "0"],
+    ),
+    "edit-window-is-a-boolean": (
+        {"base": LADDER_FAMILY, "delete": [["win", 0, True]]},
+        ["scan", "--prefix", "0"],
+    ),
+    "edit-prefix-index-is-a-boolean": (
+        {
+            "base": {**LADDER_FAMILY, "prefix": {"vertices": ["p"], "edges": [["p", ["r", "t"]]] * 2}},
+            "delete": [["pre", True]],
+        },
+        ["scan", "--prefix", "0"],
     ),
 }
 
