@@ -128,6 +128,56 @@ def gluings(draw, g):
     return GluingSpec(groups, psi)
 
 
+def endpoint_multiset(edges, node=lambda n: n):
+    """Counter of unordered end pairs, each end renamed through node."""
+    return Counter(tuple(sorted((node(a), node(b)), key=repr)) for a, b, *_ in edges)
+
+
+def declared_ends(g, depth):
+    """The edges of g over windows 0..depth-1, read off its declarations alone."""
+    def ref(r):
+        return ("p", r) if isinstance(r, str) else (r[1], 0)
+
+    edges = [(ref(u), ref(v)) for u, v, _ in g.prefix_edges]
+    for w in range(depth):
+        edges += [((u, w), (v, w)) for u, v, _ in g.window_edges]
+        edges += [(("p", a), (v, w)) for a, v, _ in g.apex_edges]
+    edges += [((u, w), (v, w + 1)) for w in range(depth - 1) for u, v, _ in g.splice_edges]
+    return endpoint_multiset(edges)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(specs())
+def test_unroll_and_reblock_describe_the_same_graph(g):
+    def ends(spec, depth, node=lambda n: n):
+        return endpoint_multiset(truncate_graph(spec, full_edge_set(spec), depth)[1], node)
+
+    def unrolled_node(k):
+        # lane@w is lane at window w; window W of the result is window W + k
+        def node(n):
+            if n[0] == "p":
+                lane, _, w = n[1].rpartition("@")
+                return (lane, int(w)) if lane else n
+            return (n[0], n[1] + k)
+        return node
+
+    def reblocked_node(q):
+        # lane%r at window W is lane at window W*q + r
+        def node(n):
+            if n[0] == "p":
+                return n
+            lane, _, r = n[0].rpartition("%")
+            return (lane, n[1] * q + int(r))
+        return node
+
+    for d in (1, 2):
+        for k in (1, 2):
+            assert ends(g, d + k) == declared_ends(g, d + k)
+            assert ends(periodic.unroll(g, k), d, unrolled_node(k)) == ends(g, d + k)
+        for q in (2, 3):
+            assert ends(periodic.reblock(g, q), d, reblocked_node(q)) == ends(g, d * q)
+
+
 # ---------------------------------------------------------------------------
 # the reference
 
