@@ -146,36 +146,36 @@ def declared_ends(g, depth):
     return endpoint_multiset(edges)
 
 
+def unrolled_node(n, k):
+    """A node of a truncation of unroll(g, k) as a node of g: the prefix
+    vertex lane@w is lane at window w, and window W is window W + k."""
+    if n[0] != "p":
+        return (n[0], n[1] + k)
+    lane, _, w = n[1].rpartition("@")
+    return (lane, int(w)) if lane else n
+
+
+def reblocked_node(n, q):
+    """A node of a truncation of reblock(g, q) as a node of g: lane%r at
+    window W is lane at window W*q + r."""
+    if n[0] == "p":
+        return n
+    lane, _, r = n[0].rpartition("%")
+    return (lane, n[1] * q + int(r))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(specs())
 def test_unroll_and_reblock_describe_the_same_graph(g):
     def ends(spec, depth, node=lambda n: n):
         return endpoint_multiset(truncate_graph(spec, full_edge_set(spec), depth)[1], node)
 
-    def unrolled_node(k):
-        # lane@w is lane at window w; window W of the result is window W + k
-        def node(n):
-            if n[0] == "p":
-                lane, _, w = n[1].rpartition("@")
-                return (lane, int(w)) if lane else n
-            return (n[0], n[1] + k)
-        return node
-
-    def reblocked_node(q):
-        # lane%r at window W is lane at window W*q + r
-        def node(n):
-            if n[0] == "p":
-                return n
-            lane, _, r = n[0].rpartition("%")
-            return (lane, n[1] * q + int(r))
-        return node
-
     for d in (1, 2):
         for k in (1, 2):
             assert ends(g, d + k) == declared_ends(g, d + k)
-            assert ends(periodic.unroll(g, k), d, unrolled_node(k)) == ends(g, d + k)
+            assert ends(periodic.unroll(g, k), d, lambda n: unrolled_node(n, k)) == ends(g, d + k)
         for q in (2, 3):
-            assert ends(periodic.reblock(g, q), d, reblocked_node(q)) == ends(g, d * q)
+            assert ends(periodic.reblock(g, q), d, lambda n: reblocked_node(n, q)) == ends(g, d * q)
 
 
 # ---------------------------------------------------------------------------
