@@ -348,11 +348,11 @@ class _CompiledSweep:
             head = db or 0  # the window offset the instance is joined at
             ta = pers[a] if da is None else lane[a] - n if da == head else n_pers + lane[a]
             tb = pers[b] if db is None else lane[b] - n if db == head else n_pers + lane[b]
-            lag = self.lag[kind, j] = None if kind == "pre" else head
+            lag = self.lag[kind] = None if kind == "pre" else head
             self.joins.append((1 << k, ta, tb, (kind, j, lag)))
         self.bit = {slot[:2]: bit for bit, _, _, slot in self.joins}
         # slots whose instances are joined a window later than their own
-        self.late = sum(self.bit[slot] for slot, lag in self.lag.items() if lag)
+        self.late = sum(bit for bit, _, _, (_, _, lag) in self.joins if lag)
         self.steps: dict = {}  # (mask, state) -> step(mask, state)
 
     def masks(self, s: UPEdgeSet) -> list:
@@ -361,7 +361,7 @@ class _CompiledSweep:
         masks = [0] * (s.p + 2)
         masks[0] = sum(self.bit["pre", i] for i in s.prefix_present)
         for kind, j, w in s.explicit:
-            masks[w + self.lag[kind, j]] |= self.bit[kind, j]
+            masks[w + self.lag[kind]] |= self.bit[kind, j]
         masks[-1] = sum(self.bit[slot] for slot in s.pattern)
         masks[s.p] |= masks[-1] & ~self.late
         return masks
@@ -534,16 +534,11 @@ def corridor_width(g: PeriodicGraphSpec, lanes: frozenset, s: UPEdgeSet | None =
     the window and splice pairs of s.pattern with both ends inside them.
     """
     pattern = full_edge_set(g).pattern if s is None else s.pattern
-    present = [
-        (a, b, db - da)
-        for kind, j, a, da, b, db, _ in _slot_table(g)[0]
-        if a in lanes and b in lanes and (kind, j) in pattern
-    ]
-    return _strip_width(
-        tuple(sorted(lanes)),
-        tuple((a, b) for a, b, step in present if not step),
-        tuple((a, b) for a, b, step in present if step),
-    )
+    win, spl = [], []  # pairs within a window, and from one window to the next
+    for kind, j, a, da, b, db, _ in _slot_table(g)[0]:
+        if a in lanes and b in lanes and (kind, j) in pattern:
+            (spl if db - da else win).append((a, b))
+    return _strip_width(tuple(sorted(lanes)), tuple(win), tuple(spl))
 
 
 @lru_cache(maxsize=4096)
