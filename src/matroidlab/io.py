@@ -59,11 +59,8 @@ def _number(value, what, field=None):
 def _array(value, what) -> list:
     """value's items as a list; InputError unless it is an array (a string
     or an object is not one)."""
-    if not isinstance(value, (str, dict)):
-        try:
-            return list(value)
-        except TypeError:
-            pass
+    if isinstance(value, (list, tuple)):
+        return list(value)
     raise InputError(f"{what} must be an array: {value!r}")
 
 
@@ -84,6 +81,8 @@ def load_system(obj):
     if kind == "explicit":
         sets = _require(obj, "independent", "explicit system")
         try:
+            if any(isinstance(e, bool) for s in sets for e in s):
+                raise TypeError  # JSON true is an int subclass, but no index
             masks = [ground.mask(s) for s in sets]
         except TypeError:
             raise InputError("independent sets must be arrays of element indices") from None

@@ -123,6 +123,10 @@ CASES = {
         {"ground": ["a", "b"], "kind": "uniform", "rank": 1.9},
         ["bases", "--system"],
     ),
+    "explicit-element-is-a-boolean": (
+        {"ground": ["a", "b"], "kind": "explicit", "independent": [[], [0], [True], [0, True]]},
+        ["bases", "--system"],
+    ),
     "uniform-rank-is-a-boolean": (
         {"ground": ["a", "b"], "kind": "uniform", "rank": True},
         ["bases", "--system"],
