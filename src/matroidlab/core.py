@@ -16,13 +16,13 @@ and truncations, carry a grow pair that takes each step incrementally; so do
 their duals, when the primal has at most half the ground's rank.  Any other
 oracle (from_explicit and its wrappers, high-rank duals) takes the step with a
 rank call.  The axiom screens, base and circuit enumeration all read that
-family, and each fact about a family has one helper: _maximal for maximal
-members, _explicit_rank for an explicit family's rank, util.down_closure for
-all subsets of given sets, and for the I and F screens one addable table
-(addable[A]: the e outside A with A + e a member) and one search for a pair
-A, B with no element of B extending A (_first_unextended).  On a closed
-family F3 needs only the B one larger than A: a failing B has failing subsets
-of that size, and those come first in size order.
+family, and each fact about a family has one helper: _family_table for its
+one-element extensions and closure failures (bases, the I and F screens and
+ops.union read it), _maximal for the maximal members of one not closed,
+_explicit_rank for an explicit family's rank, util.down_closure for all
+subsets of given sets, and _first_unextended for a pair A, B with no element
+of B extending A.  On a closed family F3 needs only the B one larger than A:
+a failing B has failing subsets of that size, and those come first.
 
 Operations that sweep the full powerset are capped at SWEEP_CAP elements;
 encodings themselves are capped at ENUM_CAP.  Both caps can be overridden per
@@ -195,7 +195,7 @@ def explicit_system(ground: GroundSet, subsets, check: bool = True) -> ExplicitS
     if check:
         if 0 not in masks:
             raise InputError("family does not contain the empty set")
-        if not _downward_closed(masks):
+        if _family_table(masks)[1]:
             raise InputError("family is not downward closed")
     return sys_
 
@@ -345,49 +345,53 @@ def rank_of(sys_: System, subset=None) -> int:
     return _explicit_rank(sys_.independents, mask)
 
 
-def _missing_subset(s: int, fam_set) -> int | None:
-    """s less its lowest element whose removal leaves fam_set, None if none does."""
-    rest = s
-    while rest:
-        low = rest & -rest
-        if s ^ low not in fam_set:
-            return s ^ low
-        rest ^= low
-    return None
+def _family_table(fam) -> tuple[dict[int, int], dict[int, int]]:
+    """(addable, missing) for the members fam, from one visit to each member
+    and element of it, elements ascending: addable[A] is the mask of the e
+    outside A with A + e a member; missing[A] is A less its lowest element
+    whose removal leaves the family, for the members that have one, so none
+    when the family is closed."""
+    addable = dict.fromkeys(fam, 0)
+    missing: dict[int, int] = {}
+    for e in range(max(addable, default=0).bit_length()):
+        bit = 1 << e
+        for s in addable:
+            if s & bit:
+                try:
+                    addable[s ^ bit] |= bit
+                except KeyError:
+                    missing.setdefault(s, s ^ bit)
+    return addable, missing
 
 
-def _downward_closed(fam_set) -> bool:
-    """Does every member of the set of masks keep all its one-smaller subsets?"""
-    return all(_missing_subset(s, fam_set) is None for s in fam_set)
-
-
-def _maximal(fam: list[int], fam_set, closed: bool) -> list[int]:
-    """Inclusion-maximal members of the ascending family fam, ascending.
-
-    When the caller knows fam is downward closed, a member is maximal when no
-    one-bit extension is in fam_set, and the probe stops at the first found.
-    Otherwise the exact quadratic test runs: such families are hand-built
-    counterexamples, and small."""
-    if closed:
-        width = max(fam).bit_length() if fam else 0
-        return [
-            s
-            for s in fam
-            if not any(not s & (1 << e) and (s | (1 << e)) in fam_set for e in range(width))
-        ]
+def _maximal(fam: list[int]) -> list[int]:
+    """Inclusion-maximal members of the ascending family fam, ascending, by
+    the quadratic test, for families not closed: hand-built and small."""
     return [s for s in fam if not any(t != s and t & s == s for t in fam)]
+
+
+def _table_bases(fam: list[int], addable: dict, missing: dict) -> list[int]:
+    """Maximal members of the ascending family fam, given its _family_table.
+
+    In a closed family they are the members nothing extends: for a member S
+    inside a larger member T and any e in T - S, S + e lies inside T, so it is
+    a member by closure.  Otherwise the quadratic test runs."""
+    return _maximal(fam) if missing else [s for s in fam if not addable[s]]
 
 
 def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
     """Maximal independent sets, ascending masks.
 
-    A grown family is a matroid's, so closed.  Any other may not be, not even
+    A grown oracle is a matroid, whose maximal independent sets all have the
+    rank's size: each extends to a largest one by augmentation.  So its bases
+    are its largest swept sets.  Any other family may not be closed, not even
     a rank sweep's: from_explicit of {}, {0}, {2}, {1,2}, {0,1,2} sweeps to
-    {0} and {0,1,2} without {0,1}; so its closure is tested."""
+    {0} and {0,1,2} without {0,1}; its bases come from _table_bases."""
     fam = family_masks(sys_, cap)
-    fam_set = set(fam)
-    grown = isinstance(sys_, OracleMatroid) and sys_.grow is not None
-    return _maximal(fam, fam_set, grown or _downward_closed(fam_set))
+    if isinstance(sys_, OracleMatroid) and sys_.grow is not None:
+        top = max((s.bit_count() for s in fam), default=0)
+        return [s for s in fam if s.bit_count() == top]
+    return _table_bases(fam, *_family_table(fam))
 
 
 def enumerate_circuits(sys_: System, cap: int | None = None) -> list[int]:
@@ -402,7 +406,7 @@ def enumerate_circuits(sys_: System, cap: int | None = None) -> list[int]:
     fam_set = set(fam)
     full = sys_.ground.full_mask
     candidates = {s | 1 << e for s in fam for e in iter_bits(full ^ s)} - fam_set
-    return sorted(c for c in candidates if _missing_subset(c, fam_set) is None)
+    return sorted(c for c in candidates if all(c ^ 1 << e in fam_set for e in iter_bits(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +463,9 @@ def _by_card(masks):
 def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> AxiomReport:
     """Check one axiom system (I, B, or F) exhaustively on a finite ground set.
 
-    B reads only the bases.  I and F share the family, its first closure
-    failure and the addable table, addable[A] = the e outside A with A + e in
-    the family; (A, B) breaks augmentation exactly when B & addable[A] == 0.
+    B reads only the bases.  I and F share the family and its _family_table:
+    the closure witness is the least member by size, then mask, in missing,
+    and (A, B) breaks augmentation exactly when B & addable[A] == 0.
     I3 pairs each non-maximal A with the maximal members, F3 each A with the
     larger members; in a closed family only those one larger than A, since a
     failing B has failing subsets of size |A| + 1, all members, and _by_card
@@ -487,22 +491,15 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
         return AxiomReport(system_id, sys_.ground, verdicts, witnesses, notes)
 
     fam = family_masks(sys_, cap)
-    fam_set = set(fam)
+    addable, missing = _family_table(fam)
     by_card = _by_card(fam)
     # the first member by size, then mask, that misses a one-smaller subset
-    missing = ((s, _missing_subset(s, fam_set)) for s in by_card)
-    closure = next(({"set": s, "missing_subset": m} for s, m in missing if m is not None), None)
-    closed = closure is None
-    addable = dict.fromkeys(fam, 0)
-    for t in fam:
-        for e in iter_bits(t):
-            if t ^ 1 << e in addable:
-                addable[t ^ 1 << e] |= 1 << e
-    record(system_id + "1", None if 0 in fam_set else {})
+    first = min(missing, key=lambda s: (s.bit_count(), s), default=None)
+    closure = None if first is None else {"set": first, "missing_subset": missing[first]}
+    record(system_id + "1", None if 0 in addable else {})
     record(system_id + "2", closure)
     if system_id == "I":
-        # in a closed family the maximal members are the sets nothing extends
-        maximal = {s for s in fam if not addable[s]} if closed else set(_maximal(fam, fam_set, False))
+        maximal = set(_table_bases(fam, addable, missing))
         bases = _by_card(maximal)
         non_maximal = [a for a in by_card if a not in maximal]
         record("I3", _first_unextended(non_maximal, lambda a: bases, addable))
@@ -516,7 +513,7 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
 
         def larger(a: int):
             k = a.bit_count()
-            return by_card[bisect_right(cards, k) : bisect_right(cards, k + 1) if closed else None]
+            return by_card[bisect_right(cards, k) : None if missing else bisect_right(cards, k + 1)]
 
         record("F3", _first_unextended(by_card, larger, addable))
         # on a finite ground every subset is finite and contains itself, so the

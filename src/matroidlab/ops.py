@@ -19,9 +19,10 @@ from .core import (
     OracleMatroid,
     System,
     _check_sweep,
-    _downward_closed,
     _expand,
+    _family_table,
     _maximal,
+    _table_bases,
     _wrap_grow,
     check_axioms,
     dual,
@@ -38,20 +39,29 @@ from .util import down_closure
 class NestedPair:
     """Two systems on one ground with every inner-independent set outer-independent.
 
-    The nesting check sweeps the inner system under cap."""
+    The inner bases are listed once, under cap, and kept in inner_bases.  A
+    grown outer is a matroid, so downward closed, and every inner-independent
+    set lies in an inner base: the pair nests exactly when every inner base is
+    outer-independent.  If one is not, or the outer is not grown, the inner
+    sets are tested in order and the first outer-dependent one is named."""
 
     inner: System
     outer: System
     cap: InitVar[int | None] = None
+    inner_bases: list[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, cap):
         if self.inner.ground.labels != self.outer.ground.labels:
             raise InputError("nested pair members must share one ground set")
-        for s in family_masks(self.inner, cap):
-            if not self.outer.is_independent(s):
-                raise InputError(
-                    f"nesting violated: inner-independent mask {s:#x} is outer-dependent"
-                )
+        object.__setattr__(self, "inner_bases", enumerate_bases(self.inner, cap))
+        outer = self.outer
+        grown = isinstance(outer, OracleMatroid) and outer.grow is not None
+        if not (grown and all(map(outer.is_independent, self.inner_bases))):
+            for s in family_masks(self.inner, cap):
+                if not outer.is_independent(s):
+                    raise InputError(
+                        f"nesting violated: inner-independent mask {s:#x} is outer-dependent"
+                    )
 
     @property
     def ground(self) -> GroundSet:
@@ -104,11 +114,11 @@ def union(m1: System, m2: System, cap: int | None = None) -> ExplicitSystem:
     map2 = [ground.index(l) for l in m2.ground.labels]
     fam1 = sorted(_expand(s, map1) for s in family_masks(m1, cap))
     fam2 = sorted(_expand(s, map2) for s in family_masks(m2, cap))
-    set1, set2 = set(fam1), set(fam2)
-    if _downward_closed(set1) and _downward_closed(set2):
-        bases2 = _maximal(fam2, set2, True)
-        tops = {b1 | b2 for b1 in _maximal(fam1, set1, True) for b2 in bases2}
-        out = down_closure(_maximal(sorted(tops), tops, False))
+    table1, table2 = _family_table(fam1), _family_table(fam2)
+    if not table1[1] and not table2[1]:
+        bases2 = _table_bases(fam2, *table2)
+        tops = {b1 | b2 for b1 in _table_bases(fam1, *table1) for b2 in bases2}
+        out = down_closure(_maximal(sorted(tops)))
     else:
         out = {s1 | s2 for s1 in fam1 for s2 in fam2}
     return ExplicitSystem(ground, frozenset(out))
@@ -173,18 +183,17 @@ def truncate_top(m: System, k: int, cap: int | None = None) -> System:
 
 
 def _nested_base_pairs(pair: NestedPair, cap: int | None = None):
-    """(inner bases, outer bases, nested pairs): the pairs (B, F) with B inside
-    F are generated B-major, each side's bases enumerated once."""
-    inner_bases = enumerate_bases(pair.inner, cap)
+    """(outer bases, nested pairs): the pairs (B, F) of an inner base B inside
+    an outer base F, generated B-major, the inner bases read off the pair."""
     outer_bases = enumerate_bases(pair.outer, cap)
-    pairs = ((b, f) for b in inner_bases for f in outer_bases if b & ~f == 0)
-    return inner_bases, outer_bases, pairs
+    pairs = ((b, f) for b in pair.inner_bases for f in outer_bases if b & ~f == 0)
+    return outer_bases, pairs
 
 
 def difference(outer: System, inner: System, cap: int | None = None) -> ExplicitSystem:
     """The system of subsets of F - B over nested base pairs B of inner, F of outer."""
     pair = NestedPair(inner, outer, cap)
-    fam = down_closure(f & ~b for b, f in _nested_base_pairs(pair, cap)[2])
+    fam = down_closure(f & ~b for b, f in _nested_base_pairs(pair, cap)[1])
     return ExplicitSystem(pair.ground, fam)
 
 
@@ -207,7 +216,7 @@ def verify_difference_duality(
 
 def spectrum(pair: NestedPair, cap: int | None = None) -> SpectrumReport:
     """All values |F - B| over nested base pairs, one canonical witness each."""
-    inner_bases, outer_bases, pairs = _nested_base_pairs(pair, cap)
+    outer_bases, pairs = _nested_base_pairs(pair, cap)
     raw: dict[int, tuple[int, int]] = {}
     for b, f in pairs:
         raw.setdefault((f & ~b).bit_count(), (b, f))
@@ -219,7 +228,7 @@ def spectrum(pair: NestedPair, cap: int | None = None) -> SpectrumReport:
     return SpectrumReport(
         values=tuple(sorted(raw)),
         witnesses=witnesses,
-        bounds={"inner_bases": len(inner_bases), "outer_bases": len(outer_bases)},
+        bounds={"inner_bases": len(pair.inner_bases), "outer_bases": len(outer_bases)},
         raw=raw,
     )
 
@@ -231,7 +240,7 @@ def smin_enumerate(pair: NestedPair, cap: int | None = None) -> list[int]:
     an inner base disjoint from it.
     """
     full = pair.ground.full_mask
-    candidates = {(full ^ f) | b for b, f in _nested_base_pairs(pair, cap)[2]}
+    candidates = {(full ^ f) | b for b, f in _nested_base_pairs(pair, cap)[1]}
     minimal = [
         s for s in candidates if not any(t != s and t & s == t for t in candidates)
     ]

@@ -1,0 +1,262 @@
+"""Bases, the I and F screens, union and the nesting check against the
+helpers they replaced.
+
+The reference functions below are copies of the code that read a family
+three times: a down-closure test (_downward_closed over _missing_subset),
+then a maximality probe per (member, element) pair (_maximal with closed),
+and a separate closure-witness scan beside the addable loop.  The package
+now reads one table per family (core._family_table) and lists a grown
+oracle's bases by rank; bases, reports and union families must agree
+exactly, on checked and unchecked explicit families, on grown oracles and
+their wrappers, and on from_explicit wraps of them.  The nesting check must
+name the same first failing mask as the per-set scan.
+"""
+
+from bisect import bisect_right
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matroidlab import (
+    GroundSet,
+    InputError,
+    check_axioms,
+    dual,
+    enumerate_bases,
+    explicit_system,
+    family_masks,
+    from_explicit,
+    graphic_matroid,
+    truncate_top,
+    uniform_matroid,
+)
+from matroidlab.core import (
+    AxiomReport,
+    ExplicitSystem,
+    OracleMatroid,
+    _by_card,
+    _expand,
+    _first_unextended,
+)
+from matroidlab.linear import MatrixRep, linear_matroid
+from matroidlab.ops import NestedPair, ch4_inner, ch4_system, spectrum, union
+from matroidlab.util import down_closure, iter_bits
+
+from test_axiom_screens import grown_oracles, raw_families
+
+# ---------------------------------------------------------------------------
+# reference: the three-pass helpers, kept as they were
+
+
+def _missing_subset(s: int, fam_set) -> int | None:
+    """s less its lowest element whose removal leaves fam_set, None if none does."""
+    rest = s
+    while rest:
+        low = rest & -rest
+        if s ^ low not in fam_set:
+            return s ^ low
+        rest ^= low
+    return None
+
+
+def _downward_closed(fam_set) -> bool:
+    """Does every member of the set of masks keep all its one-smaller subsets?"""
+    return all(_missing_subset(s, fam_set) is None for s in fam_set)
+
+
+def _maximal(fam: list[int], fam_set, closed: bool) -> list[int]:
+    """Inclusion-maximal members of the ascending family fam, ascending."""
+    if closed:
+        width = max(fam).bit_length() if fam else 0
+        return [
+            s
+            for s in fam
+            if not any(not s & (1 << e) and (s | (1 << e)) in fam_set for e in range(width))
+        ]
+    return [s for s in fam if not any(t != s and t & s == s for t in fam)]
+
+
+def ref_enumerate_bases(sys_, cap=None):
+    fam = family_masks(sys_, cap)
+    fam_set = set(fam)
+    grown = isinstance(sys_, OracleMatroid) and sys_.grow is not None
+    return _maximal(fam, fam_set, grown or _downward_closed(fam_set))
+
+
+def ref_check_axioms(sys_, system_id, cap=None):
+    """The I and F screens as they were, the closure witness scanned apart."""
+    verdicts, witnesses, notes = {}, {}, {}
+
+    def record(axiom, witness):
+        verdicts[axiom] = "pass" if witness is None else "fail"
+        if witness is not None:
+            witnesses[axiom] = witness
+
+    fam = family_masks(sys_, cap)
+    fam_set = set(fam)
+    by_card = _by_card(fam)
+    missing = ((s, _missing_subset(s, fam_set)) for s in by_card)
+    closure = next(({"set": s, "missing_subset": m} for s, m in missing if m is not None), None)
+    closed = closure is None
+    addable = dict.fromkeys(fam, 0)
+    for t in fam:
+        for e in iter_bits(t):
+            if t ^ 1 << e in addable:
+                addable[t ^ 1 << e] |= 1 << e
+    record(system_id + "1", None if 0 in fam_set else {})
+    record(system_id + "2", closure)
+    if system_id == "I":
+        maximal = {s for s in fam if not addable[s]} if closed else set(_maximal(fam, fam_set, False))
+        bases = _by_card(maximal)
+        non_maximal = [a for a in by_card if a not in maximal]
+        record("I3", _first_unextended(non_maximal, lambda a: bases, addable))
+        verdicts["I4"] = "vacuous-pass"
+    else:
+        cards = [b.bit_count() for b in by_card]
+
+        def larger(a):
+            k = a.bit_count()
+            return by_card[bisect_right(cards, k) : bisect_right(cards, k + 1) if closed else None]
+
+        record("F3", _first_unextended(by_card, larger, addable))
+        record("F4", closure)
+    return AxiomReport(system_id, sys_.ground, verdicts, witnesses, notes)
+
+
+def ref_union(m1, m2, cap=None):
+    seen = set(m1.ground.labels)
+    labels = m1.ground.labels + tuple(l for l in m2.ground.labels if l not in seen)
+    ground = GroundSet(labels)
+    map1 = [ground.index(l) for l in m1.ground.labels]
+    map2 = [ground.index(l) for l in m2.ground.labels]
+    fam1 = sorted(_expand(s, map1) for s in family_masks(m1, cap))
+    fam2 = sorted(_expand(s, map2) for s in family_masks(m2, cap))
+    set1, set2 = set(fam1), set(fam2)
+    if _downward_closed(set1) and _downward_closed(set2):
+        bases2 = _maximal(fam2, set2, True)
+        tops = {b1 | b2 for b1 in _maximal(fam1, set1, True) for b2 in bases2}
+        out = down_closure(_maximal(sorted(tops), tops, False))
+    else:
+        out = {s1 | s2 for s1 in fam1 for s2 in fam2}
+    return ExplicitSystem(ground, frozenset(out))
+
+
+def ref_first_unnested(inner, outer, cap=None):
+    """The first inner-independent mask the outer rejects, by the per-set scan."""
+    return next((s for s in family_masks(inner, cap) if not outer.is_independent(s)), None)
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+@st.composite
+def closed_families(draw):
+    """Checked explicit families: the downward closure of a few random tops."""
+    m = draw(st.integers(0, 6))
+    tops = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4))
+    return explicit_system(GroundSet.of_size(m), down_closure(tops))
+
+
+@st.composite
+def wrapped_oracles(draw):
+    """A grown oracle with its wrappers, then possibly its from_explicit form,
+    which carries no grow pair and so takes the table."""
+    sys_ = draw(grown_oracles())
+    if draw(st.booleans()):
+        sys_ = from_explicit(explicit_system(sys_.ground, family_masks(sys_)))
+    return sys_
+
+
+systems = st.one_of(raw_families(), closed_families(), wrapped_oracles())
+
+
+@st.composite
+def same_ground_members(draw, m):
+    """A system on GroundSet.of_size(m): a matroid, its dual or truncation, or
+    an explicit family, possibly wrapped by from_explicit."""
+    kind = draw(st.sampled_from(("uniform", "graphic", "gf2", "explicit")))
+    if kind == "uniform":
+        sys_ = uniform_matroid(draw(st.integers(0, m)), m)
+    elif kind == "graphic":
+        ends = st.integers(0, 3)
+        sys_ = graphic_matroid(4, draw(st.lists(st.tuples(ends, ends), min_size=m, max_size=m)))
+    elif kind == "gf2":
+        rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m), min_size=1, max_size=3))
+        labels = GroundSet.of_size(m).labels
+        sys_ = linear_matroid(MatrixRep.from_rows("gf2", rows, col_labels=labels))
+    else:
+        tops = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=3))
+        return explicit_system(GroundSet.of_size(m), down_closure(tops))
+    op = draw(st.sampled_from(("none", "dual", "truncate", "from_explicit")))
+    if op == "dual":
+        sys_ = dual(sys_)
+    elif op == "truncate":
+        sys_ = truncate_top(sys_, draw(st.integers(0, sys_.full_rank)))
+    elif op == "from_explicit":
+        sys_ = from_explicit(explicit_system(sys_.ground, family_masks(sys_)))
+    return sys_
+
+
+@st.composite
+def member_pairs(draw):
+    m = draw(st.integers(1, 6))
+    return draw(same_ground_members(m)), draw(same_ground_members(m))
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems)
+def test_bases_and_screens_match_the_three_pass_reference(sys_):
+    assert enumerate_bases(sys_) == ref_enumerate_bases(sys_)
+    for system_id in "IF":
+        got = check_axioms(sys_, system_id)
+        want = ref_check_axioms(sys_, system_id)
+        assert got.verdicts == want.verdicts
+        assert got.witnesses == want.witnesses
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems, systems)
+def test_union_matches_the_three_pass_reference(m1, m2):
+    got, want = union(m1, m2), ref_union(m1, m2)
+    assert got.ground == want.ground
+    assert got.independents == want.independents
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_pairs())
+def test_nesting_check_names_the_first_failing_mask(members):
+    inner, outer = members
+    first = ref_first_unnested(inner, outer)
+    if first is None:
+        pair = NestedPair(inner, outer)
+        assert pair.inner_bases == ref_enumerate_bases(inner)
+    else:
+        with pytest.raises(InputError, match=f"inner-independent mask {first:#x} is"):
+            NestedPair(inner, outer)
+
+
+@pytest.mark.parametrize(
+    "outer",
+    [
+        uniform_matroid(2, 4),
+        from_explicit(explicit_system(GroundSet.of_size(4), family_masks(uniform_matroid(2, 4)))),
+    ],
+    ids=["grown", "from_explicit"],
+)
+def test_nesting_violation_names_the_least_failing_mask(outer):
+    # U(3,4) has 0b0111 as its first set of three; the grown outer finds a
+    # failing base and falls back to the scan, the other scans directly
+    with pytest.raises(InputError, match="inner-independent mask 0x7 is outer-dependent"):
+        NestedPair(uniform_matroid(3, 4), outer)
+
+
+def test_block_pair_keeps_its_inner_bases():
+    pair = ch4_system(4)
+    assert pair.inner_bases == ref_enumerate_bases(ch4_inner(4))
+    assert spectrum(pair).values == (1, 2, 3, 4)
