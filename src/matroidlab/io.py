@@ -312,7 +312,24 @@ def dump_family(g: PeriodicGraphSpec) -> dict:
 
 
 def load_edge_set(obj) -> UPEdgeSet:
-    return UPEdgeSet.from_obj(obj)
+    """The form UPEdgeSet.to_obj writes, each entry [kind, index, ...]."""
+
+    def items(key, sizes):
+        out = []
+        for item in _array(_require(obj, key, "edge set"), key):
+            item = _array(item, key)
+            if not item or not isinstance(item[0], str) or sizes.get(item[0]) != len(item):
+                raise InputError(f"malformed {key} entry: {item!r}")
+            out.append((item[0], *[_number(x, "edge-set index") for x in item[1:]]))
+        return out
+
+    one_off = items("prefix_edges", {"pre": 2, "win": 3, "spl": 3, "apx": 3})
+    return UPEdgeSet(
+        _number(_require(obj, "prefix_blocks", "edge set"), "explicit zone length"),
+        frozenset(t[1] for t in one_off if t[0] == "pre"),
+        frozenset(t for t in one_off if t[0] != "pre"),
+        frozenset(items("repeat_edges", {"win": 2, "spl": 2, "apx": 2})),
+    )
 
 
 def load_gluing(obj) -> GluingSpec:

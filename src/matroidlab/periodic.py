@@ -219,22 +219,6 @@ class UPEdgeSet:
             "repeat_edges": [list(t) for t in sorted(self.pattern)],
         }
 
-    @staticmethod
-    def from_obj(obj: dict) -> "UPEdgeSet":
-        try:
-            p = int(obj["prefix_blocks"])
-            prefix = set()
-            explicit = set()
-            for item in obj["prefix_edges"]:
-                if item[0] == "pre":
-                    prefix.add(int(item[1]))
-                else:
-                    explicit.add((item[0], int(item[1]), int(item[2])))
-            pattern = {(item[0], int(item[1])) for item in obj["repeat_edges"]}
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed edge-set object: {exc}") from exc
-        return UPEdgeSet(p, frozenset(prefix), frozenset(explicit), frozenset(pattern))
-
 
 def validate_edge_set(g: PeriodicGraphSpec, s: UPEdgeSet):
     counts = g.slot_counts()
@@ -878,7 +862,8 @@ def split_components(g: PeriodicGraphSpec):
 
     Returns a list of (spec, maps) where maps holds, per edge kind, the list
     of parent indices in the order the component spec declares them; a piece
-    without repeat vertices is (None, maps) with its prefix edges alone.
+    without repeat vertices is (None, maps) with its prefix edges alone.  When
+    g is one component the list is [(g, maps)], each map list(range(count)).
     """
     nodes = list(g.prefix_vertices) + list(g.repeat_vertices)
     rows = _slot_table(g)[0]
@@ -901,7 +886,7 @@ def split_components(g: PeriodicGraphSpec):
             comps.append((None, {"pre": ids["pre"]}))
             continue
         ends = tuple(label for label, lanes in end_map.items() if lanes <= names)
-        spec = PeriodicGraphSpec(
+        spec = g if len(groups) == 1 else PeriodicGraphSpec(
             prefix_vertices=tuple(p for p in g.prefix_vertices if p in names),
             repeat_vertices=rep,
             prefix_edges=tuple(g.prefix_edges[i] for i in ids["pre"]),

@@ -23,6 +23,7 @@ from matroidlab.cycles import (
     verify_i3_violation,
 )
 from matroidlab.errors import InputError, ResourceLimitError, StructuralMismatchError
+from matroidlab.io import load_edge_set
 from matroidlab.periodic import (
     PeriodicGraphSpec,
     UPEdgeSet,
@@ -428,7 +429,7 @@ def test_single_rung_sits_outside_some_base():
     one = UPEdgeSet(1, frozenset(), frozenset({("win", 0, 0)}), frozenset())
     ok, wit = hat_check(LADDER, GA, one)
     assert ok
-    base = UPEdgeSet.from_obj(wit["base"])
+    base = load_edge_set(wit["base"])
     assert cycle_is_base(LADDER, base, GA)[0]
     assert not edge_sets_intersect(base, one)
 
@@ -483,8 +484,8 @@ def test_a_fixed_edge_of_a_prefix_triangle_does_not_fit():
 
 def test_hub_family_reproduces_the_failure():
     wit = verify_i3_violation(BEAN)
-    stranded = UPEdgeSet.from_obj(wit["stranded_independent"])
-    blocked = UPEdgeSet.from_obj(wit["blocked_difference"])
+    stranded = load_edge_set(wit["stranded_independent"])
+    blocked = load_edge_set(wit["blocked_difference"])
     ok, _ = cycle_independent(BEAN, stranded, GAB)
     assert ok
     assert not cycle_is_base(BEAN, stranded, GAB)[0]

@@ -252,6 +252,35 @@ def test_edge_set_round_trip():
     assert load_edge_set(s.to_obj()) == s
 
 
+def _edge_set(prefix_blocks=1, prefix_edges=(), repeat_edges=()):
+    return {"prefix_blocks": prefix_blocks, "prefix_edges": list(prefix_edges),
+            "repeat_edges": list(repeat_edges)}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _edge_set(prefix_blocks=1.9),
+        _edge_set(prefix_blocks=True),
+        _edge_set(prefix_edges=[["win", True, 0]]),
+        _edge_set(prefix_edges=[["win", 0, 0.5]]),
+        _edge_set(prefix_edges=[["pre", 1.5]]),
+        _edge_set(prefix_edges=[["pre", 0, 0]]),
+        _edge_set(prefix_edges=[[["win"], 0, 0]]),
+        _edge_set(prefix_edges="pre"),
+        _edge_set(repeat_edges=[["spl", False]]),
+        _edge_set(repeat_edges=[["spl", 0, 0]]),
+        _edge_set(repeat_edges=[[{"kind": "spl"}, 0]]),
+        {"prefix_blocks": 1, "prefix_edges": []},
+        [],
+    ],
+)
+def test_edge_set_is_read_strictly(obj):
+    # int() read prefix_blocks 1.9 as 1 and an index true as 1
+    with pytest.raises(InputError):
+        load_edge_set(obj)
+
+
 def test_gluing_round_trip():
     glue = GluingSpec((("end0",), ("end1",)), (0,))
     assert load_gluing(dump_gluing(glue)) == glue

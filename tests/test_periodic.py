@@ -574,6 +574,14 @@ def test_split_components_recovers_single_ladders():
         assert len(maps["win"]) == 1 and len(maps["spl"]) == 2
 
 
+@pytest.mark.parametrize("g", [LADDER, BEAN], ids=["ladder", "bean"])
+def test_split_components_returns_a_single_component_itself(g):
+    [(spec, maps)] = split_components(g)
+    assert spec is g
+    counts = {"pre": len(g.prefix_edges), **g.slot_counts()}
+    assert maps == {kind: list(range(n)) for kind, n in counts.items()}
+
+
 # ---------------------------------------------------------------------------
 # randomized cross-checks against truncations
 
