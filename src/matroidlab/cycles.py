@@ -31,6 +31,26 @@ their bit mask (one bit per pattern slot, explicit instance and prefix
 edge), so every set one bit smaller comes first and its verdict is known;
 that order also fixes which witness comes first.
 
+A spectrum walk also stops early, by a bound on the defect.  Take one
+structural component, and let k be the summed width of its glued corridors
+(nearly_finitary_verdict).  Every glued base B has defect at most
+max(0, k - 1).  Let e be an edge joining two components A and A' of B.  As
+e joins two trees, B + e has no finite cycle, so, B being a base, it holds a
+circle through e.  The double ray of that circle through e has one tail in A
+and one in A', and each tail converges to a glue point.  So a finite
+component of the graph, which holds no ray, is never split by B.  In an
+infinite graph component C that B splits into m_C pieces, every piece borders
+another, since C is connected, so every piece carries a glued ray.  Rays in
+different pieces are disjoint, and their tails run in glued corridors, so
+there are at most k of them (corridor_width counts disjoint rays).  The
+defect is the sum of m_C - 1 over the split components; when it is positive
+some C is split, and the sum is at most k - 1.  The walk therefore passes
+over a candidate whose defect is above the bound without a base test, and
+returns once every value from 0 to the bound has a witness.  The candidate
+order does not change, so each value keeps its first witness.  Where defect
+misreads a past-only sweep class (lane-moving splices, ROADMAP item 1), the
+bound can hide a value that no base has.
+
 A base test asks whether any of infinitely many absent instances can be
 added.  Representatives answer it with finitely many: the explicit-zone
 instances one by one, then each absent pattern slot at the windows up to the
@@ -389,15 +409,15 @@ def _has_cyclic_subset(mask: int, cyclic: set) -> bool:
     return False
 
 
-def _glued_bases(g, glue, p, skip=lambda cand: False, known=()):
+def _glued_bases(g, glue, p, skip=lambda cand: False, known=(), bound=INF):
     """(base, defect) for the glued bases within p, in candidate order.
 
     skip(cand) is asked first, so an error it raises surfaces before any base
     test; a true answer passes the candidate over, as does a finite cycle, an
-    infinite defect (never a base's, see the module docstring) or a defect
-    already in known.  A candidate's index in the walk is its bit mask, and
-    one that a cyclic candidate one bit smaller contains holds that cycle
-    too, so it is recorded as cyclic without a sweep.
+    infinite defect (never a base's, see the module docstring), a defect
+    above bound or one already in known.  A candidate's index in the walk is
+    its bit mask, and one that a cyclic candidate one bit smaller contains
+    holds that cycle too, so it is recorded as cyclic without a sweep.
     """
     cyclic = set()
     for mask, cand in enumerate(_candidate_sets(g, p)):
@@ -407,7 +427,7 @@ def _glued_bases(g, glue, p, skip=lambda cand: False, known=()):
             cyclic.add(mask)
             continue
         d = defect(g, cand)
-        if d is not INF and d not in known and cycle_is_base(g, cand, glue)[0]:
+        if d is not INF and d <= bound and d not in known and cycle_is_base(g, cand, glue)[0]:
             yield cand, d
 
 
@@ -439,12 +459,19 @@ def _remap_edge_set(maps, s: UPEdgeSet) -> UPEdgeSet:
 def _component_spectrum(g, glue, p):
     """Defect -> first witness (base, fin_base), exhaustively within p.
 
-    A candidate whose defect is already witnessed skips the base check; the
-    value set is unchanged and the kept witness is the enumeration-first one.
+    No glued base has a defect above max(0, k - 1), k the glued ray count of
+    nearly_finitary_verdict (the module docstring proves it), so the walk
+    passes over larger defects without a base test and stops once every value
+    up to that bound has a witness.  A candidate whose defect is already
+    witnessed skips the base check too.  The candidate order is the
+    enumeration's, so every value keeps its enumeration-first witness.
     """
+    bound = max(0, nearly_finitary_verdict(g, glue).k - 1)
     out = {}
-    for cand, d in _glued_bases(g, glue, p, known=out):
+    for cand, d in _glued_bases(g, glue, p, known=out, bound=bound):
         out[d] = (cand, extend_to_fin_base(g, cand))
+        if len(out) > bound:
+            break
     return out
 
 
@@ -707,11 +734,19 @@ class VerdictReport:
 def nearly_finitary_verdict(g: PeriodicGraphSpec, glue: GluingSpec | None = None) -> VerdictReport:
     """How far glued bases can sit from finite-cycle bases, at worst.
 
-    The defect of any glued base is bounded by the number of vertex-disjoint
-    rays converging to glued points: each edge a base is missing strands a
-    component that still reaches a glue point, and only that many components
-    can do so disjointly.  With nothing glued, or with glued ends that carry
-    no ray, no circle exists and the two systems coincide.
+    The defect of any glued base is bounded by the number k of
+    vertex-disjoint rays converging to glued points: each edge a base is
+    missing strands a component that still reaches a glue point, and only
+    that many components can do so disjointly.  With nothing glued, or with
+    glued ends that carry no ray, no circle exists and the two systems
+    coincide.
+
+    Within one structural component the bound is sharper, max(0, k - 1), as
+    the module docstring proves, and the spectrum walk uses that form per
+    component.  The report keeps k itself, the glued ray count that
+    `rays --glue` prints beside its corridor widths and that a reader can
+    check against them; the sharper bound for a whole family is the sum of
+    the per-component ones.
     """
     glue = _gluing(g, glue)
     glued_labels = {label for i in glue.psi for label in glue.groups[i]}
