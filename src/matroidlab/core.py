@@ -379,6 +379,11 @@ def _table_bases(fam: list[int], addable: dict, missing: dict) -> list[int]:
     return _maximal(fam) if missing else [s for s in fam if not addable[s]]
 
 
+def _is_grown(sys_: System) -> bool:
+    """Is sys_ an oracle with a grow pair, and so a matroid?"""
+    return isinstance(sys_, OracleMatroid) and sys_.grow is not None
+
+
 def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
     """Maximal independent sets, ascending masks.
 
@@ -388,7 +393,7 @@ def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
     a rank sweep's: from_explicit of {}, {0}, {2}, {1,2}, {0,1,2} sweeps to
     {0} and {0,1,2} without {0,1}; its bases come from _table_bases."""
     fam = family_masks(sys_, cap)
-    if isinstance(sys_, OracleMatroid) and sys_.grow is not None:
+    if _is_grown(sys_):
         top = max((s.bit_count() for s in fam), default=0)
         return [s for s in fam if s.bit_count() == top]
     return _table_bases(fam, *_family_table(fam))

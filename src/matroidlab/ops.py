@@ -21,6 +21,7 @@ from .core import (
     _check_sweep,
     _expand,
     _family_table,
+    _is_grown,
     _maximal,
     _table_bases,
     _wrap_grow,
@@ -55,8 +56,7 @@ class NestedPair:
             raise InputError("nested pair members must share one ground set")
         object.__setattr__(self, "inner_bases", enumerate_bases(self.inner, cap))
         outer = self.outer
-        grown = isinstance(outer, OracleMatroid) and outer.grow is not None
-        if not (grown and all(map(outer.is_independent, self.inner_bases))):
+        if not (_is_grown(outer) and all(map(outer.is_independent, self.inner_bases))):
             for s in family_masks(self.inner, cap):
                 if not outer.is_independent(s):
                     raise InputError(
@@ -105,7 +105,10 @@ def union(m1: System, m2: System, cap: int | None = None) -> ExplicitSystem:
     Grounds merge by label, so shared labels become shared elements.  For
     downward-closed inputs the family is generated from the maximal ones among
     the distinct maximal-member unions, each expanded once; otherwise every
-    pair is combined directly (diagnostic families are small).
+    pair is combined directly (diagnostic families are small).  Two grown
+    oracles are matroids, so their union is a matroid too (the matroid union
+    theorem), all of whose bases have one size: the maximal unions are the
+    largest ones, and no quadratic test is needed.
     """
     seen = set(m1.ground.labels)
     labels = m1.ground.labels + tuple(l for l in m2.ground.labels if l not in seen)
@@ -117,8 +120,13 @@ def union(m1: System, m2: System, cap: int | None = None) -> ExplicitSystem:
     table1, table2 = _family_table(fam1), _family_table(fam2)
     if not table1[1] and not table2[1]:
         bases2 = _table_bases(fam2, *table2)
-        tops = {b1 | b2 for b1 in _table_bases(fam1, *table1) for b2 in bases2}
-        out = down_closure(_maximal(sorted(tops)))
+        tops = sorted({b1 | b2 for b1 in _table_bases(fam1, *table1) for b2 in bases2})
+        if _is_grown(m1) and _is_grown(m2):
+            size = max(t.bit_count() for t in tops)
+            tops = [t for t in tops if t.bit_count() == size]
+        else:
+            tops = _maximal(tops)
+        out = down_closure(tops)
     else:
         out = {s1 | s2 for s1 in fam1 for s2 in fam2}
     return ExplicitSystem(ground, frozenset(out))
