@@ -11,18 +11,21 @@ Two system kinds share one functional API:
                      linear elimination, or a wrapped explicit family).
 
 family_masks lists an oracle's independent sets in one pass that extends each
-set by one element.  Uniform, graphic and linear oracles, and their minors
-and truncations, carry a grow pair that takes each step incrementally; so do
-their duals, when the primal has at most half the ground's rank.  Any other
-oracle (from_explicit and its wrappers, high-rank duals) takes the step with a
-rank call.  The axiom screens, base and circuit enumeration all read that
-family, and each fact about a family has one helper: _family_table for its
-one-element extensions and closure failures (bases, the I and F screens and
-ops.union read it), _maximal for the maximal members of one not closed,
-_explicit_rank for an explicit family's rank, util.down_closure for all
-subsets of given sets, and _first_unextended for a pair A, B with no element
-of B extending A.  On a closed family F3 needs only the B one larger than A:
-a failing B has failing subsets of that size, and those come first.
+set by one element.  Uniform, graphic and linear oracles, and their minors,
+truncations and duals, carry a grow pair that takes each step incrementally;
+any other oracle (from_explicit and its wrappers) takes the step with a rank
+call.  A grown oracle is a matroid, so enumerate_bases lists its bases by the
+same pass pruned to the rank r: all bases have r elements, and a set only
+gains elements below its lowest, so a branch with too few of those left is
+dropped without losing a base.  The axiom screens, circuit enumeration and
+the bases of any other system read the whole family, and each fact about a
+family has one helper: _family_table for its one-element extensions and
+closure failures (bases, the I and F screens and ops.union read it), _maximal
+for the maximal members of one not closed, _explicit_rank for an explicit
+family's rank, util.down_closure for all subsets of given sets, and
+_first_unextended for a pair A, B with no element of B extending A.  On a
+closed family F3 needs only the B one larger than A: a failing B has failing
+subsets of that size, and those come first.
 
 Operations that sweep the full powerset are capped at SWEEP_CAP elements;
 encodings themselves are capped at ENUM_CAP.  Both caps can be overridden per
@@ -138,16 +141,18 @@ class ExplicitSystem:
 class OracleMatroid:
     """A matroid presented by its rank function on subset masks.
 
-    grow optionally speeds up family_masks.  grow(cap) returns a pair (state
-    of the empty set, step) where step(state, j) is the state of the set plus
-    element j, or None when j depends on the set.  It is built at sweep time,
-    so building an oracle never sweeps; it returns None instead of a pair when
-    building one would sweep a ground past cap, and family_masks then takes
-    rank calls.  A grow pair is exact only for matroids: uniform, graphic and
-    linear oracles carry one, and delete, contract and truncate_top set one
-    exactly when the oracle they wrap has one.  dual sets one when its primal
-    has one and at most half the ground's rank.  from_explicit oracles, which
-    may wrap non-matroids, carry none.
+    grow optionally speeds up family_masks and enumerate_bases, whose sweep
+    of a grown oracle visits only sets that can still grow to a base: all
+    bases have the rank's size, and a set only gains elements below its
+    lowest.  grow(cap) returns a pair (state of the empty set, step) where
+    step(state, j) is the state of the set plus element j, or None when j
+    depends on the set.  It is built at sweep time, so building an oracle
+    never sweeps; it returns None instead of a pair when building one would
+    sweep a ground past cap, and family_masks then takes rank calls.  A grow
+    pair is exact only for matroids: uniform, graphic and linear oracles carry
+    one, and delete, contract, truncate_top and dual set one exactly when the
+    oracle they wrap has one; dual's lists the primal's bases.  from_explicit
+    oracles, which may wrap non-matroids, carry none.
 
     primal is set on a dual: the oracle it is the dual of.  delete and
     contract take a minor of a dual as the dual of the primal's minor, so the
@@ -310,26 +315,33 @@ def family_masks(sys_: System, cap: int | None = None) -> list[int]:
     return _grown_family(sys_.ground.size, 0, step)
 
 
-def _grown_family(size: int, root, step) -> list[int]:
-    """Independent sets reachable from the empty set by step, ascending.
+def _grown_family(size: int, root, step, target: int = 0) -> list[int]:
+    """Independent sets that step grows from the empty set, ascending; with
+    target > 0, only those of target elements, none of them grown further.
 
     Each set is reached from mask ^ low, its lowest element removed, by one
     step(state, j), which returns the new set's state or None when it is
     dependent.  The children of a set add an element below its lowest one;
     visiting them by ascending element in depth-first preorder lists masks in
     ascending order.  A dependent set is never extended, so by downward
-    closure no set with a dependent subset is ever tested.
+    closure no set with a dependent subset is ever tested.  A set of k
+    elements whose lowest is b gains at most b more, so a child adding j
+    can reach target only when k + 1 + j >= target: start[k] skips smaller j.
     """
     out = []
+    start = [max(0, target - k - 1) for k in range(size + 1)]
 
-    def visit(mask: int, state, below: int):
-        out.append(mask)
-        for j in range(below):
+    def visit(mask: int, state, below: int, k: int):
+        if k >= target:
+            out.append(mask)
+            if target:
+                return
+        for j in range(start[k], below):
             child = step(state, j)
             if child is not None:
-                visit(mask | 1 << j, child, j)
+                visit(mask | 1 << j, child, j, k + 1)
 
-    visit(0, root, size)
+    visit(0, root, size, 0)
     return out
 
 
@@ -387,16 +399,34 @@ def _is_grown(sys_: System) -> bool:
 def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
     """Maximal independent sets, ascending masks.
 
-    A grown oracle is a matroid, whose maximal independent sets all have the
-    rank's size: each extends to a largest one by augmentation.  So its bases
-    are its largest swept sets.  Any other family may not be closed, not even
-    a rank sweep's: from_explicit of {}, {0}, {2}, {1,2}, {0,1,2} sweeps to
-    {0} and {0,1,2} without {0,1}; its bases come from _table_bases."""
-    fam = family_masks(sys_, cap)
+    A grown oracle is a matroid, whose maximal independent sets all have its
+    rank r's size: each extends to a largest one by augmentation.  So its
+    bases are the sets _grown_family lists with target r, r read off one
+    greedy pass of step.  That pruned sweep loses no base: it builds a base
+    from its largest element down, and each set on the way has at least as
+    many elements below its lowest as the base still lacks.  It visits only
+    sets with that room, not the whole family.  Any other family may not be
+    closed, not even a rank sweep's: from_explicit of {}, {0}, {2}, {1,2},
+    {0,1,2} sweeps to {0} and {0,1,2} without {0,1}; its bases come from
+    _table_bases."""
     if _is_grown(sys_):
-        top = max((s.bit_count() for s in fam), default=0)
-        return [s for s in fam if s.bit_count() == top]
+        _check_sweep(sys_.ground, cap)
+        pair = sys_.grow(cap)
+        if pair is not None:
+            return _grown_family(sys_.ground.size, *pair, _greedy_rank(sys_.ground.size, *pair))
+    fam = family_masks(sys_, cap)
     return _table_bases(fam, *_family_table(fam))
+
+
+def _greedy_rank(size: int, root, step) -> int:
+    """Rank of a matroid from its grow pair: the size of the set that takes
+    each element, ascending, that step accepts."""
+    r = 0
+    for j in range(size):
+        grown = step(root, j)
+        if grown is not None:
+            root, r = grown, r + 1
+    return r
 
 
 def enumerate_circuits(sys_: System, cap: int | None = None) -> list[int]:
@@ -622,7 +652,7 @@ def dual(sys_: System) -> System:
 
         def grow(cap):
             # S is coindependent iff it misses some base; the state is the
-            # bitset of bases S misses, listed by the primal's own sweep
+            # bitset of bases S misses, listed by the primal's own base sweep
             if not _fits(ground, cap):
                 return None  # a minor of a truncated dual sweeps a smaller ground
             bases = enumerate_bases(sys_, cap)
@@ -632,15 +662,11 @@ def dual(sys_: System) -> System:
             ]
             return (1 << len(bases)) - 1, lambda state, j: state & without[j] or None
 
-        # listing the bases visits every independent set of sys_, a count that
-        # grows with its rank, while the rank sweep visits the dual's; so the
-        # bases are listed only when sys_ has at most half the ground's rank
-        grows = sys_.grow is not None and 2 * r_total <= ground.size
         return OracleMatroid(
             ground,
             rk,
             label=f"dual({sys_.label})",
-            grow=grow if grows else None,
+            grow=grow if sys_.grow is not None else None,
             primal=sys_,
         )
     full = sys_.ground.full_mask

@@ -45,6 +45,14 @@ def _require(obj, key, context):
     return obj[key]
 
 
+def _only(obj, keys, context):
+    """InputError when the object obj has a key outside keys: a misspelt key
+    would otherwise be dropped and read as absent."""
+    extra = sorted(k for k in obj if k not in keys) if isinstance(obj, dict) else []
+    if extra:
+        raise InputError(f"{context} has unknown keys: {', '.join(map(repr, extra))}")
+
+
 def _number(value, what, field=None):
     """value as a Fraction when field is Q, else as an int; a boolean or a
     number with a fractional part is not an int."""
@@ -79,6 +87,7 @@ def load_system(obj):
     ground = GroundSet.named(labels)
     kind = _require(obj, "kind", "system file")
     if kind == "explicit":
+        _only(obj, ("ground", "kind", "independent"), "explicit system")
         sets = _require(obj, "independent", "explicit system")
         try:
             if any(isinstance(e, bool) for s in sets for e in s):
@@ -88,15 +97,18 @@ def load_system(obj):
             raise InputError("independent sets must be arrays of element indices") from None
         return explicit_system(ground, masks)
     if kind == "uniform":
+        _only(obj, ("ground", "kind", "rank"), "uniform system")
         rank = _require(obj, "rank", "uniform system")
         return uniform_matroid(_number(rank, "uniform rank"), ground.size, labels=labels)
     if kind == "graphic":
+        _only(obj, ("ground", "kind", "vertices", "edges"), "graphic system")
         n = _number(_require(obj, "vertices", "graphic system"), "vertex count")
         edges = _graphic_edges(_require(obj, "edges", "graphic system"))
         if len(edges) != ground.size:
             raise InputError("graphic ground size must match the edge count")
         return graphic_matroid(n, edges, labels=labels)
     if kind == "linear":
+        _only(obj, ("ground", "kind", "matrix"), "linear system")
         m = load_matrix(_require(obj, "matrix", "linear system"))
         if m.col_labels != ground.labels:
             raise InputError("linear ground must equal the matrix column labels")
@@ -124,6 +136,7 @@ def dump_system(sys_, cap=None) -> dict:
 
 
 def load_nested_pair(obj, cap=None) -> NestedPair:
+    _only(obj, ("inner", "outer"), "nested pair file")
     return NestedPair(
         inner=load_system(_require(obj, "inner", "nested pair file")),
         outer=load_system(_require(obj, "outer", "nested pair file")),
@@ -138,6 +151,7 @@ def load_nested_pair(obj, cap=None) -> NestedPair:
 def load_matrix(obj) -> MatrixRep:
     """{"field", "rows": [labels], "cols": [labels], "entries": [[r,c,val],...]}."""
     field = _require(obj, "field", "matrix file")
+    _only(obj, ("field", "rows", "cols", "entries"), "matrix file")
     if field not in (GF2, Q):
         raise InputError(f"unknown field {field!r}")
     rows = [str(r) for r in _array(_require(obj, "rows", "matrix file"), "matrix rows")]
@@ -192,6 +206,7 @@ def load_matrix_family(obj) -> PeriodicMatrixSpec:
     where ref is ["p", row] or ["b", row, 0|1].
     """
     field = _require(obj, "field", "matrix family file")
+    _only(obj, ("field", "persistent_rows", "block_rows", "block_cols"), "matrix family file")
     if field not in (GF2, Q):
         raise InputError(f"unknown field {field!r}")
 
@@ -242,10 +257,12 @@ def _pref_ref(ref):
 
 def load_family(obj) -> PeriodicGraphSpec:
     repeat = _require(obj, "repeat", "family file")
+    _only(obj, ("prefix", "repeat", "splice", "apex", "ends"), "family file")
     prefix = obj.get("prefix", {})
     for name, section in (("repeat", repeat), ("prefix", prefix)):
         if not isinstance(section, dict):
             raise InputError(f"family {name} section must be an object")
+        _only(section, ("vertices", "edges"), f"family {name} section")
 
     def edges(section, key, default_role, context):
         return [
@@ -268,6 +285,7 @@ def load_family(obj) -> PeriodicGraphSpec:
     apex_edges = []
     for block in _array(obj.get("apex", []), "apex blocks"):
         vertex = str(_require(block, "vertex", "apex block"))
+        _only(block, ("vertex", "per_block_edges"), "apex block")
         for item in _array(_require(block, "per_block_edges", "apex block"), "apex edges"):
             entry = [item, "apex"] if isinstance(item, str) else _array(item, "apex edge")
             if len(entry) != 2:
@@ -323,6 +341,7 @@ def load_edge_set(obj) -> UPEdgeSet:
             out.append((item[0], *[_number(x, "edge-set index") for x in item[1:]]))
         return out
 
+    _only(obj, ("prefix_blocks", "prefix_edges", "repeat_edges"), "edge set")
     one_off = items("prefix_edges", {"pre": 2, "win": 3, "spl": 3, "apx": 3})
     return UPEdgeSet(
         _number(_require(obj, "prefix_blocks", "edge set"), "explicit zone length"),
@@ -334,6 +353,7 @@ def load_edge_set(obj) -> UPEdgeSet:
 
 def load_gluing(obj) -> GluingSpec:
     groups = _array(_require(obj, "groups", "gluing file"), "gluing groups")
+    _only(obj, ("groups", "psi"), "gluing file")
     psi = _array(_require(obj, "psi", "gluing file"), "gluing psi")
     return GluingSpec(
         tuple(_names(grp, "gluing group") for grp in groups),
@@ -351,6 +371,7 @@ def load_edit(obj, base_dir=None):
     Returns (family, delete_instances, contract_instances).
     """
     base = _require(obj, "base", "edit file")
+    _only(obj, ("base", "delete", "contract"), "edit file")
     if isinstance(base, str):
         path = Path(base)
         if base_dir is not None and not path.is_absolute():

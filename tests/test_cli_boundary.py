@@ -160,6 +160,74 @@ CASES = {
         {"base": LADDER_FAMILY, "delete": [["win", 0, True]]},
         ["scan", "--prefix", "0"],
     ),
+    # a key no format defines is an error, not a key read as absent: with
+    # "window_edges" and "splice_edges" this family read as edgeless
+    "family-unknown-key": (
+        {
+            "repeat": {"vertices": ["t", "b"], "window_edges": [["t", "b", "rung"]]},
+            "splice_edges": [["t", "t", "top"], ["b", "b", "bottom"]],
+            "ends": [],
+        },
+        ["rays", "--family"],
+    ),
+    "family-prefix-unknown-key": (
+        {**LADDER_FAMILY, "prefix": {"vertices": ["p"], "links": []}},
+        ["rays", "--family"],
+    ),
+    "family-apex-block-unknown-key": (
+        {**LADDER_FAMILY, "prefix": {"vertices": ["p"]},
+         "apex": [{"vertex": "p", "per_block_edges": ["t"], "role": "spoke"}]},
+        ["rays", "--family"],
+    ),
+    "gluing-unknown-key": (
+        {"groups": [["end0"]], "psi": [0], "phi": [0]},
+        ["spectrum", "--prefix", "0", "--family", "ladder:1", "--glue"],
+    ),
+    "edit-unknown-key": (
+        {"base": LADDER_FAMILY, "remove": [["spl", 0, 0]]},
+        ["scan", "--prefix", "0"],
+    ),
+    "uniform-system-unknown-key": (
+        {"ground": ["a", "b"], "kind": "uniform", "rank": 1, "vertices": 2},
+        ["bases", "--system"],
+    ),
+    "explicit-system-unknown-key": (
+        {"ground": ["a"], "kind": "explicit", "independent": [[]], "independents": [[], [0]]},
+        ["bases", "--system"],
+    ),
+    "graphic-system-unknown-key": (
+        {"ground": ["a"], "kind": "graphic", "vertices": 2, "edges": [[0, 1]], "loops": []},
+        ["bases", "--system"],
+    ),
+    "linear-system-unknown-key": (
+        {
+            "ground": ["x"],
+            "kind": "linear",
+            "matrix": {"field": "q", "rows": ["r"], "cols": ["x"], "entries": []},
+            "rank": 1,
+        },
+        ["bases", "--system"],
+    ),
+    "matrix-unknown-key": (
+        {
+            "ground": ["x"],
+            "kind": "linear",
+            "matrix": {"field": "q", "rows": ["r"], "cols": ["x"], "entries": [], "columns": []},
+        },
+        ["bases", "--system"],
+    ),
+    "nested-pair-unknown-key": (
+        {
+            "inner": {"ground": ["a"], "kind": "uniform", "rank": 0},
+            "outer": {"ground": ["a"], "kind": "uniform", "rank": 1},
+            "middle": {"ground": ["a"], "kind": "uniform", "rank": 1},
+        },
+        ["spectrum", "--pair"],
+    ),
+    "matrix-family-unknown-key": (
+        {"field": "q", "persistent_rows": ["a"], "block_rows": [], "block_cols": [], "rows": []},
+        ["thin", "--matrix-family"],
+    ),
     "edit-prefix-index-is-a-boolean": (
         {
             "base": {**LADDER_FAMILY, "prefix": {"vertices": ["p"], "edges": [["p", ["r", "t"]]] * 2}},

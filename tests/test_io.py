@@ -273,6 +273,7 @@ def _edge_set(prefix_blocks=1, prefix_edges=(), repeat_edges=()):
         _edge_set(repeat_edges=[[{"kind": "spl"}, 0]]),
         {"prefix_blocks": 1, "prefix_edges": []},
         [],
+        {**_edge_set(), "pattern": []},
     ],
 )
 def test_edge_set_is_read_strictly(obj):

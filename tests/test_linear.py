@@ -18,6 +18,7 @@ from matroidlab import (
     contract,
     delete,
     dual,
+    enumerate_bases,
     enumerate_circuits,
     family_masks,
     graphic_matroid,
@@ -473,6 +474,27 @@ def oracle_cases(draw):
     return sys_, OracleMatroid(sys_.ground, functools.cache(ref_rank), label="reference")
 
 
+def wrappers(sys_, data):
+    """Wrappers of sys_ with drawn arguments: dual, delete, contract,
+    truncate_top, a truncated dual and a dual of a minor."""
+    x = data.draw(st.integers(0, sys_.ground.full_mask))
+    y = data.draw(st.integers(0, sys_.ground.full_mask))
+    k = data.draw(st.integers(0, sys_.full_rank))
+
+    def nested(s):
+        deleted = delete(s, x)
+        return dual(contract(deleted, y & deleted.ground.full_mask))
+
+    return (
+        dual,
+        lambda s: delete(s, x),
+        lambda s: contract(s, x),
+        lambda s: truncate_top(s, k),
+        lambda s: dual(truncate_top(dual(s), min(k, s.size - s.full_rank))),
+        nested,
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(oracle_cases(), st.data())
 def test_incremental_sweep_matches_rank_sweep(case, data):
@@ -482,30 +504,27 @@ def test_incremental_sweep_matches_rank_sweep(case, data):
     assert fam == family_masks(dataclasses.replace(sys_, grow=None))
     assert fam == family_masks(ref) == every_independent_mask(ref)
     # wrappers of a grown oracle list the same sets as the rank sweep of the
-    # same wrapper and as brute force over the wrapped reference; they grow
-    # too, except duals of a high-rank primal and the wrappers of those
-    x = data.draw(st.integers(0, sys_.ground.full_mask))
-    y = data.draw(st.integers(0, sys_.ground.full_mask))
-    k = data.draw(st.integers(0, sys_.full_rank))
-
-    def nested(s):
-        deleted = delete(s, x)
-        return dual(contract(deleted, y & deleted.ground.full_mask))
-
-    for op, grows in (
-        (dual, 2 * sys_.full_rank <= sys_.size),
-        (lambda s: delete(s, x), True),
-        (lambda s: contract(s, x), True),
-        (lambda s: truncate_top(s, k), True),
-        (lambda s: dual(truncate_top(dual(s), min(k, s.size - s.full_rank))), None),
-        (nested, None),
-    ):
+    # same wrapper and as brute force over the wrapped reference, and they
+    # all grow, duals of a high-rank primal too
+    for op in wrappers(sys_, data):
         wrapped = op(sys_)
-        if grows is not None:
-            assert (wrapped.grow is not None) == grows
+        assert wrapped.grow is not None
         fam = family_masks(wrapped)
         assert fam == family_masks(dataclasses.replace(wrapped, grow=None))
         assert fam == every_independent_mask(op(ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases(), st.data())
+def test_pruned_base_sweep_matches_rank_sweep(case, data):
+    # a grown oracle's bases come from its sweep pruned to the rank; they are
+    # the largest sets of the rank sweep of the same oracle, wrappers too
+    sys_, _ = case
+    for op in (lambda s: s, *wrappers(sys_, data)):
+        wrapped = op(sys_)
+        fam = family_masks(dataclasses.replace(wrapped, grow=None))
+        top = max(s.bit_count() for s in fam)
+        assert enumerate_bases(wrapped) == [s for s in fam if s.bit_count() == top]
 
 
 def every_independent_mask(sys_):
