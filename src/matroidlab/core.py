@@ -656,10 +656,12 @@ def dual(sys_: System) -> System:
             if not _fits(ground, cap):
                 return None  # a minor of a truncated dual sweeps a smaller ground
             bases = enumerate_bases(sys_, cap)
-            without = [
-                sum(1 << i for i, b in enumerate(bases) if not b >> j & 1)
-                for j in range(ground.size)
-            ]
+            # one pass writes each base's complement in binary, below a
+            # leading 1 that keeps every digit; read from the last base to
+            # the first, digit column k is without[size - 1 - k] in binary,
+            # whose bit i says that base i misses element size - 1 - k
+            rows = (format(full ^ b | 1 << ground.size, "b")[1:] for b in reversed(bases))
+            without = [int("".join(col), 2) for col in zip(*rows)][::-1]
             return (1 << len(bases)) - 1, lambda state, j: state & without[j] or None
 
         return OracleMatroid(

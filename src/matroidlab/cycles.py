@@ -29,7 +29,14 @@ sweeps no candidate that holds a cyclic candidate one bit smaller: an edge
 superset keeps every finite cycle.  Candidates come in ascending order of
 their bit mask (one bit per pattern slot, explicit instance and prefix
 edge), so every set one bit smaller comes first and its verdict is known;
-that order also fixes which witness comes first.
+that order also fixes which witness comes first.  Candidates are swept on
+their masks, not as edge sets.  The windows before p hold no pattern
+instance, so every candidate with the same bits below the pattern's shares
+the state after them, stepped once; past window p a sweep reads only its
+pattern mask, so its tail comes from the spec's tail memo
+(periodic._CompiledSweep.tail), shared by every candidate that enters it in
+the same state.  Only a candidate that reaches the base test, or that a
+caller's filter asks about, is built as an edge set.
 
 A spectrum walk also stops early, by a bound on the defect.  Take one
 structural component, and let k be the summed width of its glued corridors
@@ -74,11 +81,14 @@ from .errors import InputError, ResourceLimitError, StructuralMismatchError
 from .ops import SpectrumReport
 from .periodic import (
     MAX_WINDOW,
+    MachineResult,
     PeriodicGraphSpec,
     UPEdgeSet,
+    _compiled,
     _has_finite_cycle,
     _ray_pieces,
     _tail_start,
+    _window_bound,
     contains_finite_cycle,
     corridor_width,
     edges_by_role,
@@ -88,7 +98,7 @@ from .periodic import (
     run_machine,
     split_components,
 )
-from .util import INF, bfs_path, spanning_forest
+from .util import INF, bfs_path, iter_bits, spanning_forest
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +339,20 @@ def defect(g: PeriodicGraphSpec, s: UPEdgeSet, glue: GluingSpec | None = None):
     """
     if glue is not None:
         glue.validate_for(g)
-    a = run_machine(g, s)
-    b = run_machine(g, full_edge_set(g))
+    return _excess(run_machine(g, s), run_machine(g, full_edge_set(g)))
+
+
+def _excess(a: MachineResult, b: MachineResult):
+    """defect read off the sweep a of a set and the sweep b of its graph."""
     if a.delta > b.delta:
         return INF
     if a.delta < b.delta:
         raise StructuralMismatchError(
             "edge subset closes fewer components per window than its graph"
         )
-    w = max(a.depth, b.depth)
-
-    def total(res):
-        return res.closed + res.delta * (w - res.depth) + len(res.live)
-
-    return total(a) - total(b)
+    # from its depth on each sweep retires delta classes a window, so count
+    # both at the later depth
+    return a.closed - b.closed + a.delta * (b.depth - a.depth) + len(a.live) - len(b.live)
 
 
 def extend_to_fin_base(g: PeriodicGraphSpec, s: UPEdgeSet):
@@ -371,10 +381,10 @@ def extend_to_fin_base(g: PeriodicGraphSpec, s: UPEdgeSet):
 # spectra
 
 
-def _candidate_sets(g, p):
-    """Every edge set explicit over p windows, the k-th with bit mask k:
-    pattern slots in the high bits, explicit instances in window-major order
-    below them, prefix edges in the low bits."""
+def _candidate_bits(g, p) -> list:
+    """The instance each bit of a candidate mask over p windows stands for,
+    lowest bit first: prefix edges, explicit instances in window-major
+    order, then pattern slots."""
     slots = sorted(full_edge_set(g).pattern)
     bits = len(slots) * (p + 1) + len(g.prefix_edges)
     if bits > 16:
@@ -383,19 +393,78 @@ def _candidate_sets(g, p):
         )
     if p > MAX_WINDOW:
         raise ResourceLimitError(f"profile prefix {p}; prefixes are capped at {MAX_WINDOW}")
-    instances = [(kind, j, w) for w in range(p) for (kind, j) in slots]
-    prefixes = list(range(len(g.prefix_edges)))
-    for pat_bits in range(1 << len(slots)):
-        pattern = frozenset(s for i, s in enumerate(slots) if pat_bits >> i & 1)
-        for exp_bits in range(1 << len(instances)):
-            explicit = frozenset(
-                inst for i, inst in enumerate(instances) if exp_bits >> i & 1
-            )
-            for pre_bits in range(1 << len(prefixes)):
-                prefix = frozenset(
-                    i for i in prefixes if pre_bits >> i & 1
-                )
-                yield UPEdgeSet(p, prefix, explicit, pattern)
+    prefixes = [("pre", i) for i in range(len(g.prefix_edges))]
+    return prefixes + [(kind, j, w) for w in range(p) for kind, j in slots] + slots
+
+
+def _decode(names, p, mask) -> UPEdgeSet:
+    """The edge set explicit over p windows whose bits in mask name
+    (_candidate_bits)."""
+    picked = [names[i] for i in iter_bits(mask)]
+    return UPEdgeSet(
+        p,
+        frozenset(x[1] for x in picked if x[0] == "pre"),
+        frozenset(x for x in picked if len(x) == 3),
+        frozenset(x for x in picked if len(x) == 2 and x[0] != "pre"),
+    )
+
+
+def _candidate_sets(g, p):
+    """Every edge set explicit over p windows, the k-th with bit mask k."""
+    names = _candidate_bits(g, p)
+    for mask in range(1 << len(names)):
+        yield _decode(names, p, mask)
+
+
+def _candidate_sweep(g, p, names):
+    """mask -> run_machine(g, _decode(names, p, mask)), read off the mask.
+
+    A candidate's window masks (_CompiledSweep.masks) join those of its
+    bits.  The windows before p hold no pattern instance, so the state after
+    them depends only on the bits below the pattern's, and is stepped once
+    per such low part.  Window p adds the pattern slots joined in their own
+    window, and one tail lookup (_CompiledSweep.tail) ends the sweep; both
+    depend only on the state after window p - 1 and the two masks, so each
+    such triple is settled once.
+    """
+    sweep = _compiled(g)
+    lows = (1 << len(names) - len(full_edge_set(g).pattern)) - 1
+    bound = _window_bound(g, UPEdgeSet(p))
+    # (window, slot bit) of each bit's instances, the pattern mask last
+    spots = [
+        [(w, bit) for w, bit in enumerate(sweep.masks(_decode(names, p, 1 << i))) if bit]
+        for i in range(len(names))
+    ]
+    heads: dict = {}  # low part -> (run's answer after window p - 1, window p's mask)
+    patterns: dict = {}  # high part -> (window p's mask, the pattern mask)
+    settled: dict = {}  # (head's run answer, window p's mask, pattern mask) -> result
+
+    def window_masks(part: int) -> list:
+        masks = [0] * (p + 2)
+        for i in iter_bits(part):
+            for w, bit in spots[i]:
+                masks[w] |= bit
+        return masks
+
+    def result(mask: int) -> MachineResult:
+        low = mask & lows
+        head = heads.get(low)
+        if head is None:
+            masks = window_masks(low)
+            head = heads[low] = (sweep.run(masks[:p]), masks[p])
+        high = mask & ~lows
+        pattern = patterns.get(high)
+        if pattern is None:
+            masks = window_masks(high)
+            pattern = patterns[high] = (masks[p], masks[-1])
+        key = head[0], head[1] | pattern[0], pattern[1]
+        res = settled.get(key)
+        if res is None:
+            at = sweep.run((key[1],), p, head[0])
+            res = settled[key] = sweep.settle(at, p, pattern[1], bound)
+        return res
+
+    return result
 
 
 def _has_cyclic_subset(mask: int, cyclic: set) -> bool:
@@ -409,26 +478,39 @@ def _has_cyclic_subset(mask: int, cyclic: set) -> bool:
     return False
 
 
-def _glued_bases(g, glue, p, skip=lambda cand: False, known=(), bound=INF):
+def _glued_bases(g, glue, p, skip=None, known=(), bound=INF):
     """(base, defect) for the glued bases within p, in candidate order.
 
-    skip(cand) is asked first, so an error it raises surfaces before any base
-    test; a true answer passes the candidate over, as does a finite cycle, an
-    infinite defect (never a base's, see the module docstring), a defect
-    above bound or one already in known.  A candidate's index in the walk is
-    its bit mask, and one that a cyclic candidate one bit smaller contains
-    holds that cycle too, so it is recorded as cyclic without a sweep.
+    skip(cand), when given, is asked first, so an error it raises surfaces
+    before any base test; a true answer passes the candidate over, as does a
+    finite cycle, an infinite defect (never a base's, see the module
+    docstring), a defect above bound or one already in known.  A
+    candidate's index in the walk is its bit mask, and one that a cyclic
+    candidate one bit smaller contains holds that cycle too, so it is
+    recorded as cyclic without a sweep.  The others are swept on their
+    masks (_candidate_sweep), and only a candidate that reaches the base
+    test is built as an edge set.
     """
+    names = _candidate_bits(g, p)
+    sweep = _candidate_sweep(g, p, names)
+    whole = None  # the sweep of g's full edge set, read at the first defect
     cyclic = set()
-    for mask, cand in enumerate(_candidate_sets(g, p)):
-        if skip(cand):
+    for mask in range(1 << len(names)):
+        if skip is not None and skip(_decode(names, p, mask)):
             continue
-        if _has_cyclic_subset(mask, cyclic) or _has_finite_cycle(g, cand):
+        if _has_cyclic_subset(mask, cyclic):
             cyclic.add(mask)
             continue
-        d = defect(g, cand)
-        if d is not INF and d <= bound and d not in known and cycle_is_base(g, cand, glue)[0]:
-            yield cand, d
+        res = sweep(mask)
+        if res.cycle_event is not None:
+            cyclic.add(mask)
+            continue
+        whole = whole or run_machine(g, full_edge_set(g))
+        d = _excess(res, whole)
+        if d is not INF and d <= bound and d not in known:
+            cand = _decode(names, p, mask)
+            if cycle_is_base(g, cand, glue)[0]:
+                yield cand, d
 
 
 def _components(g, glue):

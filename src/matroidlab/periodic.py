@@ -316,6 +316,16 @@ class _CompiledSweep:
     lane is a negative index, counted from the end of the class list,
     because window 0 has no previous lanes.  slot (kind, j, lag) names
     instance (kind, j, w - lag) at window w, or (kind, j) when lag is None.
+
+    A sweep is split in two: run steps the windows of the explicit zone,
+    and tail the pattern's windows after it.  Past window p every step reads
+    the one pattern mask, so the rest of the sweep is a function of the
+    state it enters with, and tail memoizes it on (mask, state) for every
+    edge set of the spec: sets that differ only in their explicit zones, or
+    candidates that reach the same state by window p, share it.  The window
+    bound is not part of that function, since it grows with p, so tail
+    records the raw count of windows to the first repeat and each caller
+    (settle) applies its own bound.
     """
 
     def __init__(self, g: PeriodicGraphSpec):
@@ -337,7 +347,9 @@ class _CompiledSweep:
         self.bit = {slot[:2]: bit for bit, _, _, slot in self.joins}
         # slots whose instances are joined a window later than their own
         self.late = sum(bit for bit, _, _, (_, _, lag) in self.joins if lag)
+        self.start = tuple(range(n_pers))  # the state before window 0
         self.steps: dict = {}  # (mask, state) -> step(mask, state)
+        self.tails: dict = {}  # (mask, state) -> tail(state, mask, limit)
 
     def masks(self, s: UPEdgeSet) -> list:
         """The mask of each window 0..s.p, then the pattern's; an instance
@@ -391,9 +403,78 @@ class _CompiledSweep:
         out = self.steps[mask, state] = (nxt, len(set(cls)) - len(labels), first, live)
         return out
 
+    def run(self, masks, w: int = 0, at: tuple | None = None) -> tuple:
+        """(state, closed, first) after the windows of masks in turn, the
+        first of them window w, entered at at = (state, closed, first), or
+        at the state before window 0.  closed counts the classes retired and
+        first is (slot, window) of the first redundant union, or None."""
+        state, closed, first = at or (self.start, 0, None)
+        for mask in masks:
+            state, retired, slot, _ = self.step(mask, state)
+            closed += retired
+            if first is None and slot is not None:
+                first = (slot, w)
+            w += 1
+        return state, closed, first
 
-# each compiled spec keeps a step memo that grows with the states its sweeps
-# reach, and a query sweeps its few specs together, so few need to stay
+    def tail(self, state: tuple, mask: int, limit: int) -> tuple:
+        """(n, period, closed, delta, live, first) of the windows of mask
+        from state on, stepped until a state repeats one seen since the
+        start (state itself included), or for limit windows.
+
+        n counts the windows stepped; period is how many windows apart the
+        repeat lies, or None when none came within n windows.  closed sums
+        the classes retired, delta and live are the last step's, and first
+        is (slot, offset) of the first redundant union, offset 1 for the
+        first window, or None.  Only an answer without a repeat depends on
+        limit, so a memoized answer serves every later call but one with a
+        larger limit than a walk that found no repeat, which steps afresh.
+        """
+        out = self.tails.get((mask, state))
+        if out is None or out[1] is None and out[0] < limit:
+            seen = {state: 0}
+            nxt, closed, first, period, n = state, 0, None, None, 0
+            while period is None and n < limit:
+                n += 1
+                nxt, delta, slot, live = self.step(mask, nxt)
+                closed += delta
+                if first is None and slot is not None:
+                    first = (slot, n)
+                if nxt in seen:
+                    period = n - seen[nxt]
+                seen[nxt] = n
+            out = self.tails[mask, state] = (n, period, closed, delta, live, first)
+        return out
+
+    def settle(self, at: tuple, p: int, mask: int, bound: int) -> MachineResult:
+        """The sweep's result, entered at at = run's answer after windows
+        0..p, with the pattern mask from window p + 1 on and window bound
+        bound (_window_bound).
+
+        A repeat one window apart is the fixpoint; one q >= 2 windows apart
+        is a cycle of period q, and a sweep that reaches no repeat by window
+        bound does not stabilize within it: both raise ResourceLimitError.
+        """
+        state, closed, first = at
+        n, period, more, delta, live, later = self.tail(state, mask, bound - p)
+        if period is None or p + n > bound:
+            raise ResourceLimitError(f"window sweep did not stabilize within {bound} windows")
+        if period > 1:
+            raise ResourceLimitError(
+                f"window sweep repeats every {period} windows and never stabilizes"
+            )
+        if first is None and later is not None:
+            first = (later[0], p + later[1])
+        event = None
+        if first is not None:
+            (kind, j, lag), w = first
+            event = ((kind, j) if lag is None else (kind, j, w - lag), w)
+        # the step that ends the sweep is the pattern mask's stationary step
+        return MachineResult(depth=p + n, closed=closed + more, delta=delta, live=live, cycle_event=event)
+
+
+# each compiled spec keeps step and tail memos that grow with the states its
+# sweeps reach, and a query sweeps its few specs together, so few need to stay
 @lru_cache(maxsize=64)
 def _compiled(g: PeriodicGraphSpec) -> _CompiledSweep:
     return _CompiledSweep(g)
@@ -411,47 +492,20 @@ def run_machine(g: PeriodicGraphSpec, s: UPEdgeSet) -> MachineResult:
     slot mask read from s, and each step is a lookup in the spec's compiled
     step (_CompiledSweep).
 
-    Past window s.p every step is one function of the state, so the sweep
+    Past window s.p every step reads the pattern mask alone, so the sweep
     stops at the first repeat: a repeat one window apart is the fixpoint, and
     a repeat q >= 2 windows apart means the states cycle with period q
     forever, which raises ResourceLimitError.  So does running past
-    _window_bound windows.  Results are immutable and cached on the
-    arguments.
+    _window_bound windows.  The same fact makes the tail memo exact: the
+    windows after s.p are a function of the state after window s.p, so the
+    sweep steps windows 0..s.p and reads the rest from the spec's tail memo
+    (_CompiledSweep.tail), applying this set's own bound.  Results are
+    immutable and cached on the arguments.
     """
     validate_edge_set(g, s)
     sweep = _compiled(g)
     masks = sweep.masks(s)
-    # the first window whose step reads only pattern entries is p+1 (splices
-    # applied at window w have index w-1)
-    min_depth = s.p + 1
-    bound = _window_bound(g, s)
-    seen: dict = {}
-    state = tuple(range(sweep.n_pers))
-    closed = 0
-    cycle_event = None
-    w = 0
-    while True:
-        state, delta, slot, live = sweep.step(masks[min(w, min_depth)], state)
-        closed += delta
-        if slot is not None and cycle_event is None:
-            kind, j, lag = slot
-            cycle_event = ((kind, j) if lag is None else (kind, j, w - lag), w)
-        if w >= min_depth and state in seen:
-            period = w - seen[state]
-            if period == 1:
-                break
-            raise ResourceLimitError(
-                f"window sweep repeats every {period} windows and never stabilizes"
-            )
-        if w >= min_depth - 1:
-            seen[state] = w
-        w += 1
-        if w > bound:
-            raise ResourceLimitError(
-                f"window sweep did not stabilize within {bound} windows"
-            )
-    # the step that ends the sweep is the pattern mask's stationary step
-    return MachineResult(depth=w, closed=closed, delta=delta, live=live, cycle_event=cycle_event)
+    return sweep.settle(sweep.run(masks[:-1]), s.p, masks[-1], _window_bound(g, s))
 
 
 def _tail_start(g: PeriodicGraphSpec, s: UPEdgeSet) -> int:

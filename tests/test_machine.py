@@ -284,6 +284,115 @@ def test_machine_matches_the_reference(case):
 
 
 # ---------------------------------------------------------------------------
+# the sweep split at the explicit zone
+
+
+def loop_run_machine(g: PeriodicGraphSpec, s: UPEdgeSet) -> MachineResult:
+    """run_machine as one plain window loop: every window is stepped in turn
+    until the state repeats, and the window bound is checked window by
+    window, with no tail memo."""
+    validate_edge_set(g, s)
+    sweep = _compiled(g)
+    masks = sweep.masks(s)
+    min_depth = s.p + 1
+    bound = _window_bound(g, s)
+    seen: dict = {}
+    state = tuple(range(sweep.n_pers))
+    closed = 0
+    cycle_event = None
+    w = 0
+    while True:
+        state, delta, slot, live = sweep.step(masks[min(w, min_depth)], state)
+        closed += delta
+        if slot is not None and cycle_event is None:
+            kind, j, lag = slot
+            cycle_event = ((kind, j) if lag is None else (kind, j, w - lag), w)
+        if w >= min_depth and state in seen:
+            period = w - seen[state]
+            if period == 1:
+                break
+            raise ResourceLimitError(
+                f"window sweep repeats every {period} windows and never stabilizes"
+            )
+        if w >= min_depth - 1:
+            seen[state] = w
+        w += 1
+        if w > bound:
+            raise ResourceLimitError(
+                f"window sweep did not stabilize within {bound} windows"
+            )
+    return MachineResult(depth=w, closed=closed, delta=delta, live=live, cycle_event=cycle_event)
+
+
+def _marker_rotation() -> PeriodicGraphSpec:
+    """Three prefix markers linked to lane cycles of lengths 3, 5 and 7; a
+    path of window edges joins every lane, so the whole graph settles."""
+    cycles = {"a": 3, "b": 5, "c": 7}
+    lanes = [f"{x}{i}" for x, n in cycles.items() for i in range(n)]
+    return PeriodicGraphSpec(
+        prefix_vertices=("m0", "m1", "m2"),
+        repeat_vertices=tuple(lanes),
+        prefix_edges=tuple((f"m{k}", ("r", f"{x}0"), "link") for k, x in enumerate(cycles)),
+        window_edges=tuple((u, v, "rung") for u, v in zip(lanes, lanes[1:])),
+        splice_edges=tuple(
+            (f"{x}{i}", f"{x}{(i + 1) % n}", "top") for x, n in cycles.items() for i in range(n)
+        ),
+        ends=("e0",),
+    )
+
+
+# the links and splices alone: each marker's class moves along its cycle, so
+# the state after window w repeats every 105 windows, and the sweep of a set
+# explicit over p windows finds its repeat at window p + 105.  The window
+# bound is 88 + 2p, so below p = 17 the sweep runs out of windows first.
+MARKERS = _marker_rotation()
+MARKER_LINKS = UPEdgeSet(0, frozenset(range(3)), frozenset(), frozenset(("spl", j) for j in range(15)))
+
+
+@st.composite
+def swept_sets(draw):
+    """A random spec (splices may move lanes), an edge set of it explicit
+    over 0-3 windows, and how many windows to widen that zone by."""
+    g = draw(specs())
+    p = draw(st.integers(0, 3))
+    slots = sorted(full_edge_set(g).pattern)
+    instances = [(kind, j, w) for w in range(p) for kind, j in slots]
+    s = UPEdgeSet(
+        p,
+        frozenset(draw(st.sets(st.integers(0, len(g.prefix_edges) - 1)))) if g.prefix_edges else frozenset(),
+        frozenset(draw(st.sets(st.sampled_from(instances)))) if instances else frozenset(),
+        frozenset(draw(st.sets(st.sampled_from(slots)))),
+    )
+    return g, s, draw(st.integers(1, 3))
+
+
+def result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ResourceLimitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(swept_sets())
+@example((SWAP_LINK, full_edge_set(SWAP_LINK), 1))
+@example((ROTATION_LINK, full_edge_set(ROTATION_LINK), 2))
+# out of windows at p = 16 and naming the period at p = 17; at p = 105 the
+# tail starts in the state of p = 0, whose 88 windows found no repeat
+@example((MARKERS, MARKER_LINKS.normalized(16), 1))
+@example((MARKERS, MARKER_LINKS, 105))
+def test_split_sweep_matches_the_window_loop(case):
+    # run_machine steps the explicit zone and reads the rest from the tail
+    # memo; the widened set is swept with the first set's memos warm, so a
+    # tail that entered the memo under one window bound is read under another
+    g, s, k = case
+    run_machine.cache_clear()
+    _compiled.cache_clear()
+    for t in (s, s.normalized(s.p + k)):
+        assert result_or_error(run_machine, g, t) == result_or_error(loop_run_machine, g, t)
+
+
+# ---------------------------------------------------------------------------
 # glued summaries
 
 
