@@ -30,7 +30,7 @@ from .cycles import (
     verify_i3_violation,
 )
 from .errors import InputError, ResourceLimitError, StructuralMismatchError
-from .families import contract_coloops, delete_edges, spectrum_scan
+from .families import _past_deletion, contract_coloops, delete_edges, spectrum_scan
 from .io import (
     dump_system,
     envelope,
@@ -317,13 +317,14 @@ def _scan_entry(text: str, glue_text: str, profile: tuple, cap: int | None):
         fam = load_family(obj)
         return (name, fam, _glue_arg(glue_text, fam))
     if "base" in obj:
-        fam, doomed, squeezed = load_edit(obj, base_dir=Path(text).parent)
-        if doomed:
-            fam = delete_edges(fam, doomed)
+        base, doomed, squeezed = load_edit(obj, base_dir=Path(text).parent)
+        fam = delete_edges(base, doomed)
+        glue = _glue_arg(glue_text, fam)
         if squeezed:
-            view = contract_coloops(fam, _glue_arg(glue_text, fam), squeezed, profile)
-            return (name, view)
-        return (name, fam, _glue_arg(glue_text, fam))
+            # both lists name instances of the base family
+            squeezed = _past_deletion(base, doomed, squeezed)
+            return (name, contract_coloops(fam, glue, squeezed, profile))
+        return (name, fam, glue)
     if "inner" in obj:
         return (name, load_nested_pair(obj, cap))
     raise InputError(f"{text}: not a family, edit, or nested pair file")

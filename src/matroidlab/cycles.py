@@ -35,8 +35,11 @@ instance, so every candidate with the same bits below the pattern's shares
 the state after them, stepped once; past window p a sweep reads only its
 pattern mask, so its tail comes from the spec's tail memo
 (periodic._CompiledSweep.tail), shared by every candidate that enters it in
-the same state.  Only a candidate that reaches the base test, or that a
-caller's filter asks about, is built as an edge set.
+the same state.  The callers' filters read masks too: hat_check sweeps a
+candidate joined with its fixed set in the same way, and both it and a
+coloop certificate compare the candidate's bits with those that meet their
+edge sets.  Only a candidate that reaches the base test is built as an edge
+set.
 
 A spectrum walk also stops early, by a bound on the defect.  Take one
 structural component, and let k be the summed width of its glued corridors
@@ -416,20 +419,29 @@ def _candidate_sets(g, p):
         yield _decode(names, p, mask)
 
 
-def _candidate_sweep(g, p, names):
-    """mask -> run_machine(g, _decode(names, p, mask)), read off the mask.
+def _candidate_sweep(g, p, names, fixed=UPEdgeSet()):
+    """mask -> run_machine(g, edge_sets_union(_decode(names, p, mask), fixed)),
+    read off the mask.
 
-    A candidate's window masks (_CompiledSweep.masks) join those of its
-    bits.  The windows before p hold no pattern instance, so the state after
-    them depends only on the bits below the pattern's, and is stepped once
-    per such low part.  Window p adds the pattern slots joined in their own
-    window, and one tail lookup (_CompiledSweep.tail) ends the sweep; both
-    depend only on the state after window p - 1 and the two masks, so each
-    such triple is settled once.
+    A union's window masks (_CompiledSweep.masks) join those of its bits and
+    of fixed, both taken over t = max(p, fixed.p) windows.  The windows
+    before p hold no pattern instance, so the state after them depends only
+    on the bits below the pattern's, and is stepped once per such low part.
+    Window p adds the pattern slots joined in their own window.  Each window
+    after p holds every instance of the candidate's pattern slots, the late
+    ones from the window before included, so windows p + 1..t read the
+    pattern mask joined with fixed's, and the tail (_CompiledSweep.tail)
+    reads it joined with fixed's pattern mask.  fixed is the same for every
+    mask, so the sweep from window p on depends only on the state after
+    window p - 1, window p's mask and the pattern mask, and each such triple
+    is settled once, with the union's window bound.
     """
     sweep = _compiled(g)
     lows = (1 << len(names) - len(full_edge_set(g).pattern)) - 1
-    bound = _window_bound(g, UPEdgeSet(p))
+    t = max(p, fixed.p)
+    fixed_masks = sweep.masks(fixed.normalized(t))  # windows 0..t, then the pattern's
+    head_start, blank = fixed_masks[: p + 1], [0] * (p + 2)
+    bound = _window_bound(g, UPEdgeSet(t))
     # (window, slot bit) of each bit's instances, the pattern mask last
     spots = [
         [(w, bit) for w, bit in enumerate(sweep.masks(_decode(names, p, 1 << i))) if bit]
@@ -439,8 +451,8 @@ def _candidate_sweep(g, p, names):
     patterns: dict = {}  # high part -> (window p's mask, the pattern mask)
     settled: dict = {}  # (head's run answer, window p's mask, pattern mask) -> result
 
-    def window_masks(part: int) -> list:
-        masks = [0] * (p + 2)
+    def window_masks(part: int, start: list) -> list:
+        masks = list(start)
         for i in iter_bits(part):
             for w, bit in spots[i]:
                 masks[w] |= bit
@@ -450,21 +462,30 @@ def _candidate_sweep(g, p, names):
         low = mask & lows
         head = heads.get(low)
         if head is None:
-            masks = window_masks(low)
+            masks = window_masks(low, head_start)
             head = heads[low] = (sweep.run(masks[:p]), masks[p])
         high = mask & ~lows
         pattern = patterns.get(high)
         if pattern is None:
-            masks = window_masks(high)
+            masks = window_masks(high, blank)
             pattern = patterns[high] = (masks[p], masks[-1])
         key = head[0], head[1] | pattern[0], pattern[1]
         res = settled.get(key)
         if res is None:
-            at = sweep.run((key[1],), p, head[0])
-            res = settled[key] = sweep.settle(at, p, pattern[1], bound)
+            later = [key[2] | f for f in fixed_masks[p + 1 : -1]]
+            at = sweep.run([key[1]] + later, p, head[0])
+            res = settled[key] = sweep.settle(at, t, key[2] | fixed_masks[-1], bound)
         return res
 
     return result
+
+
+def _bits_meeting(names, p, s: UPEdgeSet) -> int:
+    """The candidate bits (_candidate_bits) whose instances meet s, as a mask."""
+    s = s.normalized(max(s.p, p))
+    met = {("pre", i) for i in s.prefix_present} | s.explicit | s.pattern
+    met |= {(kind, j) for kind, j, w in s.explicit if w >= p}
+    return sum(1 << i for i, name in enumerate(names) if name in met)
 
 
 def _has_cyclic_subset(mask: int, cyclic: set) -> bool:
@@ -481,22 +502,22 @@ def _has_cyclic_subset(mask: int, cyclic: set) -> bool:
 def _glued_bases(g, glue, p, skip=None, known=(), bound=INF):
     """(base, defect) for the glued bases within p, in candidate order.
 
-    skip(cand), when given, is asked first, so an error it raises surfaces
+    A candidate's index in the walk is its bit mask (_candidate_bits).
+    skip(mask), when given, is asked first, so an error it raises surfaces
     before any base test; a true answer passes the candidate over, as does a
     finite cycle, an infinite defect (never a base's, see the module
-    docstring), a defect above bound or one already in known.  A
-    candidate's index in the walk is its bit mask, and one that a cyclic
-    candidate one bit smaller contains holds that cycle too, so it is
-    recorded as cyclic without a sweep.  The others are swept on their
-    masks (_candidate_sweep), and only a candidate that reaches the base
-    test is built as an edge set.
+    docstring), a defect above bound or one already in known.  A candidate
+    that a cyclic candidate one bit smaller contains holds that cycle too,
+    so it is recorded as cyclic without a sweep.  The others are swept on
+    their masks (_candidate_sweep), and only a candidate that reaches the
+    base test is built as an edge set.
     """
     names = _candidate_bits(g, p)
     sweep = _candidate_sweep(g, p, names)
     whole = None  # the sweep of g's full edge set, read at the first defect
     cyclic = set()
     for mask in range(1 << len(names)):
-        if skip is not None and skip(_decode(names, p, mask)):
+        if skip is not None and skip(mask):
             continue
         if _has_cyclic_subset(mask, cyclic):
             cyclic.add(mask)
@@ -713,13 +734,14 @@ def hat_check(
             continue
         # restrict the fixed set to this component's edges
         local_s = _remap_edge_set(down, s)
+        names = _candidate_bits(spec, p)
+        meets = _bits_meeting(names, p, local_s)
+        joint = _candidate_sweep(spec, p, names, local_s)
 
-        def blocked(cand):
+        def blocked(mask):
             # the walk passes over infinite defects, and adding s keeps a
             # finite defect finite, so a finite-cycle-free union extends
-            return edge_sets_intersect(cand, local_s) or _has_finite_cycle(
-                spec, edge_sets_union(cand, local_s)
-            )
+            return mask & meets or joint(mask).cycle_event is not None
 
         found, _ = next(_glued_bases(spec, local_glue, p, blocked), (None, None))
         if found is None:

@@ -11,6 +11,8 @@ from dataclasses import dataclass, replace
 
 from .cycles import (
     GluingSpec,
+    _bits_meeting,
+    _candidate_bits,
     _components,
     _glued_bases,
     _gluing,
@@ -32,6 +34,7 @@ from .periodic import (
     PeriodicGraphSpec,
     UPEdgeSet,
     _unrolled,
+    shift_edge_set,
 )
 
 
@@ -85,6 +88,26 @@ def delete_edges(g: PeriodicGraphSpec, instances) -> PeriodicGraphSpec:
     ids = doomed.prefix_present | {absorbed[inst] for inst in doomed.explicit}
     kept = tuple(e for i, e in enumerate(rolled.prefix_edges) if i not in ids)
     return replace(rolled, prefix_edges=kept)
+
+
+def _past_deletion(g: PeriodicGraphSpec, deleted, instances) -> list:
+    """instances of g, named as in delete_edges(g, deleted).
+
+    delete_edges unrolls the deletion's k windows into the prefix: an
+    instance there becomes a prefix edge, numbered among the kept ones, and
+    a later one moves k windows left (shift_edge_set).  Naming a deleted
+    instance is bad input.
+    """
+    doomed = _collect_finite(g, deleted)
+    s = _collect_finite(g, instances)
+    if edge_sets_intersect(s, doomed):
+        gone = edge_sets_difference(s, edge_sets_difference(s, doomed))
+        raise InputError(f"the edit contracts edges it deletes: {gone.to_obj()}")
+    absorbed = _unrolled(g, doomed.p)[1]
+    ids = doomed.prefix_present | {absorbed[inst] for inst in doomed.explicit}
+    shifted = shift_edge_set(g, s, doomed.p)
+    pre = [("pre", i - sum(d < i for d in ids)) for i in sorted(shifted.prefix_present)]
+    return pre + sorted(shifted.explicit)
 
 
 @dataclass(frozen=True)
@@ -165,11 +188,12 @@ def contract_coloops(
             if edge_set_is_empty(local_t):
                 continue
             part = _remap_edge_set(up, local_t)
-
-            def covers(cand):
-                return edge_set_is_empty(edge_sets_difference(local_t, cand))
-
-            found, _ = next(_glued_bases(spec, local_glue, p, covers), (None, None))
+            # each instance of t lies in one candidate bit, so a candidate
+            # holds t exactly when it holds every bit meeting t
+            need = _bits_meeting(_candidate_bits(spec, p), p, local_t)
+            found, _ = next(
+                _glued_bases(spec, local_glue, p, lambda mask: (mask & need) == need), (None, None)
+            )
             base = None if found is None else _remap_edge_set(up, found)
         if base is not None:
             raise InputError(

@@ -273,6 +273,45 @@ def test_scan_certifies_a_contraction_per_component(run, tmp_path):
     )
 
 
+# lanes t, b and z: rungs t-b and t-z in every window, rails on t and b
+PENDANT_LANE = {
+    "repeat": {"vertices": ["t", "b", "z"], "edges": [["t", "b", "rung"], ["t", "z", "rung"]]},
+    "splice": [["t", "t", "top"], ["b", "b", "bottom"]],
+    "ends": ["e"],
+}
+
+
+def test_scan_refuses_to_contract_an_edge_the_edit_deletes(run, tmp_path):
+    (tmp_path / "pendant.json").write_text(json.dumps(PENDANT_LANE))
+    edit = tmp_path / "edit.json"
+    edit.write_text(json.dumps(
+        {"base": "pendant.json", "delete": [["win", 1, 0]], "contract": [["win", 1, 0]]}
+    ))
+    rc, out, err = run("scan", str(edit), "--prefix", "1")
+    assert rc == 2 and out == ""
+    assert err == (
+        "error: the edit contracts edges it deletes: {'prefix_blocks': 1, "
+        "'prefix_edges': [['win', 1, 0]], 'repeat_edges': []}\n"
+    )
+
+
+def test_scan_reads_contract_instances_in_the_base_family(run, tmp_path):
+    # deleting the window-0 rung unrolls window 0 into the prefix, so the
+    # base family's window-1 rung is the edited family's window-0 rung, and
+    # a glued base can leave it out
+    (tmp_path / "pendant.json").write_text(json.dumps(PENDANT_LANE))
+    edit = tmp_path / "edit.json"
+    edit.write_text(json.dumps(
+        {"base": "pendant.json", "delete": [["win", 0, 0]], "contract": [["win", 0, 1]]}
+    ))
+    rc, out, err = run("scan", str(edit), "--prefix", "1")
+    assert rc == 2 and out == ""
+    assert err.startswith(
+        "error: not a coloop set within bounds: {'prefix_blocks': 1, 'prefix_edges': "
+        "[['win', 0, 0]], 'repeat_edges': []} stays outside the base "
+    )
+
+
 def test_scan_csv_form(run):
     rc, out, _ = run("scan", "ladder:1", "--prefix", "1", "--out", "csv")
     assert rc == 0

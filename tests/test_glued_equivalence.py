@@ -908,8 +908,11 @@ def test_pruned_walk_matches_the_reference(data):
         return len(cand.prefix_present) + len(cand.explicit) + len(cand.pattern) == size
 
     for p in _walk_profiles(g):
+        # the walk's filter reads a candidate's bit mask, its index here
+        cands = list(_candidate_sets(g, p))
         for skip in (lambda cand: False, blocked, sized):
-            assert walk(_glued_bases, g, glue, p, skip) == walk(ref_glued_bases, g, glue, p, skip)
+            assert (walk(_glued_bases, g, glue, p, lambda mask: skip(cands[mask]))
+                    == walk(ref_glued_bases, g, glue, p, skip))
 
 
 def test_walk_does_not_sweep_a_superset_of_parallel_prefix_edges():
@@ -960,6 +963,23 @@ def test_walk_sweeps_its_candidates_without_run_machine(glued):
     with mock.patch.object(periodic, "run_machine", counted), \
             mock.patch.object(matroidlab.cycles, "run_machine", counted):
         spectrum_search(g, glue_all(g) if glued else None, (4, 1))
+    assert len(calls) <= 1000
+
+
+def test_hat_check_filters_its_candidates_without_run_machine():
+    # hat_check's filter reads each candidate's union with the fixed set off
+    # its mask, so run_machine serves only base tests and defect reads: 792
+    # calls here, against 2,424 when the filter swept every union
+    g = ladder_family(1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return run_machine(*args)
+
+    with mock.patch.object(periodic, "run_machine", counted), \
+            mock.patch.object(matroidlab.cycles, "run_machine", counted):
+        assert hat_check(g, glue_all(g), UPEdgeSet(), (3, 1))[0]
     assert len(calls) <= 1000
 
 

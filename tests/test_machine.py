@@ -27,6 +27,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from matroidlab.cycles import _candidate_sweep, _decode, edge_sets_union
 from matroidlab.errors import ResourceLimitError
 from matroidlab.io import dump_family
 from matroidlab.periodic import (
@@ -390,6 +391,53 @@ def test_split_sweep_matches_the_window_loop(case):
     _compiled.cache_clear()
     for t in (s, s.normalized(s.p + k)):
         assert result_or_error(run_machine, g, t) == result_or_error(loop_run_machine, g, t)
+
+
+def candidate_names(g, p):
+    """The candidate bits of cycles._candidate_bits, without its 16-bit cap."""
+    slots = sorted(full_edge_set(g).pattern)
+    pre = [("pre", i) for i in range(len(g.prefix_edges))]
+    return pre + [(kind, j, w) for w in range(p) for kind, j in slots] + slots
+
+
+@st.composite
+def fixed_unions(draw):
+    """A random spec (splices may move lanes), a candidate prefix of 0-2
+    windows, a fixed set explicit over up to 2 more windows and a few
+    candidate masks, the empty and the full candidate among them."""
+    g = draw(specs())
+    p = draw(st.integers(0, 2))
+    names = candidate_names(g, p)
+    slots = sorted(full_edge_set(g).pattern)
+    fp = draw(st.integers(0, p + 2))
+    instances = [(kind, j, w) for w in range(fp) for kind, j in slots]
+    fixed = UPEdgeSet(
+        fp,
+        frozenset(draw(st.sets(st.integers(0, len(g.prefix_edges) - 1)))) if g.prefix_edges else frozenset(),
+        frozenset(draw(st.sets(st.sampled_from(instances)))) if instances else frozenset(),
+        frozenset(draw(st.sets(st.sampled_from(slots)))),
+    )
+    top = (1 << len(names)) - 1
+    masks = [0, top] + draw(st.lists(st.integers(0, top), max_size=6))
+    return g, p, names, fixed, masks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fixed_unions())
+# the link and both swapping splices: the union's sweep repeats every 2 windows
+@example((SWAP_LINK, 0, candidate_names(SWAP_LINK, 0), UPEdgeSet(2, frozenset({0})), [0b110]))
+# the markers' links and splices: the union runs out of the window bound of
+# its own explicit zone, 2 windows past the candidate's
+@example((MARKERS, 0, candidate_names(MARKERS, 0), UPEdgeSet(2, frozenset(range(3))),
+          [sum(1 << 3 + j for j in range(15))]))
+def test_fixed_set_sweep_matches_run_machine(case):
+    # the walk sweeps candidate plus fixed set on the candidate's mask; every
+    # mask shares one closure, so later masks read the memos of earlier ones
+    g, p, names, fixed, masks = case
+    joint = _candidate_sweep(g, p, names, fixed)
+    for mask in masks:
+        union = edge_sets_union(_decode(names, p, mask), fixed)
+        assert result_or_error(joint, mask) == result_or_error(run_machine, g, union)
 
 
 # ---------------------------------------------------------------------------
