@@ -17,15 +17,17 @@ any other oracle (from_explicit and its wrappers) takes the step with a rank
 call.  A grown oracle is a matroid, so enumerate_bases lists its bases by the
 same pass pruned to the rank r: all bases have r elements, and a set only
 gains elements below its lowest, so a branch with too few of those left is
-dropped without losing a base.  The axiom screens, circuit enumeration and
-the bases of any other system read the whole family, and each fact about a
+dropped without losing a base.  An explicit family built as the down-closure
+of known sets keeps them as its generators, so its bases and its one-element
+extensions come from them.  The axiom screens, circuit enumeration and the
+bases of any other system read the whole family, and each fact about a
 family has one helper: _family_table for its one-element extensions and
-closure failures (bases, the I and F screens and ops.union read it), _maximal
-for the maximal members of one not closed, _explicit_rank for an explicit
-family's rank, util.down_closure for all subsets of given sets, and
-_first_unextended for a pair A, B with no element of B extending A.  On a
-closed family F3 needs only the B one larger than A: a failing B has failing
-subsets of that size, and those come first.
+closure failures (bases, the I and F screens and ops.union read it when the
+family has no generators), _maximal for the maximal members of one not
+closed, _explicit_rank for an explicit family's rank, closed_system for all
+subsets of given sets, and _first_unextended for a pair A, B with no element
+of B extending A.  On a closed family F3 needs only the B one larger than A:
+a failing B has failing subsets of that size, and those come first.
 
 Operations that sweep the full powerset are capped at SWEEP_CAP elements;
 encodings themselves are capped at ENUM_CAP.  Both caps can be overridden per
@@ -115,10 +117,16 @@ def as_mask(ground: GroundSet, subset) -> int:
 
 @dataclass(frozen=True)
 class ExplicitSystem:
-    """An independence system given by the explicit family of its members."""
+    """An independence system given by the explicit family of its members.
+
+    generators, when set, promises that independents is exactly the family
+    of all subsets of the generators: closed_system keeps the sets it closes,
+    explicit_system(check=True) the bases.  Such a family is downward closed
+    and its bases are its maximal generators.  Equality ignores generators."""
 
     ground: GroundSet
     independents: frozenset[int]
+    generators: frozenset[int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         full = self.ground.full_mask
@@ -196,13 +204,22 @@ def explicit_system(ground: GroundSet, subsets, check: bool = True) -> ExplicitS
     basic kind can be constructed and then diagnosed by check_axioms.
     """
     masks = frozenset(as_mask(ground, s) for s in subsets)
-    sys_ = ExplicitSystem(ground, masks)
-    if check:
-        if 0 not in masks:
-            raise InputError("family does not contain the empty set")
-        if _family_table(masks)[1]:
-            raise InputError("family is not downward closed")
-    return sys_
+    if not check:
+        return ExplicitSystem(ground, masks)
+    if 0 not in masks:
+        raise InputError("family does not contain the empty set")
+    addable, missing = _family_table(masks)
+    if missing:
+        raise InputError("family is not downward closed")
+    # the bases of a closed family are the members nothing extends
+    return ExplicitSystem(ground, masks, frozenset(s for s, x in addable.items() if not x))
+
+
+def closed_system(ground: GroundSet, tops) -> ExplicitSystem:
+    """The family of all subsets of the masks tops, kept with tops as its
+    generators."""
+    tops = frozenset(tops)
+    return ExplicitSystem(ground, down_closure(tops), tops)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +413,11 @@ def _is_grown(sys_: System) -> bool:
     return isinstance(sys_, OracleMatroid) and sys_.grow is not None
 
 
+def _is_generated(sys_: System) -> bool:
+    """Is sys_ an explicit family kept with its generators, and so closed?"""
+    return isinstance(sys_, ExplicitSystem) and sys_.generators is not None
+
+
 def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
     """Maximal independent sets, ascending masks.
 
@@ -408,12 +430,20 @@ def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
     sets with that room, not the whole family.  Any other family may not be
     closed, not even a rank sweep's: from_explicit of {}, {0}, {2}, {1,2},
     {0,1,2} sweeps to {0} and {0,1,2} without {0,1}; its bases come from
-    _table_bases."""
+    _table_bases.  A family kept with its generators is their down-closure:
+    every member lies in a generator, so its bases are the maximal
+    generators, and a generator G is maximal exactly when no G + e is a
+    member, since a member properly containing G contains some G + e."""
     if _is_grown(sys_):
         _check_sweep(sys_.ground, cap)
         pair = sys_.grow(cap)
         if pair is not None:
             return _grown_family(sys_.ground.size, *pair, _greedy_rank(sys_.ground.size, *pair))
+    if _is_generated(sys_):
+        fam, full = sys_.independents, sys_.ground.full_mask
+        return sorted(
+            g for g in sys_.generators if not any(g | 1 << e in fam for e in iter_bits(full ^ g))
+        )
     fam = family_masks(sys_, cap)
     return _table_bases(fam, *_family_table(fam))
 
@@ -491,8 +521,10 @@ class AxiomReport:
         }
 
 
-def _by_card(masks):
-    return sorted(masks, key=lambda s: (s.bit_count(), s))
+def _by_card(masks: list[int]) -> list[int]:
+    """The ascending masks ordered by size, then mask: a stable sort by size
+    keeps the ascending order within each size."""
+    return sorted(masks, key=int.bit_count)
 
 
 def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> AxiomReport:
@@ -504,7 +536,12 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
     I3 pairs each non-maximal A with the maximal members, F3 each A with the
     larger members; in a closed family only those one larger than A, since a
     failing B has failing subsets of size |A| + 1, all members, and _by_card
-    lists them first: the first witness is the same.
+    lists them first: the first witness is the same.  A family kept with its
+    generators is closed, so nothing is missing, and addable[A] is the union
+    of the bases containing A, less A.  With no more bases than elements it
+    builds no table: that union, read only for the A the I3 or F3 scan
+    visits, costs no more than the table's pass over the elements of every
+    member.
     """
     if system_id not in AXIOM_SETS:
         raise InputError(f"unknown axiom system {system_id!r}; expected I, B, or F")
@@ -526,16 +563,22 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
         return AxiomReport(system_id, sys_.ground, verdicts, witnesses, notes)
 
     fam = family_masks(sys_, cap)
-    addable, missing = _family_table(fam)
+    bases = enumerate_bases(sys_) if _is_generated(sys_) else None
+    if bases is not None and len(bases) <= sys_.size:
+        addable, missing = _Spanned(bases), {}
+    else:
+        addable, missing = _family_table(fam)
     by_card = _by_card(fam)
     # the first member by size, then mask, that misses a one-smaller subset
     first = min(missing, key=lambda s: (s.bit_count(), s), default=None)
     closure = None if first is None else {"set": first, "missing_subset": missing[first]}
-    record(system_id + "1", None if 0 in addable else {})
+    record(system_id + "1", None if fam[:1] == [0] else {})
     record(system_id + "2", closure)
     if system_id == "I":
-        maximal = set(_table_bases(fam, addable, missing))
-        bases = _by_card(maximal)
+        if bases is None:
+            bases = _table_bases(fam, addable, missing)
+        maximal = set(bases)
+        bases = _by_card(bases)
         non_maximal = [a for a in by_card if a not in maximal]
         record("I3", _first_unextended(non_maximal, lambda a: bases, addable))
         verdicts["I4"] = "vacuous-pass"
@@ -556,6 +599,21 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
         record("F4", closure)
         notes["F4"] = "finite ground: equivalent to downward closure"
     return AxiomReport(system_id, sys_.ground, verdicts, witnesses, notes)
+
+
+class _Spanned:
+    """addable of the down-closure of bases, each entry computed when read:
+    A + e is a member exactly when a base holds A and e."""
+
+    def __init__(self, bases: list[int]):
+        self.bases = bases
+
+    def __getitem__(self, a: int) -> int:
+        x = 0
+        for b in self.bases:
+            if b & a == a:
+                x |= b
+        return x & ~a
 
 
 def _first_unextended(members, candidates, addable) -> dict | None:
@@ -672,7 +730,7 @@ def dual(sys_: System) -> System:
             primal=sys_,
         )
     full = sys_.ground.full_mask
-    return ExplicitSystem(sys_.ground, down_closure(full ^ b for b in enumerate_bases(sys_)))
+    return closed_system(sys_.ground, (full ^ b for b in enumerate_bases(sys_)))
 
 
 def _minor_ground(ground: GroundSet, keep_mask: int) -> tuple[GroundSet, list[int]]:

@@ -127,7 +127,7 @@ def _graphic_edges(edges) -> list[tuple[int, int]]:
 def dump_system(sys_, cap=None) -> dict:
     """Explicit system file for any finite system; masks ordered canonically.
     An oracle is swept under cap."""
-    fam = sorted(family_masks(sys_, cap), key=lambda s: (s.bit_count(), s))
+    fam = sorted(family_masks(sys_, cap), key=int.bit_count)
     return {
         "ground": list(sys_.ground.labels),
         "kind": "explicit",

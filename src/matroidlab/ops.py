@@ -21,11 +21,13 @@ from .core import (
     _check_sweep,
     _expand,
     _family_table,
+    _is_generated,
     _is_grown,
     _maximal,
     _table_bases,
     _wrap_grow,
     check_axioms,
+    closed_system,
     dual,
     enumerate_bases,
     family_masks,
@@ -33,7 +35,6 @@ from .core import (
     uniform_matroid,
 )
 from .errors import InputError, ResourceLimitError
-from .util import down_closure
 
 
 @dataclass(frozen=True)
@@ -115,21 +116,32 @@ def union(m1: System, m2: System, cap: int | None = None) -> ExplicitSystem:
     ground = GroundSet(labels)
     map1 = [ground.index(l) for l in m1.ground.labels]
     map2 = [ground.index(l) for l in m2.ground.labels]
-    fam1 = sorted(_expand(s, map1) for s in family_masks(m1, cap))
-    fam2 = sorted(_expand(s, map2) for s in family_masks(m2, cap))
-    table1, table2 = _family_table(fam1), _family_table(fam2)
-    if not table1[1] and not table2[1]:
-        bases2 = _table_bases(fam2, *table2)
-        tops = sorted({b1 | b2 for b1 in _table_bases(fam1, *table1) for b2 in bases2})
+    bases1, bases2 = _closed_bases(m1, cap), _closed_bases(m2, cap)
+    if bases1 is not None and bases2 is not None:
+        bases1 = [_expand(b, map1) for b in bases1]
+        bases2 = [_expand(b, map2) for b in bases2]
+        tops = sorted({b1 | b2 for b1 in bases1 for b2 in bases2})
         if _is_grown(m1) and _is_grown(m2):
             size = max(t.bit_count() for t in tops)
             tops = [t for t in tops if t.bit_count() == size]
         else:
             tops = _maximal(tops)
-        out = down_closure(tops)
-    else:
-        out = {s1 | s2 for s1 in fam1 for s2 in fam2}
-    return ExplicitSystem(ground, frozenset(out))
+        return closed_system(ground, tops)
+    fam1 = [_expand(s, map1) for s in family_masks(m1, cap)]
+    fam2 = [_expand(s, map2) for s in family_masks(m2, cap)]
+    return ExplicitSystem(ground, frozenset({s1 | s2 for s1 in fam1 for s2 in fam2}))
+
+
+def _closed_bases(sys_: System, cap: int | None) -> list[int] | None:
+    """The bases of sys_ when its family is downward closed, else None.  A
+    grown oracle or a family kept with its generators is closed as built and
+    lists its bases through enumerate_bases; any other family is read through
+    its _family_table."""
+    if _is_grown(sys_) or _is_generated(sys_):
+        return enumerate_bases(sys_, cap)
+    fam = family_masks(sys_, cap)
+    addable, missing = _family_table(fam)
+    return None if missing else _table_bases(fam, addable, missing)
 
 
 def check_unionable(m1: System, m2: System, cap: int | None = None) -> AxiomReport:
@@ -201,8 +213,7 @@ def _nested_base_pairs(pair: NestedPair, cap: int | None = None):
 def difference(outer: System, inner: System, cap: int | None = None) -> ExplicitSystem:
     """The system of subsets of F - B over nested base pairs B of inner, F of outer."""
     pair = NestedPair(inner, outer, cap)
-    fam = down_closure(f & ~b for b, f in _nested_base_pairs(pair, cap)[1])
-    return ExplicitSystem(pair.ground, fam)
+    return closed_system(pair.ground, (f & ~b for b, f in _nested_base_pairs(pair, cap)[1]))
 
 
 def verify_difference_duality(
@@ -287,8 +298,7 @@ def ch4_inner(r: int) -> ExplicitSystem:
     least one block entirely.  Its bases are the block complements, and for
     r >= 2 it fails I3."""
     ground = _ch4_ground(r)
-    fam = down_closure(ground.full_mask ^ ground.mask(block) for block in ch4_blocks(r))
-    return ExplicitSystem(ground, fam)
+    return closed_system(ground, (ground.full_mask ^ ground.mask(block) for block in ch4_blocks(r)))
 
 
 def ch4_system(r: int, cap: int | None = None) -> NestedPair:

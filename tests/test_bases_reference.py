@@ -8,14 +8,19 @@ and a separate closure-witness scan beside the addable loop.  The package
 now reads one table per family (core._family_table) and lists a grown
 oracle's bases by rank; bases, reports and union families must agree
 exactly, on checked and unchecked explicit families, on grown oracles and
-their wrappers, and on from_explicit wraps of them.  The nesting check must
-name the same first failing mask as the per-set scan.
+their wrappers, and on from_explicit wraps of them.  Families kept with their
+generators (core.closed_system, and the dual, difference and union of small
+systems) read no table at all, so they must also agree with the same family
+with its generators dropped.  The nesting check must name the same first
+failing mask as the per-set scan.
 """
+
+import dataclasses
 
 from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matroidlab import (
@@ -28,6 +33,7 @@ from matroidlab import (
     family_masks,
     from_explicit,
     graphic_matroid,
+    rank_of,
     truncate_top,
     uniform_matroid,
 )
@@ -35,18 +41,22 @@ from matroidlab.core import (
     AxiomReport,
     ExplicitSystem,
     OracleMatroid,
-    _by_card,
     _expand,
     _first_unextended,
+    closed_system,
 )
 from matroidlab.linear import MatrixRep, linear_matroid
-from matroidlab.ops import NestedPair, ch4_inner, ch4_system, spectrum, union
+from matroidlab.ops import NestedPair, ch4_inner, ch4_system, difference, spectrum, union
 from matroidlab.util import down_closure, iter_bits
 
 from test_axiom_screens import grown_oracles, raw_families
 
 # ---------------------------------------------------------------------------
 # reference: the three-pass helpers, kept as they were
+
+
+def _by_card(masks):
+    return sorted(masks, key=lambda s: (s.bit_count(), s))
 
 
 def _missing_subset(s: int, fam_set) -> int | None:
@@ -169,7 +179,31 @@ def wrapped_oracles(draw):
     return sys_
 
 
-systems = st.one_of(raw_families(), closed_families(), wrapped_oracles())
+@st.composite
+def generated_families(draw):
+    """Families kept with their generators: the down-closure of random
+    generators on 0 to 6 elements, some repeated and some inside others, or
+    the dual, difference or union of small systems."""
+    kind = draw(st.sampled_from(("tops", "dual", "difference", "union")))
+    closed = st.one_of(closed_families(), grown_oracles())
+    if kind == "dual":
+        return dual(draw(st.one_of(raw_families(), closed_families())))
+    if kind == "difference":
+        outer = draw(closed)
+        return difference(outer, truncate_top(outer, draw(st.integers(0, rank_of(outer)))))
+    if kind == "union":
+        # a union is kept with generators when both inputs are closed
+        return union(draw(closed), draw(closed))
+    m = draw(st.integers(0, 6))
+    full = (1 << m) - 1
+    tops = draw(st.lists(st.integers(0, full), max_size=4))
+    # repeat some generators and add subsets of others, so some are not maximal
+    tops += draw(st.lists(st.sampled_from(tops), max_size=2)) if tops else []
+    tops += [t & draw(st.integers(0, full)) for t in tops[: draw(st.integers(0, 2))]]
+    return closed_system(GroundSet.of_size(m), tops)
+
+
+systems = st.one_of(raw_families(), closed_families(), wrapped_oracles(), generated_families())
 
 
 @st.composite
@@ -209,8 +243,19 @@ def member_pairs(draw):
 # tests
 
 
+# the empty ground with no generator and with a lone empty one, and repeats
+EDGE_GENERATORS = [
+    closed_system(GroundSet.of_size(0), []),
+    closed_system(GroundSet.of_size(0), [0]),
+    closed_system(GroundSet.of_size(3), [0, 0]),
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(systems)
+@example(EDGE_GENERATORS[0])
+@example(EDGE_GENERATORS[1])
+@example(EDGE_GENERATORS[2])
 def test_bases_and_screens_match_the_three_pass_reference(sys_):
     assert enumerate_bases(sys_) == ref_enumerate_bases(sys_)
     for system_id in "IF":
@@ -226,6 +271,35 @@ def test_union_matches_the_three_pass_reference(m1, m2):
     got, want = union(m1, m2), ref_union(m1, m2)
     assert got.ground == want.ground
     assert got.independents == want.independents
+
+
+def _without_generators(sys_):
+    return dataclasses.replace(sys_, generators=None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated_families())
+@example(EDGE_GENERATORS[0])
+@example(EDGE_GENERATORS[1])
+@example(EDGE_GENERATORS[2])
+def test_generators_give_what_the_table_gives(sys_):
+    # the family is exactly the down-closure of its generators
+    assert sys_.independents == down_closure(sys_.generators)
+    plain = _without_generators(sys_)
+    assert enumerate_bases(sys_) == enumerate_bases(plain)
+    for system_id in "IBF":
+        got, want = check_axioms(sys_, system_id), check_axioms(plain, system_id)
+        assert got.verdicts == want.verdicts
+        assert got.witnesses == want.witnesses
+
+
+@settings(max_examples=200, deadline=None)
+@given(generated_families(), systems)
+def test_union_of_generated_families_ignores_the_generators(m1, m2):
+    got = union(m1, m2)
+    assert got.independents == union(_without_generators(m1), m2).independents
+    if got.generators is not None:
+        assert got.independents == down_closure(got.generators)
 
 
 @settings(max_examples=300, deadline=None)

@@ -507,10 +507,11 @@ def test_block_pair_past_the_sweep_cap_stops_before_building(argv, code, monkeyp
     # a command that sweeps the pair checks its ground against the sweep cap
     # (--cap, default 16) before the block family, about two million sets at
     # r = 6, is built; axioms reads only the inner system, an explicit family
-    # that no sweep cap governs, so it builds the family and answers
+    # that no sweep cap governs, so it builds the family and answers; the
+    # block family is built by core.closed_system
     built = []
-    monkeypatch.setattr(matroidlab.ops, "down_closure",
-                        lambda tops, real=matroidlab.ops.down_closure: built.append(tops) or real(tops))
+    monkeypatch.setattr(matroidlab.core, "down_closure",
+                        lambda tops, real=matroidlab.core.down_closure: built.append(tops) or real(tops))
     rc, out, err = run_in_process(argv)
     assert rc == code, err
     if code == 3:
@@ -518,6 +519,35 @@ def test_block_pair_past_the_sweep_cap_stops_before_building(argv, code, monkeyp
         assert not built
     else:
         assert built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ch4", "-r", "5"],
+        ["spectrum", "--pair", "ch4:5"],
+        ["axioms", "--system", "ch4:5", "--axioms", "I"],
+        ["axioms", "--system", "ch4:5", "--axioms", "F"],
+        ["axioms", "--system", "ch4:5", "--axioms", "B"],
+    ],
+    ids=["ch4-r5", "spectrum-pair", "axioms-I", "axioms-F", "axioms-B"],
+)
+def test_block_pair_reads_its_generators_without_a_family_table(argv, monkeypatch):
+    # ch4:5 is the down-closure of its 5 block complements, 23,003 sets; its
+    # bases and the axiom screens read those generators, not a table of every
+    # member and element
+    tables = []
+
+    def spy(fam, real=matroidlab.core._family_table):
+        tables.append(len(fam))
+        return real(fam)
+
+    monkeypatch.setattr(matroidlab.core, "_family_table", spy)
+    monkeypatch.setattr(matroidlab.ops, "_family_table", spy)
+    rc, out, err = run_in_process(argv)
+    assert rc == 0, err
+    assert json.loads(out)
+    assert tables == []
 
 
 # uniform systems (rank, size) past the default sweep cap of 16 elements
