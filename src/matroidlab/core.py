@@ -122,7 +122,9 @@ class ExplicitSystem:
     generators, when set, promises that independents is exactly the family
     of all subsets of the generators: closed_system keeps the sets it closes,
     explicit_system(check=True) the bases.  Such a family is downward closed
-    and its bases are its maximal generators.  Equality ignores generators."""
+    and its bases are its maximal generators.  Equality ignores generators.
+    A member is a submask of a generator, so only generators are checked
+    against the ground when there are some."""
 
     ground: GroundSet
     independents: frozenset[int]
@@ -130,7 +132,7 @@ class ExplicitSystem:
 
     def __post_init__(self):
         full = self.ground.full_mask
-        for s in self.independents:
+        for s in self.independents if self.generators is None else self.generators:
             if s < 0 or s > full:
                 raise InputError("family member outside ground set")
 
@@ -758,6 +760,9 @@ def delete(sys_: System, subset) -> System:
         return OracleMatroid(
             new_ground, rk, label=f"{sys_.label}|del", grow=_wrap_grow(sys_, deleted)
         )
+    if _is_generated(sys_):
+        # the members avoiding x are the submasks of the generators less x
+        return closed_system(new_ground, (_compress(g & ~x, keep) for g in sys_.generators))
     fam = frozenset(_compress(s, keep) for s in sys_.independents if s & x == 0)
     return ExplicitSystem(new_ground, fam)
 

@@ -42,24 +42,42 @@ edge sets.  Only a candidate that reaches the base test is built as an edge
 set.
 
 A spectrum walk also stops early, by a bound on the defect.  Take one
-structural component, and let k be the summed width of its glued corridors
-(nearly_finitary_verdict).  Every glued base B has defect at most
-max(0, k - 1).  Let e be an edge joining two components A and A' of B.  As
-e joins two trees, B + e has no finite cycle, so, B being a base, it holds a
-circle through e.  The double ray of that circle through e has one tail in A
-and one in A', and each tail converges to a glue point.  So a finite
-component of the graph, which holds no ray, is never split by B.  In an
-infinite graph component C that B splits into m_C pieces, every piece borders
-another, since C is connected, so every piece carries a glued ray.  Rays in
-different pieces are disjoint, and their tails run in glued corridors, so
-there are at most k of them (corridor_width counts disjoint rays).  The
-defect is the sum of m_C - 1 over the split components; when it is positive
-some C is split, and the sum is at most k - 1.  The walk therefore passes
-over a candidate whose defect is above the bound without a base test, and
-returns once every value from 0 to the bound has a witness.  The candidate
-order does not change, so each value keeps its first witness.  Where defect
+structural component, and let k_x be the summed width of its corridors glued
+to the point x (nearly_finitary_verdict sums them over every point).  Every
+glued base B has defect at most the sum over x of max(0, k_x - 1).  Let H be
+the multigraph of _find_circle for B: the pieces of B (its components, all
+trees) and the glue points are its nodes, and each glued ray is an edge from
+its piece to its point.  B holds no circle, so H is a forest with no
+parallel pair.  Let e be an edge joining two pieces A and A'.  As e joins
+two trees, B + e has no finite cycle, so, B being a base, it holds a circle.
+A ray of A + e + A' has its tail in A or in A', so the multigraph of B + e
+is a subgraph of H with A and A' merged into one node.  Merging two nodes of
+different trees of a forest leaves a forest with no parallel pair, so A and
+A' lie in one tree of H.  A graph component C that B splits into m_C pieces
+is connected, so its pieces are linked by such edges and lie in one tree T
+of H with at least one edge.  (A finite component of the graph holds no ray,
+so its pieces are isolated in H and B never splits it.)  In T the pieces
+number its edges minus its points plus 1.  Rays in different pieces are
+disjoint, and their tails run in glued corridors, so T has at most k_x edges
+at its point x (corridor_width counts disjoint rays), and k_x >= 1 at each
+point of T.  The components split inside T add m_C - 1 each to the defect,
+at most the pieces of T minus 1, so at most the sum of k_x - 1 over the
+points of T.  Each point lies in one tree, and summing over the trees gives
+the bound.  With one glue point it is max(0, k - 1), k the glued ray count,
+and rays spread one to a point give 0.  The walk therefore passes over a
+candidate whose defect is above the bound without a base test, and returns
+once every value from 0 to the bound has a witness.  The candidate order
+does not change, so each value keeps its first witness.  Where defect
 misreads a past-only sweep class (lane-moving splices, ROADMAP item 1), the
 bound can hide a value that no base has.
+
+A component's spectrum is memoized for the life of the process, keyed on
+its spec, its local gluing and the prefix (_component_spectrum).  The memo
+is exact: both specs are frozen and compared by value, and the walk reads
+nothing but these three arguments, so equal keys give equal walks.  The
+answer is a read-only mapping of frozen edge sets, so no caller can change
+a cached answer, and an error is never cached: a bound the walk hits raises
+again on every call.
 
 A base test asks whether any of infinitely many absent instances can be
 added.  Representatives answer it with finitely many: the explicit-zone
@@ -79,6 +97,8 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import InputError, ResourceLimitError, StructuralMismatchError
 from .ops import SpectrumReport
@@ -559,23 +579,26 @@ def _remap_edge_set(maps, s: UPEdgeSet) -> UPEdgeSet:
     )
 
 
+@lru_cache(maxsize=512)
 def _component_spectrum(g, glue, p):
-    """Defect -> first witness (base, fin_base), exhaustively within p.
+    """Defect -> first witness (base, fin_base), exhaustively within p, as a
+    read-only mapping memoized on the arguments (module docstring).
 
-    No glued base has a defect above max(0, k - 1), k the glued ray count of
-    nearly_finitary_verdict (the module docstring proves it), so the walk
-    passes over larger defects without a base test and stops once every value
-    up to that bound has a witness.  A candidate whose defect is already
-    witnessed skips the base check too.  The candidate order is the
-    enumeration's, so every value keeps its enumeration-first witness.
+    No glued base has a defect above the sum over glue points x of
+    max(0, k_x - 1), k_x the rays into x (_point_widths; the module
+    docstring proves it), so the walk passes over larger defects without a
+    base test and stops once every value up to that bound has a witness.  A
+    candidate whose defect is already witnessed skips the base check too.
+    The candidate order is the enumeration's, so every value keeps its
+    enumeration-first witness.
     """
-    bound = max(0, nearly_finitary_verdict(g, glue).k - 1)
+    bound = sum(max(0, k - 1) for k in _point_widths(g, glue).values())
     out = {}
     for cand, d in _glued_bases(g, glue, p, known=out, bound=bound):
         out[d] = (cand, extend_to_fin_base(g, cand))
         if len(out) > bound:
             break
-    return out
+    return MappingProxyType(out)
 
 
 def spectrum_search(
@@ -835,6 +858,16 @@ class VerdictReport:
         }
 
 
+def _point_widths(g: PeriodicGraphSpec, glue: GluingSpec) -> Counter:
+    """Glue point -> the summed width of the corridors glued to it, for
+    every point with a glued end class, read in ascending label order."""
+    end_map, point_of = ends_of(g), glue.as_map()
+    widths = Counter()
+    for label in sorted(point_of):
+        widths[point_of[label]] += corridor_width(g, end_map[label])
+    return widths
+
+
 def nearly_finitary_verdict(g: PeriodicGraphSpec, glue: GluingSpec | None = None) -> VerdictReport:
     """How far glued bases can sit from finite-cycle bases, at worst.
 
@@ -845,7 +878,8 @@ def nearly_finitary_verdict(g: PeriodicGraphSpec, glue: GluingSpec | None = None
     glued ends that carry no ray, no circle exists and the two systems
     coincide.
 
-    Within one structural component the bound is sharper, max(0, k - 1), as
+    Within one structural component the bound is sharper: the sum over glue
+    points x of max(0, k_x - 1), k_x the rays into x (_point_widths), as
     the module docstring proves, and the spectrum walk uses that form per
     component.  The report keeps k itself, the glued ray count that
     `rays --glue` prints beside its corridor widths and that a reader can
@@ -853,10 +887,9 @@ def nearly_finitary_verdict(g: PeriodicGraphSpec, glue: GluingSpec | None = None
     the per-component ones.
     """
     glue = _gluing(g, glue)
-    glued_labels = {label for i in glue.psi for label in glue.groups[i]}
-    end_map = ends_of(g)
-    k = sum(corridor_width(g, end_map[label]) for label in sorted(glued_labels))
-    if not glued_labels:
+    widths = _point_widths(g, glue)
+    k = sum(widths.values())
+    if not widths:
         notes = ("no end class is glued, so the system equals its finite-cycle system",)
     elif k == 0:
         notes = (

@@ -550,6 +550,27 @@ def test_block_pair_reads_its_generators_without_a_family_table(argv, monkeypatc
     assert tables == []
 
 
+
+def test_minor_of_an_explicit_file_builds_one_family_table(tmp_path, monkeypatch):
+    # loading checks the file's closure with one table, which also gives the
+    # bases; the deletion and the contraction's duals keep generators, so
+    # neither builds another
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(
+        {"ground": ["a", "b", "c"], "kind": "explicit", "independent": [[], [0], [1], [2], [0, 1]]}
+    ))
+    tables = []
+
+    def spy(fam, real=matroidlab.core._family_table):
+        tables.append(len(fam))
+        return real(fam)
+
+    monkeypatch.setattr(matroidlab.core, "_family_table", spy)
+    rc, out, err = run_in_process(["minor", "--system", str(path), "--delete", "c", "--contract", "a"])
+    assert rc == 0, err
+    assert json.loads(out)["result"]
+    assert tables == [5]
+
 # uniform systems (rank, size) past the default sweep cap of 16 elements
 WIDE = {"u1": (1, 17), "u2": (2, 17), "u16": (16, 17), "u1of18": (1, 18)}
 

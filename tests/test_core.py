@@ -33,6 +33,7 @@ from matroidlab import (
     truncate_top,
     uniform_matroid,
 )
+from matroidlab.core import closed_system
 
 
 # ---------------------------------------------------------------------------
@@ -550,3 +551,26 @@ def test_explicit_minors_match_oracle_minors(g, data):
         assert isinstance(left, ExplicitSystem)
         assert left.ground == right.ground
         assert family_masks(left) == family_masks(right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 31), max_size=5), st.integers(0, 31))
+def test_deleting_from_generators_keeps_them(tops, x):
+    # the deletion of a down-closure is the down-closure of its generators
+    # less the deleted set: the same family as filtering every member
+    g = GroundSet.of_size(5)
+    closed = closed_system(g, tops)
+    left, right = delete(closed, x), delete(ExplicitSystem(g, closed.independents), x)
+    assert left == right
+    assert left.generators is not None and right.generators is None
+    assert enumerate_bases(left) == enumerate_bases(right)
+
+
+def test_a_generator_outside_the_ground_is_rejected():
+    # a generated family checks its generators, not each member
+    g = GroundSet.of_size(2)
+    with pytest.raises(InputError, match="outside ground"):
+        closed_system(g, [0b01, 0b100])
+    with pytest.raises(InputError, match="outside ground"):
+        ExplicitSystem(g, frozenset({0, 0b100}), frozenset({0b100}))
+    assert closed_system(g, [0b11]).independents == {0, 0b01, 0b10, 0b11}

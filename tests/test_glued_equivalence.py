@@ -26,12 +26,15 @@ import matroidlab
 from matroidlab import periodic
 from matroidlab.cycles import (
     GluingSpec,
+    _bits_meeting,
+    _candidate_bits,
     _candidate_sets,
     _component_spectrum,
     _components,
     _glued_bases,
     _gluing,
     _independent,
+    _point_widths,
     _prefix_forest,
     _project_glue,
     absent_representatives,
@@ -45,6 +48,7 @@ from matroidlab.cycles import (
     fin_is_base,
     glue_all,
     hat_check,
+    mk_spectrum,
     nearly_finitary_verdict,
     spectrum_search,
     verify_i3_violation,
@@ -845,6 +849,8 @@ def test_infinite_defects_are_never_bases(data):
                          ids=["ladder", "ladder2", "bean"])
 def test_walk_never_base_tests_an_infinite_defect(g):
     glue = glue_all(g)
+    # a warm memo answers without a walk, so the spy would see none
+    _component_spectrum.cache_clear()
     tested = []
 
     def spy(g_, s, glue_=None):
@@ -954,6 +960,7 @@ def test_walk_sweeps_its_candidates_without_run_machine(glued):
     # serves only base tests and defect reads: 20 and 226 calls here, against
     # 34,789 and 51,031 when every swept candidate was a run_machine call
     g = ladder_family(1)
+    _component_spectrum.cache_clear()
     calls = []
 
     def counted(*args):
@@ -1007,16 +1014,25 @@ def lane_moving(g):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_bounded_spectrum_walk_matches_the_reference(data):
-    # the bounded walk keeps the reference's values up to max(0, k - 1), each
-    # with its first witness; where the reference walk hits a sweep bound
-    # after the bounded walk has stopped, they agree up to that candidate.
-    # Without a lane-moving splice the cut removes nothing
+    # the bounded walk keeps the reference's values up to the glue point
+    # bound, each with its first witness; where the reference walk hits a
+    # sweep bound after the bounded walk has stopped, they agree up to that
+    # candidate.  Without a lane-moving splice the cut removes nothing
     g = data.draw(specs())
     glue = _gluing(g, data.draw(gluings(g)))
+    check_bounded_walk(g, glue)
+
+
+def glue_point_bound(g, glue):
+    """The sum over glue points x of max(0, k_x - 1), k_x the rays into x."""
+    return sum(max(0, k - 1) for k in _point_widths(g, glue).values())
+
+
+def check_bounded_walk(g, glue):
     for spec, local_glue, _, _ in _components(g, glue):
         if spec is None:
             continue
-        bound = answer_or_error(lambda: max(0, nearly_finitary_verdict(spec, local_glue).k - 1))
+        bound = answer_or_error(glue_point_bound, spec, local_glue)
         for p in _walk_profiles(spec):
             got = answer_or_error(_component_spectrum, spec, local_glue, p)
             if isinstance(bound, tuple):
@@ -1039,6 +1055,8 @@ def test_bounded_spectrum_walk_matches_the_reference(data):
 @pytest.mark.parametrize("g", [ladder_family(1), ladder_family(2), bean_family()],
                          ids=["ladder", "ladder2", "bean"])
 def test_spectrum_walk_base_tests_no_defect_above_the_bound(g):
+    # a warm memo answers without a walk, so the spy would see none
+    _component_spectrum.cache_clear()
     tested = []
 
     def spy(g_, s, glue_=None):
@@ -1053,6 +1071,148 @@ def test_spectrum_walk_base_tests_no_defect_above_the_bound(g):
     assert all(defect(g_, s) <= max(0, nearly_finitary_verdict(g_, glue_all(g_)).k - 1)
                for g_, s in tested)
 
+
+
+@st.composite
+def spread_specs(draw):
+    """One structural component of 2-3 lanes, each with a splice of its
+    own, that meet only at the prefix vertex p, by a link at window 0 or by
+    spokes; a lane-moving splice may join two of them too."""
+    lanes = LANES[: draw(st.integers(2, 3))]
+    roles = st.sampled_from(("top", "bottom"))
+    spl = [(lane, lane, draw(roles)) for lane in lanes]
+    if draw(st.booleans()):
+        spl.append((*draw(st.permutations(lanes))[:2], draw(roles)))
+    linked = [draw(st.booleans()) for _ in lanes]
+    pre = [("p", ("r", lane)) for lane, link in zip(lanes, linked) if link]
+    apx = [("p", lane) for lane, link in zip(lanes, linked) if not link]
+    g = build_spec(("p",), lanes, pre, [], spl, apx)
+    if g is None or len(g.ends) < 2:
+        reject()
+    return g
+
+
+@st.composite
+def spread_gluings(draw, g):
+    """g's ends over n >= 2 glue points, the first n ends one to a point and
+    each other end at one of them or in an unglued group n."""
+    n = draw(st.integers(2, len(g.ends)))
+    owner = list(range(n)) + [draw(st.integers(0, n)) for _ in g.ends[n:]]
+    groups = tuple(
+        tuple(e for e, o in zip(g.ends, owner) if o == k) for k in sorted(set(owner))
+    )
+    return GluingSpec(groups, tuple(range(n)))
+
+
+def test_glue_point_bound_matches_the_reference_on_ends_glued_apart():
+    # with the ends of one component glued to different points the bound
+    # sums max(0, k_x - 1) per point, below max(0, k - 1); the walk still
+    # finds every value the unbounded reference finds
+    sharper = Counter()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        g = data.draw(spread_specs())
+        glue = _gluing(g, data.draw(spread_gluings(g)))
+        check_bounded_walk(g, glue)
+        for spec, local_glue, _, _ in _components(g, glue):
+            if spec is not None:
+                old = answer_or_error(lambda: max(0, nearly_finitary_verdict(spec, local_glue).k - 1))
+                new = answer_or_error(glue_point_bound, spec, local_glue)
+                sharper[isinstance(new, int) and new < old] += 1
+
+    check()
+    assert sharper[True], sharper
+
+
+def test_bean_glued_apart_stops_at_its_first_base():
+    # each end of the bean carries one ray to a point of its own, so the
+    # bound is 0 where one point would give 1, and the prefix-2 walk stops
+    # at its first base (mask 431) instead of sweeping on to mask 893
+    g = bean_family()
+    glue = GluingSpec(tuple((e,) for e in g.ends), tuple(range(len(g.ends))))
+    assert nearly_finitary_verdict(g, glue).k == 2
+    assert glue_point_bound(g, glue) == 0
+    _component_spectrum.cache_clear()
+    walked = []
+    candidate_sweep = matroidlab.cycles._candidate_sweep
+
+    def spy(*args):
+        sweep = candidate_sweep(*args)
+        return lambda mask: walked.append(mask) or sweep(mask)
+
+    with mock.patch.object(matroidlab.cycles, "_candidate_sweep", spy):
+        report = spectrum_search(g, glue, (2, 1))
+    assert report.values == (0,)
+    base = report.raw["witnesses"][0][0]
+    assert walked[-1] == _bits_meeting(_candidate_bits(g, 2), 2, base)
+    assert list(ref_component_spectrum(g, glue, 2)[0]) == [0]
+
+
+# ---------------------------------------------------------------------------
+# component spectra are memoized
+
+
+def spectrum_answer(g, glue, p):
+    report = spectrum_search(g, glue, (p, 1))
+    return report.to_dict(), report.raw["witnesses"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_memoized_spectra_match_a_cold_walk(data):
+    # the memo is keyed on equal specs, not the same objects; specs() draws
+    # lane-moving splices, and spread_specs() ends glued apart
+    g = data.draw(st.one_of(specs(), spread_specs()))
+    glue = data.draw(gluings(g))
+    p = data.draw(st.sampled_from(_walk_profiles(g)))
+    _component_spectrum.cache_clear()
+    cold = answer_or_error(spectrum_answer, g, glue, p)
+    warm = answer_or_error(spectrum_answer, dataclasses.replace(g), dataclasses.replace(glue), p)
+    assert warm == cold
+
+
+def test_a_repeated_component_is_walked_once():
+    _component_spectrum.cache_clear()
+    walks = []
+    glued_bases = matroidlab.cycles._glued_bases
+
+    def spy(*args, **kwargs):
+        walks.append(args[:3])
+        return glued_bases(*args, **kwargs)
+
+    with mock.patch.object(matroidlab.cycles, "_glued_bases", spy):
+        first = spectrum_search(ladder_family(1), glue_all(ladder_family(1)))
+        assert len(walks) == 1
+        second = spectrum_search(ladder_family(1), glue_all(ladder_family(1)))
+    assert len(walks) == 1
+    assert second.to_dict() == first.to_dict()
+
+
+def test_changing_a_report_leaves_the_next_answer_alone():
+    g = ladder_family(1)
+    glue = glue_all(g)
+    _component_spectrum.cache_clear()
+    expected = mk_spectrum(g, glue, 1).to_dict()
+    _component_spectrum.cache_clear()
+    report = spectrum_search(g, glue)
+    report.witnesses[0]["base"]["repeat_edges"].clear()
+    report.raw["witnesses"][1] = report.raw["witnesses"][0]
+    with pytest.raises(TypeError):
+        _component_spectrum(g, glue, 2)[0] = None
+    assert mk_spectrum(g, glue, 1).to_dict() == expected
+
+
+def test_a_walk_bound_is_never_memoized():
+    # ladder:1 has 3 slots, so prefix 5 spans 18 free instance choices
+    g = ladder_family(1)
+    glue = glue_all(g)
+    _component_spectrum.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match="capped at 16"):
+            spectrum_search(g, glue, (5, 1))
+    assert _component_spectrum.cache_info().currsize == 0
 
 # lanes a and b, a rung a-b and splices b->b and a->b: the two splices join
 # every vertex into one tree, the b lane with each a hanging off the next
