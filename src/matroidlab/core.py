@@ -17,33 +17,34 @@ any other oracle (from_explicit and its wrappers) takes the step with a rank
 call.  A grown oracle is a matroid, so enumerate_bases lists its bases by the
 same pass pruned to the rank r: all bases have r elements, and a set only
 gains elements below its lowest, so a branch with too few of those left is
-dropped without losing a base.  An explicit family built as the down-closure
-of known sets keeps them as its generators, so its bases and its one-element
-extensions come from them.  The axiom screens, circuit enumeration and the
-bases of any other system read the whole family, and each fact about a
-family has one helper: _family_table for its one-element extensions and
-closure failures (bases, the I and F screens and ops.union read it when the
-family has no generators), _maximal for the maximal members of one not
-closed, _explicit_rank for an explicit family's rank, closed_system for all
-subsets of given sets, and _first_unextended for a pair A, B with no element
-of B extending A.  On a closed family F3 needs only the B one larger than A:
-a failing B has failing subsets of that size, and those come first.
+dropped without losing a base.  A closed explicit family is stored as its
+bases, the antichain of its maximal members, so its bases, rank and
+deletions come from them and only a reader that needs every member lists
+the down-closure.  The axiom screens, circuit enumeration and the bases of
+any other system read the whole family, and each fact about a family has
+one helper: _family_table for its one-element extensions and closure
+failures (bases, the I and F screens and ops.union read it when the family
+is not stored closed), _maximal for the maximal masks of any set of them,
+_explicit_rank for an explicit family's rank, closed_system for all subsets
+of given sets, and _first_unextended for a pair A, B with no element of B
+extending A.  On a closed family F3 needs only the B one larger than A: a
+failing B has failing subsets of that size, and those come first.
 
-Operations that sweep the full powerset are capped at SWEEP_CAP elements;
-encodings themselves are capped at ENUM_CAP.  Both caps can be overridden per
-call by passing cap=... where offered.
+Every powerset sweep is capped at SWEEP_CAP elements, overridden per call by
+passing cap=... where offered; listing a closed family's members sweeps the
+powerset of its largest base.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Collection, Iterable
 
 from .errors import InputError, ResourceLimitError
 from .util import down_closure, iter_bits, spanning_forest
 
-ENUM_CAP = 24
 SWEEP_CAP = 16
 
 
@@ -60,10 +61,6 @@ class GroundSet:
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise InputError("duplicate labels in ground set")
-        if len(self.labels) > ENUM_CAP:
-            raise ResourceLimitError(
-                f"ground set of size {len(self.labels)} exceeds encoding cap {ENUM_CAP}"
-            )
 
     @classmethod
     def of_size(cls, m: int) -> "GroundSet":
@@ -115,29 +112,37 @@ def as_mask(ground: GroundSet, subset) -> int:
 # system kinds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitSystem:
-    """An independence system given by the explicit family of its members.
+    """An independence system given by an explicit family of sets.
 
-    generators, when set, promises that independents is exactly the family
-    of all subsets of the generators: closed_system keeps the sets it closes,
-    explicit_system(check=True) the bases.  Such a family is downward closed
-    and its bases are its maximal generators.  Equality ignores generators.
-    A member is a submask of a generator, so only generators are checked
-    against the ground when there are some."""
+    A closed family (closed_system, explicit_system with check=True) is the
+    down-closure of sets, kept as its maximal sets: its bases.  Any other
+    family (check=False, and filters or unions of such families) is sets
+    itself.  independents lists every member, a closed family's on first
+    read.  Families are equal when their members are; two closed ones are
+    compared, and any family is hashed, by its bases alone."""
 
     ground: GroundSet
-    independents: frozenset[int]
-    generators: frozenset[int] | None = field(default=None, compare=False, repr=False)
+    sets: frozenset[int]
+    closed: bool = False
 
     def __post_init__(self):
         full = self.ground.full_mask
-        for s in self.independents if self.generators is None else self.generators:
+        for s in self.sets:
             if s < 0 or s > full:
                 raise InputError("family member outside ground set")
+        if self.closed:
+            object.__setattr__(self, "sets", _maximal(self.sets))
+
+    @cached_property
+    def independents(self) -> frozenset[int]:
+        return down_closure(self.sets) if self.closed else self.sets
 
     def is_independent(self, mask: int) -> bool:
-        return mask in self.independents
+        if self.closed:
+            return any(mask & g == mask for g in self.sets)
+        return mask in self.sets
 
     def family(self) -> list[int]:
         return sorted(self.independents)
@@ -145,6 +150,29 @@ class ExplicitSystem:
     @property
     def size(self) -> int:
         return self.ground.size
+
+    def __eq__(self, other):
+        if not isinstance(other, ExplicitSystem):
+            return NotImplemented
+        if self.closed and other.closed:
+            return self.ground == other.ground and self.sets == other.sets
+        return self.ground == other.ground and self.independents == other.independents
+
+    def __hash__(self):
+        # a family's largest members are its largest sets, stored either way
+        return hash((self.ground, max(map(int.bit_count, self.sets), default=-1)))
+
+
+def _maximal(tops) -> frozenset[int]:
+    """The inclusion-maximal masks among tops.  A mask lies inside no other
+    of its own size, so each is tested only against the larger ones kept."""
+    by_size: dict[int, list[int]] = {}
+    for t in set(tops):
+        by_size.setdefault(t.bit_count(), []).append(t)
+    kept: list[int] = []
+    for k in sorted(by_size, reverse=True):
+        kept += [t for t in by_size[k] if not any(g & t == t for g in kept)]
+    return frozenset(kept)
 
 
 @dataclass(frozen=True)
@@ -214,14 +242,13 @@ def explicit_system(ground: GroundSet, subsets, check: bool = True) -> ExplicitS
     if missing:
         raise InputError("family is not downward closed")
     # the bases of a closed family are the members nothing extends
-    return ExplicitSystem(ground, masks, frozenset(s for s, x in addable.items() if not x))
+    return closed_system(ground, (s for s, x in addable.items() if not x))
 
 
 def closed_system(ground: GroundSet, tops) -> ExplicitSystem:
-    """The family of all subsets of the masks tops, kept with tops as its
-    generators."""
-    tops = frozenset(tops)
-    return ExplicitSystem(ground, down_closure(tops), tops)
+    """The family of all subsets of the masks tops, stored as the maximal
+    ones."""
+    return ExplicitSystem(ground, frozenset(tops), closed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -282,45 +309,44 @@ def graphic_matroid(n_vertices: int, edges: Collection[tuple[int, int]], labels=
 
 def from_explicit(sys_: ExplicitSystem) -> OracleMatroid:
     """Wrap an explicit family as a rank oracle (max member size inside S)."""
-    fam = sys_.independents
-    return OracleMatroid(sys_.ground, lambda mask: _explicit_rank(fam, mask), label="explicit")
+    return OracleMatroid(sys_.ground, lambda mask: _explicit_rank(sys_, mask), label="explicit")
 
 
-def _explicit_rank(fam, mask: int) -> int:
-    """Size of a largest member of fam inside mask."""
-    best = 0
-    for s in fam:
-        if s & ~mask == 0 and s.bit_count() > best:
-            best = s.bit_count()
-    return best
+def _explicit_rank(sys_: ExplicitSystem, mask: int) -> int:
+    """Size of a largest member of sys_ inside mask: in a closed family, the
+    most elements of mask that one base holds."""
+    if sys_.closed:
+        return max(((g & mask).bit_count() for g in sys_.sets), default=0)
+    return max((s.bit_count() for s in sys_.sets if s & ~mask == 0), default=0)
 
 
 # ---------------------------------------------------------------------------
 # family materialization and basic queries
 
 
-def _fits(ground: GroundSet, cap: int | None) -> bool:
-    """May a powerset sweep cover ground under cap (SWEEP_CAP when None)?"""
-    return ground.size <= (SWEEP_CAP if cap is None else cap)
+def _fits(n: int, cap: int | None) -> bool:
+    """May a powerset sweep cover n elements under cap (SWEEP_CAP when None)?"""
+    return n <= (SWEEP_CAP if cap is None else cap)
 
 
-def _check_sweep(ground: GroundSet, cap: int | None):
+def _check_sweep(n: int, cap: int | None):
     cap = SWEEP_CAP if cap is None else cap
-    if not _fits(ground, cap):
-        raise ResourceLimitError(
-            f"powerset sweep over {ground.size} elements exceeds cap {cap}"
-        )
+    if not _fits(n, cap):
+        raise ResourceLimitError(f"powerset sweep over {n} elements exceeds cap {cap}")
 
 
 def family_masks(sys_: System, cap: int | None = None) -> list[int]:
     """All independent sets as masks, ascending.
 
     Oracles are swept with the pair grow(cap) gives when they have one, else
-    with one rank call per candidate set.
+    with one rank call per candidate set.  A closed explicit family lists the
+    subsets of its bases, a sweep over the powerset of the largest.
     """
     if isinstance(sys_, ExplicitSystem):
+        if sys_.closed:
+            _check_sweep(max(map(int.bit_count, sys_.sets), default=0), cap)
         return sys_.family()
-    _check_sweep(sys_.ground, cap)
+    _check_sweep(sys_.ground.size, cap)
     pair = sys_.grow(cap) if sys_.grow is not None else None
     if pair is not None:
         return _grown_family(sys_.ground.size, *pair)
@@ -342,25 +368,32 @@ def _grown_family(size: int, root, step, target: int = 0) -> list[int]:
     step(state, j), which returns the new set's state or None when it is
     dependent.  The children of a set add an element below its lowest one;
     visiting them by ascending element in depth-first preorder lists masks in
-    ascending order.  A dependent set is never extended, so by downward
-    closure no set with a dependent subset is ever tested.  A set of k
-    elements whose lowest is b gains at most b more, so a child adding j
-    can reach target only when k + 1 + j >= target: start[k] skips smaller j.
+    ascending order.  The visit keeps its path in a list, not on the call
+    stack, so no base is too large to reach.  A dependent set is never
+    extended, so by downward closure no set with a dependent subset is ever
+    tested.  A set of k elements whose lowest is b gains at most b more, so
+    a child adding j can reach target only when k + 1 + j >= target:
+    start[k] skips smaller j.
     """
-    out = []
+    out = [] if target else [0]
     start = [max(0, target - k - 1) for k in range(size + 1)]
-
-    def visit(mask: int, state, below: int, k: int):
-        if k >= target:
-            out.append(mask)
-            if target:
-                return
-        for j in range(start[k], below):
+    # the path to the set being extended: per set its mask, state and size,
+    # and the elements below its lowest still to try, ascending
+    path = [(0, root, 0, iter(range(start[0], size)))]
+    while path:
+        mask, state, k, todo = path[-1]
+        for j in todo:
             child = step(state, j)
             if child is not None:
-                visit(mask | 1 << j, child, j, k + 1)
-
-    visit(0, root, size, 0)
+                grown = mask | 1 << j
+                if k + 1 >= target:
+                    out.append(grown)
+                    if target:
+                        continue
+                path.append((grown, child, k + 1, iter(range(start[k + 1], j))))
+                break
+        else:
+            path.pop()
     return out
 
 
@@ -373,7 +406,7 @@ def rank_of(sys_: System, subset=None) -> int:
     mask = sys_.ground.full_mask if subset is None else as_mask(sys_.ground, subset)
     if isinstance(sys_, OracleMatroid):
         return sys_.rank(mask)
-    return _explicit_rank(sys_.independents, mask)
+    return _explicit_rank(sys_, mask)
 
 
 def _family_table(fam) -> tuple[dict[int, int], dict[int, int]]:
@@ -395,19 +428,13 @@ def _family_table(fam) -> tuple[dict[int, int], dict[int, int]]:
     return addable, missing
 
 
-def _maximal(fam: list[int]) -> list[int]:
-    """Inclusion-maximal members of the ascending family fam, ascending, by
-    the quadratic test, for families not closed: hand-built and small."""
-    return [s for s in fam if not any(t != s and t & s == s for t in fam)]
-
-
 def _table_bases(fam: list[int], addable: dict, missing: dict) -> list[int]:
     """Maximal members of the ascending family fam, given its _family_table.
 
     In a closed family they are the members nothing extends: for a member S
     inside a larger member T and any e in T - S, S + e lies inside T, so it is
-    a member by closure.  Otherwise the quadratic test runs."""
-    return _maximal(fam) if missing else [s for s in fam if not addable[s]]
+    a member by closure.  Otherwise _maximal compares members."""
+    return sorted(_maximal(fam)) if missing else [s for s in fam if not addable[s]]
 
 
 def _is_grown(sys_: System) -> bool:
@@ -415,9 +442,9 @@ def _is_grown(sys_: System) -> bool:
     return isinstance(sys_, OracleMatroid) and sys_.grow is not None
 
 
-def _is_generated(sys_: System) -> bool:
-    """Is sys_ an explicit family kept with its generators, and so closed?"""
-    return isinstance(sys_, ExplicitSystem) and sys_.generators is not None
+def _is_closed(sys_: System) -> bool:
+    """Is sys_ an explicit family stored closed, as its bases?"""
+    return isinstance(sys_, ExplicitSystem) and sys_.closed
 
 
 def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
@@ -432,20 +459,14 @@ def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
     sets with that room, not the whole family.  Any other family may not be
     closed, not even a rank sweep's: from_explicit of {}, {0}, {2}, {1,2},
     {0,1,2} sweeps to {0} and {0,1,2} without {0,1}; its bases come from
-    _table_bases.  A family kept with its generators is their down-closure:
-    every member lies in a generator, so its bases are the maximal
-    generators, and a generator G is maximal exactly when no G + e is a
-    member, since a member properly containing G contains some G + e."""
+    _table_bases.  A closed explicit family is stored as its bases."""
     if _is_grown(sys_):
-        _check_sweep(sys_.ground, cap)
+        _check_sweep(sys_.ground.size, cap)
         pair = sys_.grow(cap)
         if pair is not None:
             return _grown_family(sys_.ground.size, *pair, _greedy_rank(sys_.ground.size, *pair))
-    if _is_generated(sys_):
-        fam, full = sys_.independents, sys_.ground.full_mask
-        return sorted(
-            g for g in sys_.generators if not any(g | 1 << e in fam for e in iter_bits(full ^ g))
-        )
+    if _is_closed(sys_):
+        return sorted(sys_.sets)
     fam = family_masks(sys_, cap)
     return _table_bases(fam, *_family_table(fam))
 
@@ -468,7 +489,7 @@ def enumerate_circuits(sys_: System, cap: int | None = None) -> list[int]:
     dependent one-element extension of an independent set; only those are
     tested, not the whole powerset.
     """
-    _check_sweep(sys_.ground, cap)
+    _check_sweep(sys_.ground.size, cap)
     fam = family_masks(sys_, cap)
     fam_set = set(fam)
     full = sys_.ground.full_mask
@@ -538,12 +559,11 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
     I3 pairs each non-maximal A with the maximal members, F3 each A with the
     larger members; in a closed family only those one larger than A, since a
     failing B has failing subsets of size |A| + 1, all members, and _by_card
-    lists them first: the first witness is the same.  A family kept with its
-    generators is closed, so nothing is missing, and addable[A] is the union
-    of the bases containing A, less A.  With no more bases than elements it
-    builds no table: that union, read only for the A the I3 or F3 scan
-    visits, costs no more than the table's pass over the elements of every
-    member.
+    lists them first: the first witness is the same.  A family stored closed
+    has nothing missing, and addable[A] is the union of the bases containing
+    A, less A.  With no more bases than elements it builds no table: that
+    union, read only for the A the I3 or F3 scan visits, costs no more than
+    the table's pass over the elements of every member.
     """
     if system_id not in AXIOM_SETS:
         raise InputError(f"unknown axiom system {system_id!r}; expected I, B, or F")
@@ -565,7 +585,7 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
         return AxiomReport(system_id, sys_.ground, verdicts, witnesses, notes)
 
     fam = family_masks(sys_, cap)
-    bases = enumerate_bases(sys_) if _is_generated(sys_) else None
+    bases = enumerate_bases(sys_) if _is_closed(sys_) else None
     if bases is not None and len(bases) <= sys_.size:
         addable, missing = _Spanned(bases), {}
     else:
@@ -713,7 +733,7 @@ def dual(sys_: System) -> System:
         def grow(cap):
             # S is coindependent iff it misses some base; the state is the
             # bitset of bases S misses, listed by the primal's own base sweep
-            if not _fits(ground, cap):
+            if not _fits(ground.size, cap):
                 return None  # a minor of a truncated dual sweeps a smaller ground
             bases = enumerate_bases(sys_, cap)
             # one pass writes each base's complement in binary, below a
@@ -760,10 +780,10 @@ def delete(sys_: System, subset) -> System:
         return OracleMatroid(
             new_ground, rk, label=f"{sys_.label}|del", grow=_wrap_grow(sys_, deleted)
         )
-    if _is_generated(sys_):
-        # the members avoiding x are the submasks of the generators less x
-        return closed_system(new_ground, (_compress(g & ~x, keep) for g in sys_.generators))
-    fam = frozenset(_compress(s, keep) for s in sys_.independents if s & x == 0)
+    if _is_closed(sys_):
+        # the members avoiding x are the submasks of the bases less x
+        return closed_system(new_ground, (_compress(g & ~x, keep) for g in sys_.sets))
+    fam = frozenset(_compress(s, keep) for s in sys_.sets if s & x == 0)
     return ExplicitSystem(new_ground, fam)
 
 

@@ -24,16 +24,13 @@ infinite, and only then the glued base test.  A candidate of infinite defect
 is no base of either system: retiring more finite components per window than
 the graph, it has a finite component C that is not a whole component of the
 graph; an absent edge leaving C joins two components, so it closes no finite
-cycle, and C carries no ray, so it closes no circle either.  The walk also
-sweeps no candidate that holds a cyclic candidate one bit smaller: an edge
-superset keeps every finite cycle.  Candidates come in ascending order of
-their bit mask (one bit per pattern slot, explicit instance and prefix
-edge), so every set one bit smaller comes first and its verdict is known;
-that order also fixes which witness comes first.  Candidates are swept on
-their masks, not as edge sets.  The windows before p hold no pattern
-instance, so every candidate with the same bits below the pattern's shares
-the state after them, stepped once; past window p a sweep reads only its
-pattern mask, so its tail comes from the spec's tail memo
+cycle, and C carries no ray, so it closes no circle either.  Candidates
+come in ascending order of their bit mask (one bit per pattern slot,
+explicit instance and prefix edge), which fixes which witness comes first.
+Candidates are swept on their masks, not as edge sets.  The windows before
+p hold no pattern instance, so every candidate with the same bits below the
+pattern's shares the state after them, stepped once; past window p a sweep
+reads only its pattern mask, so its tail comes from the spec's tail memo
 (periodic._CompiledSweep.tail), shared by every candidate that enters it in
 the same state.  The callers' filters read masks too: hat_check sweeps a
 candidate joined with its fixed set in the same way, and both it and a
@@ -432,13 +429,6 @@ def _decode(names, p, mask) -> UPEdgeSet:
     )
 
 
-def _candidate_sets(g, p):
-    """Every edge set explicit over p windows, the k-th with bit mask k."""
-    names = _candidate_bits(g, p)
-    for mask in range(1 << len(names)):
-        yield _decode(names, p, mask)
-
-
 def _candidate_sweep(g, p, names, fixed=UPEdgeSet()):
     """mask -> run_machine(g, edge_sets_union(_decode(names, p, mask), fixed)),
     read off the mask.
@@ -508,17 +498,6 @@ def _bits_meeting(names, p, s: UPEdgeSet) -> int:
     return sum(1 << i for i, name in enumerate(names) if name in met)
 
 
-def _has_cyclic_subset(mask: int, cyclic: set) -> bool:
-    """Is mask with one of its bits cleared in cyclic?"""
-    rest = mask
-    while rest:
-        low = rest & -rest
-        if (mask ^ low) in cyclic:
-            return True
-        rest ^= low
-    return False
-
-
 def _glued_bases(g, glue, p, skip=None, known=(), bound=INF):
     """(base, defect) for the glued bases within p, in candidate order.
 
@@ -526,25 +505,18 @@ def _glued_bases(g, glue, p, skip=None, known=(), bound=INF):
     skip(mask), when given, is asked first, so an error it raises surfaces
     before any base test; a true answer passes the candidate over, as does a
     finite cycle, an infinite defect (never a base's, see the module
-    docstring), a defect above bound or one already in known.  A candidate
-    that a cyclic candidate one bit smaller contains holds that cycle too,
-    so it is recorded as cyclic without a sweep.  The others are swept on
-    their masks (_candidate_sweep), and only a candidate that reaches the
-    base test is built as an edge set.
+    docstring), a defect above bound or one already in known.  Candidates
+    are swept on their masks (_candidate_sweep), and only a candidate that
+    reaches the base test is built as an edge set.
     """
     names = _candidate_bits(g, p)
     sweep = _candidate_sweep(g, p, names)
     whole = None  # the sweep of g's full edge set, read at the first defect
-    cyclic = set()
     for mask in range(1 << len(names)):
         if skip is not None and skip(mask):
             continue
-        if _has_cyclic_subset(mask, cyclic):
-            cyclic.add(mask)
-            continue
         res = sweep(mask)
         if res.cycle_event is not None:
-            cyclic.add(mask)
             continue
         whole = whole or run_machine(g, full_edge_set(g))
         d = _excess(res, whole)

@@ -12,18 +12,15 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 from .core import (
-    ENUM_CAP,
     AxiomReport,
     ExplicitSystem,
     GroundSet,
     OracleMatroid,
     System,
-    _check_sweep,
     _expand,
     _family_table,
-    _is_generated,
+    _is_closed,
     _is_grown,
-    _maximal,
     _table_bases,
     _wrap_grow,
     check_axioms,
@@ -35,6 +32,7 @@ from .core import (
     uniform_matroid,
 )
 from .errors import InputError, ResourceLimitError
+from .periodic import MAX_WINDOW
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,10 @@ class NestedPair:
     """Two systems on one ground with every inner-independent set outer-independent.
 
     The inner bases are listed once, under cap, and kept in inner_bases.  A
-    grown outer is a matroid, so downward closed, and every inner-independent
-    set lies in an inner base: the pair nests exactly when every inner base is
-    outer-independent.  If one is not, or the outer is not grown, the inner
+    grown outer is a matroid and a closed explicit one is stored closed, so
+    either is downward closed, and every inner-independent set lies in an
+    inner base: the pair nests exactly when every inner base is
+    outer-independent.  If one is not, or the outer is neither, the inner
     sets are tested in order and the first outer-dependent one is named."""
 
     inner: System
@@ -57,7 +56,8 @@ class NestedPair:
             raise InputError("nested pair members must share one ground set")
         object.__setattr__(self, "inner_bases", enumerate_bases(self.inner, cap))
         outer = self.outer
-        if not (_is_grown(outer) and all(map(outer.is_independent, self.inner_bases))):
+        closed = _is_grown(outer) or _is_closed(outer)
+        if not (closed and all(map(outer.is_independent, self.inner_bases))):
             for s in family_masks(self.inner, cap):
                 if not outer.is_independent(s):
                     raise InputError(
@@ -104,12 +104,12 @@ def union(m1: System, m2: System, cap: int | None = None) -> ExplicitSystem:
     """Independence union: sets S1 | S2 with Si independent in mi.
 
     Grounds merge by label, so shared labels become shared elements.  For
-    downward-closed inputs the family is generated from the maximal ones among
-    the distinct maximal-member unions, each expanded once; otherwise every
-    pair is combined directly (diagnostic families are small).  Two grown
-    oracles are matroids, so their union is a matroid too (the matroid union
-    theorem), all of whose bases have one size: the maximal unions are the
-    largest ones, and no quadratic test is needed.
+    downward-closed inputs the family is stored closed, as the maximal ones
+    among the distinct unions of bases; otherwise every pair is combined
+    directly (diagnostic families are small).  Two grown oracles are
+    matroids, so their union is a matroid too (the matroid union theorem),
+    all of whose bases have one size: the maximal unions are the largest
+    ones, and no two unions are compared.
     """
     seen = set(m1.ground.labels)
     labels = m1.ground.labels + tuple(l for l in m2.ground.labels if l not in seen)
@@ -120,12 +120,10 @@ def union(m1: System, m2: System, cap: int | None = None) -> ExplicitSystem:
     if bases1 is not None and bases2 is not None:
         bases1 = [_expand(b, map1) for b in bases1]
         bases2 = [_expand(b, map2) for b in bases2]
-        tops = sorted({b1 | b2 for b1 in bases1 for b2 in bases2})
+        tops = {b1 | b2 for b1 in bases1 for b2 in bases2}
         if _is_grown(m1) and _is_grown(m2):
             size = max(t.bit_count() for t in tops)
             tops = [t for t in tops if t.bit_count() == size]
-        else:
-            tops = _maximal(tops)
         return closed_system(ground, tops)
     fam1 = [_expand(s, map1) for s in family_masks(m1, cap)]
     fam2 = [_expand(s, map2) for s in family_masks(m2, cap)]
@@ -134,10 +132,10 @@ def union(m1: System, m2: System, cap: int | None = None) -> ExplicitSystem:
 
 def _closed_bases(sys_: System, cap: int | None) -> list[int] | None:
     """The bases of sys_ when its family is downward closed, else None.  A
-    grown oracle or a family kept with its generators is closed as built and
-    lists its bases through enumerate_bases; any other family is read through
-    its _family_table."""
-    if _is_grown(sys_) or _is_generated(sys_):
+    grown oracle or a family stored closed is closed as built and lists its
+    bases through enumerate_bases; any other family is read through its
+    _family_table."""
+    if _is_grown(sys_) or _is_closed(sys_):
         return enumerate_bases(sys_, cap)
     fam = family_masks(sys_, cap)
     addable, missing = _family_table(fam)
@@ -283,14 +281,13 @@ def ch4_blocks(r: int) -> list[tuple[int, ...]]:
 
 
 def _ch4_ground(r: int) -> GroundSet:
-    """Labels 1..r(r+1)/2 as numerals; a ground past ENUM_CAP elements
-    (r >= 7) raises ResourceLimitError before any block is listed."""
+    """Labels 1..r(r+1)/2 as numerals; r past MAX_WINDOW raises
+    ResourceLimitError before any label is built."""
     if r < 1:
         raise InputError("block count must be at least 1")
-    n = r * (r + 1) // 2
-    if n > ENUM_CAP:
-        raise ResourceLimitError(f"r={r} needs {n} elements, over the encoding cap {ENUM_CAP}")
-    return GroundSet(tuple(str(i + 1) for i in range(n)))
+    if r > MAX_WINDOW:
+        raise ResourceLimitError(f"{r} blocks; block systems are capped at {MAX_WINDOW}")
+    return GroundSet(tuple(str(i + 1) for i in range(r * (r + 1) // 2)))
 
 
 def ch4_inner(r: int) -> ExplicitSystem:
@@ -303,11 +300,11 @@ def ch4_inner(r: int) -> ExplicitSystem:
 
 def ch4_system(r: int, cap: int | None = None) -> NestedPair:
     """ch4_inner(r) nested in the free matroid on its ground; the spectrum is
-    1..r.  Every use of the pair sweeps it, so a ground past the sweep cap
-    raises ResourceLimitError before any set is built."""
-    _check_sweep(_ch4_ground(r), cap)
+    1..r.  The inner bases are the block complements as built, and the free
+    matroid's one base is listed under cap by the spectrum, not the pair."""
     inner = ch4_inner(r)
-    return NestedPair(inner, uniform_matroid(inner.size, inner.size, labels=inner.ground.labels))
+    free = uniform_matroid(inner.size, inner.size, labels=inner.ground.labels)
+    return NestedPair(inner, free, cap)
 
 
 def ch4_i3_witness(r: int) -> dict[str, int]:

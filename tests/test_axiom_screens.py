@@ -42,7 +42,7 @@ from matroidlab.util import iter_bits
 
 def ref_enumerate_circuits(sys_, cap=None):
     """Minimal dependent sets, ascending masks. Loops are singleton circuits."""
-    _check_sweep(sys_.ground, cap)
+    _check_sweep(sys_.ground.size, cap)
     fam_set = set(family_masks(sys_, cap))
     full = sys_.ground.full_mask
     out = []

@@ -8,14 +8,12 @@ and a separate closure-witness scan beside the addable loop.  The package
 now reads one table per family (core._family_table) and lists a grown
 oracle's bases by rank; bases, reports and union families must agree
 exactly, on checked and unchecked explicit families, on grown oracles and
-their wrappers, and on from_explicit wraps of them.  Families kept with their
-generators (core.closed_system, and the dual, difference and union of small
-systems) read no table at all, so they must also agree with the same family
-with its generators dropped.  The nesting check must name the same first
-failing mask as the per-set scan.
+their wrappers, and on from_explicit wraps of them.  Closed families
+(core.closed_system, and the dual, difference and union of small systems)
+are stored as their bases and read no table at all, so every reader of one
+must agree with the same family listed member by member.  The nesting check
+must name the same first failing mask as the per-set scan.
 """
-
-import dataclasses
 
 from bisect import bisect_right
 
@@ -27,12 +25,15 @@ from matroidlab import (
     GroundSet,
     InputError,
     check_axioms,
+    delete,
     dual,
     enumerate_bases,
     explicit_system,
     family_masks,
+    free_matroid,
     from_explicit,
     graphic_matroid,
+    is_independent,
     rank_of,
     truncate_top,
     uniform_matroid,
@@ -181,9 +182,9 @@ def wrapped_oracles(draw):
 
 @st.composite
 def generated_families(draw):
-    """Families kept with their generators: the down-closure of random
-    generators on 0 to 6 elements, some repeated and some inside others, or
-    the dual, difference or union of small systems."""
+    """Closed families: the down-closure of random sets on 0 to 6 elements,
+    some repeated and some inside others, or the dual, difference or union
+    of small systems."""
     kind = draw(st.sampled_from(("tops", "dual", "difference", "union")))
     closed = st.one_of(closed_families(), grown_oracles())
     if kind == "dual":
@@ -192,12 +193,12 @@ def generated_families(draw):
         outer = draw(closed)
         return difference(outer, truncate_top(outer, draw(st.integers(0, rank_of(outer)))))
     if kind == "union":
-        # a union is kept with generators when both inputs are closed
+        # a union is stored closed when both inputs are closed
         return union(draw(closed), draw(closed))
     m = draw(st.integers(0, 6))
     full = (1 << m) - 1
     tops = draw(st.lists(st.integers(0, full), max_size=4))
-    # repeat some generators and add subsets of others, so some are not maximal
+    # repeat some sets and add subsets of others, so some are not maximal
     tops += draw(st.lists(st.sampled_from(tops), max_size=2)) if tops else []
     tops += [t & draw(st.integers(0, full)) for t in tops[: draw(st.integers(0, 2))]]
     return closed_system(GroundSet.of_size(m), tops)
@@ -243,7 +244,7 @@ def member_pairs(draw):
 # tests
 
 
-# the empty ground with no generator and with a lone empty one, and repeats
+# the empty ground closed from no set and from a lone empty one, and repeats
 EDGE_GENERATORS = [
     closed_system(GroundSet.of_size(0), []),
     closed_system(GroundSet.of_size(0), [0]),
@@ -273,8 +274,9 @@ def test_union_matches_the_three_pass_reference(m1, m2):
     assert got.independents == want.independents
 
 
-def _without_generators(sys_):
-    return dataclasses.replace(sys_, generators=None)
+def _listed(sys_):
+    """The same family listed member by member."""
+    return ExplicitSystem(sys_.ground, sys_.independents)
 
 
 @settings(max_examples=300, deadline=None)
@@ -283,9 +285,9 @@ def _without_generators(sys_):
 @example(EDGE_GENERATORS[1])
 @example(EDGE_GENERATORS[2])
 def test_generators_give_what_the_table_gives(sys_):
-    # the family is exactly the down-closure of its generators
-    assert sys_.independents == down_closure(sys_.generators)
-    plain = _without_generators(sys_)
+    # the family is exactly the down-closure of its bases
+    assert sys_.closed and sys_.independents == down_closure(sys_.sets)
+    plain = _listed(sys_)
     assert enumerate_bases(sys_) == enumerate_bases(plain)
     for system_id in "IBF":
         got, want = check_axioms(sys_, system_id), check_axioms(plain, system_id)
@@ -297,9 +299,37 @@ def test_generators_give_what_the_table_gives(sys_):
 @given(generated_families(), systems)
 def test_union_of_generated_families_ignores_the_generators(m1, m2):
     got = union(m1, m2)
-    assert got.independents == union(_without_generators(m1), m2).independents
-    if got.generators is not None:
-        assert got.independents == down_closure(got.generators)
+    assert got.independents == union(_listed(m1), m2).independents
+    if got.closed:
+        assert got.independents == down_closure(got.sets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated_families(), systems, st.data())
+@example(EDGE_GENERATORS[0], EDGE_GENERATORS[0], None)
+@example(EDGE_GENERATORS[1], EDGE_GENERATORS[1], None)
+@example(EDGE_GENERATORS[2], EDGE_GENERATORS[1], None)
+def test_a_closed_family_reads_as_its_members_listed(sys_, other, data):
+    # every reader of a family stored as its bases answers what the same
+    # family listed member by member answers
+    listed = _listed(sys_)
+    assert sys_.closed and not listed.closed
+    assert family_masks(sys_) == family_masks(listed)
+    for mask in range(sys_.ground.full_mask + 1):
+        assert is_independent(sys_, mask) == is_independent(listed, mask)
+        assert rank_of(sys_, mask) == rank_of(listed, mask)
+    assert enumerate_bases(sys_) == enumerate_bases(listed)
+    assert sys_ == listed and listed == sys_ and hash(sys_) == hash(listed)
+    assert (sys_ == other) == (listed == other) == (other == sys_)
+    x = sys_.ground.full_mask if data is None else data.draw(st.integers(0, sys_.ground.full_mask))
+    assert delete(sys_, x) == delete(listed, x)
+    assert dual(sys_) == dual(listed)
+    assert union(sys_, other) == union(listed, other)
+    free = free_matroid(sys_.size, labels=sys_.ground.labels)
+    assert difference(free, sys_) == difference(free, listed)
+    for k in range(rank_of(sys_) + 1):
+        inner = truncate_top(listed, k)
+        assert difference(sys_, inner) == difference(listed, inner)
 
 
 @settings(max_examples=300, deadline=None)

@@ -324,7 +324,7 @@ LANE_ONLY_FAMILY = {"repeat": {"vertices": ["a"]}, "ends": []}
         (["spectrum", "--family", "ladder:1", "--prefix", "0", "--period", str(MAX_WINDOW + 1)],
          None),
         (["spectrum", "--family", "ladder:1", "--prefix", "0", "--period", "100000"], None),
-        (["ch4", "-r", "7"], None),
+        (["ch4", "-r", str(MAX_WINDOW + 1)], None),
     ],
     ids=["prefix-at-cap", "prefix-past-cap", "prefix-huge",
          "period-at-cap", "period-past-cap",
@@ -472,21 +472,6 @@ def test_removal_count_cap(k, answer):
         assert json.loads(out)["result"]["values"] == answer
 
 
-@pytest.mark.parametrize("r, answers", [(5, True), (6, False)])
-def test_block_system_encoding_cap(r, answers, monkeypatch):
-    # r = 5 has 15 elements; with the encoding cap lowered to 15 it sits at
-    # the cap and r = 6 is one past it (at the real cap of 24, r = 6 builds
-    # about two million sets before the 16-element sweep cap stops it)
-    monkeypatch.setattr(matroidlab.ops, "ENUM_CAP", 15)
-    rc, out, err = run_in_process(["ch4", "-r", str(r)])
-    if answers:
-        assert rc == 0, err
-        assert json.loads(out)["result"]["spectrum"]["values"] == [1, 2, 3, 4, 5]
-    else:
-        assert rc == 3, err
-        assert err == "resource bound: r=6 needs 21 elements, over the encoding cap 15\n"
-
-
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -504,11 +489,11 @@ def test_block_system_encoding_cap(r, answers, monkeypatch):
          "scan-r6", "scan-past-cap", "scan-at-cap"],
 )
 def test_block_pair_past_the_sweep_cap_stops_before_building(argv, code, monkeypatch):
-    # a command that sweeps the pair checks its ground against the sweep cap
-    # (--cap, default 16) before the block family, about two million sets at
-    # r = 6, is built; axioms reads only the inner system, an explicit family
-    # that no sweep cap governs, so it builds the family and answers; the
-    # block family is built by core.closed_system
+    # the block pair's spectrum lists the free outer's one base by a sweep
+    # under --cap (default 16) and reads the inner bases as stored, so no
+    # command that sweeps the pair lists the block family, about two million
+    # sets at r = 6; axioms lists the inner system's members, a sweep over
+    # its largest base (5 elements at r = 3), and answers under that cap
     built = []
     monkeypatch.setattr(matroidlab.core, "down_closure",
                         lambda tops, real=matroidlab.core.down_closure: built.append(tops) or real(tops))
@@ -516,9 +501,73 @@ def test_block_pair_past_the_sweep_cap_stops_before_building(argv, code, monkeyp
     assert rc == code, err
     if code == 3:
         assert err.startswith("resource bound: powerset sweep over ")
-        assert not built
+    assert bool(built) == (argv[0] == "axioms")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ch4", "-r", "5"], ["spectrum", "--pair", "ch4:5"], ["bases", "--system", "ch4:6"]],
+    ids=["ch4-r5", "spectrum-pair", "bases-r6"],
+)
+def test_block_queries_list_no_member(argv, monkeypatch):
+    # the block system is stored as its block complements: its spectrum and
+    # its bases read those, and build no down-closure
+    built = []
+    monkeypatch.setattr(matroidlab.core, "down_closure",
+                        lambda tops, real=matroidlab.core.down_closure: built.append(tops) or real(tops))
+    rc, out, err = run_in_process(argv)
+    assert rc == 0, err
+    assert json.loads(out)["result"]
+    assert built == []
+
+
+def test_block_count_cap_answers_at_the_cap():
+    # r = 64 has 2,080 elements: the spectrum is 1..64, and each value's
+    # witness is a block complement inside the free matroid's one base,
+    # missing exactly that many elements of it
+    rc, out, err = run_in_process(["ch4", "-r", str(MAX_WINDOW), "--cap", "2080"])
+    assert rc == 0, err
+    spectrum = json.loads(out)["result"]["spectrum"]
+    assert spectrum["values"] == list(range(1, MAX_WINDOW + 1))
+    for value, witness in spectrum["witnesses"].items():
+        base, outer = set(witness["base"]), set(witness["outer_base"])
+        assert base <= outer and len(outer) == 2080 and len(outer - base) == int(value)
+
+
+def test_block_count_past_the_cap_stops_at_once(monkeypatch):
+    # past r = 64 the query exits before a label of the ground is built
+    monkeypatch.setattr(matroidlab.ops, "GroundSet", None)
+    rc, out, err = run_in_process(["ch4", "-r", str(MAX_WINDOW + 1)])
+    assert rc == 3 and out == ""
+    assert err == f"resource bound: {MAX_WINDOW + 1} blocks; block systems are capped at {MAX_WINDOW}\n"
+
+
+@pytest.mark.parametrize("cap, code", [(None, 3), (17, 0)])
+def test_dual_of_a_wide_empty_family_runs_under_the_cap(cap, code, tmp_path):
+    # the dual of the family {{}} on 17 elements is every subset of the
+    # ground; writing it out is a sweep over all 17 elements, under --cap
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"ground": [f"e{i}" for i in range(17)], "kind": "explicit",
+                                "independent": [[]]}))
+    argv = ["dual", "--system", str(path)] + ([] if cap is None else ["--cap", str(cap)])
+    rc, out, err = run_in_process(argv)
+    assert rc == code, err
+    if code == 3:
+        assert err == "resource bound: powerset sweep over 17 elements exceeds cap 16\n"
     else:
-        assert built
+        assert len(json.loads(out)["result"]["independent"]) == 1 << 17
+
+
+def test_bases_of_a_wide_free_matroid_need_no_deep_stack(tmp_path):
+    # the pruned base sweep grows U(2080, 2080)'s one base an element at a
+    # time; it keeps that path in a list, so it never runs out of stack
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"ground": [f"e{i}" for i in range(2080)], "kind": "uniform",
+                                "rank": 2080}))
+    rc, out, err = run_in_process(["bases", "--system", str(path), "--cap", "2080"])
+    assert rc == 0, err
+    result = json.loads(out)["result"]
+    assert result["count"] == 1 and len(result["bases"][0]) == 2080
 
 
 @pytest.mark.parametrize(

@@ -92,12 +92,6 @@ def test_ground_set_roundtrip():
         GroundSet.named(["a", "a"])
 
 
-def test_ground_set_encoding_cap():
-    with pytest.raises(ResourceLimitError):
-        GroundSet.of_size(25)
-    GroundSet.of_size(24)  # at the cap is fine
-
-
 # ---------------------------------------------------------------------------
 # constructors vs oracles
 
@@ -556,21 +550,21 @@ def test_explicit_minors_match_oracle_minors(g, data):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(0, 31), max_size=5), st.integers(0, 31))
 def test_deleting_from_generators_keeps_them(tops, x):
-    # the deletion of a down-closure is the down-closure of its generators
-    # less the deleted set: the same family as filtering every member
+    # the deletion of a down-closure is the down-closure of its bases less
+    # the deleted set: the same family as filtering every member
     g = GroundSet.of_size(5)
     closed = closed_system(g, tops)
     left, right = delete(closed, x), delete(ExplicitSystem(g, closed.independents), x)
     assert left == right
-    assert left.generators is not None and right.generators is None
+    assert left.closed and not right.closed
     assert enumerate_bases(left) == enumerate_bases(right)
 
 
 def test_a_generator_outside_the_ground_is_rejected():
-    # a generated family checks its generators, not each member
+    # a closed family checks the sets it is closed from, not each member
     g = GroundSet.of_size(2)
     with pytest.raises(InputError, match="outside ground"):
         closed_system(g, [0b01, 0b100])
     with pytest.raises(InputError, match="outside ground"):
-        ExplicitSystem(g, frozenset({0, 0b100}), frozenset({0b100}))
+        ExplicitSystem(g, frozenset({0b100}), closed=True)
     assert closed_system(g, [0b11]).independents == {0, 0b01, 0b10, 0b11}

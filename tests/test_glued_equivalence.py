@@ -28,9 +28,9 @@ from matroidlab.cycles import (
     GluingSpec,
     _bits_meeting,
     _candidate_bits,
-    _candidate_sets,
     _component_spectrum,
     _components,
+    _decode,
     _glued_bases,
     _gluing,
     _independent,
@@ -78,6 +78,13 @@ from matroidlab.util import INF, adjacency, bfs_path, disjoint_paths
 
 LANES = ("a", "b", "c")
 PREFIX = ("p", "q")
+
+
+def _candidate_sets(g, p):
+    """Every edge set explicit over p windows, the k-th with bit mask k."""
+    names = _candidate_bits(g, p)
+    for mask in range(1 << len(names)):
+        yield _decode(names, p, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +876,7 @@ def test_walk_never_base_tests_an_infinite_defect(g):
 
 
 # ---------------------------------------------------------------------------
-# the walk passes over supersets of cyclic candidates
+# the walk against the candidates it filters
 
 
 def ref_glued_bases(g, glue, p, skip=lambda cand: False, known=()):
@@ -921,9 +928,9 @@ def test_pruned_walk_matches_the_reference(data):
                     == walk(ref_glued_bases, g, glue, p, skip))
 
 
-def test_walk_does_not_sweep_a_superset_of_parallel_prefix_edges():
-    # the two links close a cycle at window 0, so the candidate that adds the
-    # splice to both is cyclic without a sweep
+def test_walk_over_parallel_prefix_edges_matches_the_reference():
+    # the two links close a cycle at window 0, and so does every candidate
+    # that holds both
     g = PeriodicGraphSpec(
         prefix_vertices=("p",),
         repeat_vertices=("a",),
@@ -933,25 +940,6 @@ def test_walk_does_not_sweep_a_superset_of_parallel_prefix_edges():
     )
     glue = glue_all(g)
     assert list(_glued_bases(g, glue, 0)) == list(ref_glued_bases(g, glue, 0))
-    swept = []
-    candidates = list(_candidate_sets(g, 0))
-    candidate_sweep = matroidlab.cycles._candidate_sweep
-
-    def spy(*args):
-        sweep = candidate_sweep(*args)
-
-        def counted(mask):
-            swept.append(candidates[mask])
-            return sweep(mask)
-
-        return counted
-
-    # with every defect known the walk makes no base test, so each sweep is
-    # the walk's own finite-cycle test: 8 candidates, 1 passed over
-    with mock.patch.object(matroidlab.cycles, "_candidate_sweep", spy):
-        assert list(_glued_bases(g, glue, 0, known=range(4))) == []
-    assert len(swept) == 7 and UPEdgeSet(0, frozenset({0, 1})) in swept
-    assert full_edge_set(g) not in swept
 
 
 @pytest.mark.parametrize("glued", [False, True], ids=["unglued", "glued"])
