@@ -241,8 +241,11 @@ def explicit_system(ground: GroundSet, subsets, check: bool = True) -> ExplicitS
     addable, missing = _family_table(masks)
     if missing:
         raise InputError("family is not downward closed")
-    # the bases of a closed family are the members nothing extends
-    return closed_system(ground, (s for s, x in addable.items() if not x))
+    # the bases of a closed family are the members nothing extends, and the
+    # table has just shown that masks lists every member
+    sys_ = closed_system(ground, (s for s, x in addable.items() if not x))
+    sys_.__dict__["independents"] = masks
+    return sys_
 
 
 def closed_system(ground: GroundSet, tops) -> ExplicitSystem:

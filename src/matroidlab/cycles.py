@@ -17,8 +17,28 @@ Bases of this system are compared against bases of the plain finite-cycle
 system: the defect of a glued base is how many edges it needs to become one of
 those, and the spectrum collects the defects of all bases within a search
 profile.  The plain system's base test, fin_is_base, is the glued test with
-nothing glued.  Spectra, hat checks and coloop certificates share one
-candidate walk: every candidate within the profile in one fixed order, asked
+nothing glued.
+
+Spectra, base tests, hat checks and coloop certificates split a family into
+units (_units): its structural components, except that components joined by
+a cycle through glue points form one unit.  The cycle lies in the
+component-point graph, which has a node per structural component and per
+glue point, and an edge from a component to each point one of its ends is
+glued to.  The split is exact: a set is independent, and a base, exactly
+when its part in each unit is.  Finite cycles never leave a component.  A
+circle's segments lie in components C_1..C_m, segment i with its tails at
+the points x_{i-1} and x_i (indices mod m), and its points are distinct, so
+it traces a closed walk C_1 x_1 C_2 .. C_m x_m of the component-point graph
+that passes each point once.  Where C_i differs from C_{i+1}, the rest of
+the walk joins them without passing x_i, so the two edges at x_i lie on one
+cycle, and C_i and C_{i+1} in one unit.  On a tree part of the graph there
+is no such cycle, so a circle cannot switch components at a point there.
+Every circle of s + e therefore lies in one unit: s + e is independent
+exactly when the part of s in e's unit takes e, and s is a base exactly
+when the part of s in each unit is one.
+
+Spectra, hat checks and coloop certificates share one candidate walk per
+unit: every candidate within the profile in one fixed order, asked
 in turn the caller's own filter, the finite-cycle test, whether its defect is
 infinite, and only then the glued base test.  A candidate of infinite defect
 is no base of either system: retiring more finite components per window than
@@ -38,11 +58,11 @@ coloop certificate compare the candidate's bits with those that meet their
 edge sets.  Only a candidate that reaches the base test is built as an edge
 set.
 
-A spectrum walk also stops early, by a bound on the defect.  Take one
-structural component, and let k_x be the summed width of its corridors glued
-to the point x (nearly_finitary_verdict sums them over every point).  Every
-glued base B has defect at most the sum over x of max(0, k_x - 1).  Let H be
-the multigraph of _find_circle for B: the pieces of B (its components, all
+A spectrum walk also stops early, by a bound on the defect.  Take one unit,
+and let k_x be the summed width of its corridors glued to the point x
+(nearly_finitary_verdict sums them over every point).  Every glued base B
+has defect at most the sum over x of max(0, k_x - 1).  Let H be the
+multigraph of _find_circle for B: the pieces of B (its components, all
 trees) and the glue points are its nodes, and each glued ray is an edge from
 its piece to its point.  B holds no circle, so H is a forest with no
 parallel pair.  Let e be an edge joining two pieces A and A'.  As e joins
@@ -57,24 +77,31 @@ so its pieces are isolated in H and B never splits it.)  In T the pieces
 number its edges minus its points plus 1.  Rays in different pieces are
 disjoint, and their tails run in glued corridors, so T has at most k_x edges
 at its point x (corridor_width counts disjoint rays), and k_x >= 1 at each
-point of T.  The components split inside T add m_C - 1 each to the defect,
-at most the pieces of T minus 1, so at most the sum of k_x - 1 over the
-points of T.  Each point lies in one tree, and summing over the trees gives
-the bound.  With one glue point it is max(0, k - 1), k the glued ray count,
-and rays spread one to a point give 0.  The walk therefore passes over a
-candidate whose defect is above the bound without a base test, and returns
-once every value from 0 to the bound has a witness.  The candidate order
-does not change, so each value keeps its first witness.  Where defect
-misreads a past-only sweep class (lane-moving splices, ROADMAP item 1), the
-bound can hide a value that no base has.
+point of T.  The pieces of T are the pieces of the graph components it
+holds, at least one, so these components add at most the pieces of T minus 1
+to the defect, which is at most the sum of k_x - 1 over the points of T.
+Each point lies in one tree, and summing over the trees gives the bound.
+With one glue point it is max(0, k - 1), k the glued ray count, and rays
+spread one to a point give 0.  The walk therefore passes over a candidate
+whose defect is above the bound without a base test, and returns once every
+value from 0 to the bound has a witness.  The candidate order does not
+change, so each value keeps its first witness.  Where defect misreads a
+past-only sweep class (lane-moving splices, ROADMAP item 1), the bound can
+hide a value that no base has.
 
-A component's spectrum is memoized for the life of the process, keyed on
-its spec, its local gluing and the prefix (_component_spectrum).  The memo
-is exact: both specs are frozen and compared by value, and the walk reads
+A unit's spectrum is memoized for the life of the process, keyed on its
+spec, its local gluing and the prefix (_component_spectrum).  The memo is
+exact: both specs are frozen and compared by value, and the walk reads
 nothing but these three arguments, so equal keys give equal walks.  The
 answer is a read-only mapping of frozen edge sets, so no caller can change
 a cached answer, and an error is never cached: a bound the walk hits raises
-again on every call.
+again on every call.  The split into units is memoized on the family and
+its gluing (_units), and a unit's base verdicts on its spec, the edge set
+and its local gluing (_unit_is_base), all keyed by value.  The walk's base
+tests fill that memo, so checking a returned witness reads back verdicts
+the walk already computed.  An error is never cached there either, and the
+obstruction is handed out as a fresh plain dict, because error texts embed
+its repr.
 
 A base test asks whether any of infinitely many absent instances can be
 added.  Representatives answer it with finitely many: the explicit-zone
@@ -90,6 +117,7 @@ enumeration, so results are exact within the stated bounds.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import operator
 from collections import Counter
@@ -117,6 +145,7 @@ from .periodic import (
     reblock,
     run_machine,
     split_components,
+    validate_edge_set,
 )
 from .util import INF, bfs_path, iter_bits, spanning_forest
 
@@ -331,8 +360,31 @@ def _addable(g, s, glue, reps):
 
 def cycle_is_base(g: PeriodicGraphSpec, s: UPEdgeSet, glue: GluingSpec | None = None):
     """(is_base, obstruction): dependent sets return their violation,
-    extendable sets return the addable instance."""
+    extendable sets return the addable instance.
+
+    s is a base exactly when its part in each unit is one (module
+    docstring), so the test reads each unit's memoized verdict
+    (_unit_is_base).  A family of one unit returns that verdict; on more,
+    a set that fails in some unit is tested again on the whole family, so
+    its obstruction, or the error a unit raised, is the family's own.
+    """
     glue = _gluing(g, glue)
+    units = _units(g, glue)
+    if len(units) == 1:
+        ok, why = _unit_is_base(g, s, glue)
+        return ok, copy.deepcopy(why)
+    # the projections drop edges the units lack, so reject them here
+    validate_edge_set(g, s)
+    try:
+        if all(_unit_has_base(g, unit, s) for unit in units):
+            return True, None
+    except (InputError, ResourceLimitError, StructuralMismatchError):
+        pass
+    return _family_is_base(g, s, glue)
+
+
+def _family_is_base(g, s, glue):
+    """cycle_is_base's pair, read on the whole family for a validated gluing."""
     ok, why = cycle_independent(g, s, glue)
     if not ok:
         return False, why
@@ -340,6 +392,23 @@ def cycle_is_base(g: PeriodicGraphSpec, s: UPEdgeSet, glue: GluingSpec | None = 
     if rep is not None:
         return False, {"kind": "addable", "edge": rep}
     return True, None
+
+
+@lru_cache(maxsize=4096)
+def _unit_is_base(g, s, glue):
+    """_family_is_base on a family of one unit, memoized on the arguments
+    (module docstring).  Callers copy the obstruction before handing it out."""
+    return _family_is_base(g, s, glue)
+
+
+def _unit_has_base(g, unit, s) -> bool:
+    """Is the part of s in unit (an entry of _units(g, glue)) a base of it?"""
+    spec, local_glue, _, down = unit
+    if spec is None:
+        # a finite all-prefix piece: its bases are its spanning forests
+        ids = sorted(i for i in s.prefix_present if i in down["pre"])
+        return _prefix_forest(g, ids) == ids and len(ids) == len(_prefix_forest(g, down["pre"]))
+    return _unit_is_base(spec, _remap_edge_set(down, s), local_glue)[0]
 
 
 def fin_is_base(g: PeriodicGraphSpec, s: UPEdgeSet):
@@ -526,19 +595,57 @@ def _glued_bases(g, glue, p, skip=None, known=(), bound=INF):
                 yield cand, d
 
 
-def _components(g, glue):
-    """(spec, local gluing, to-parent maps, to-local maps) per structural
-    component of g, in split_components order.
+@lru_cache(maxsize=512)
+def _units(g, glue):
+    """(spec, local gluing, to-parent maps, to-local maps) per unit of g
+    under glue, in split_components order, memoized on the arguments.
 
-    The maps rename each edge kind's indices between the component and g, as
-    _remap_edge_set reads them.  A finite all-prefix piece has spec and
-    gluing None and maps for its prefix edges alone.
+    A unit is a structural component, or the union of those that lie on a
+    cycle of the component-point graph (module docstring), which
+    _glue_links finds.  The maps rename each edge kind's indices between the
+    unit and g, as _remap_edge_set reads them.  A finite all-prefix piece
+    has spec and gluing None and maps for its prefix edges alone.
     """
-    for spec, maps in split_components(g):
+    comps = split_components(g)
+    links = _glue_links(comps, glue)
+    out = []
+    for spec, maps in split_components(g, links) if links else comps:
         up = {kind: dict(enumerate(ids)) for kind, ids in maps.items()}
         down = {kind: {j: i for i, j in m.items()} for kind, m in up.items()}
         local = None if spec is None else _project_glue(glue, spec.ends)
-        yield spec, local, up, down
+        out.append((spec, local, up, down))
+    return tuple(out)
+
+
+def _glue_links(comps, glue) -> list:
+    """Pairs of lanes that join the structural components (comps, from
+    split_components) lying on one cycle of the component-point graph.
+
+    Edges are read in order, and each edge that closes a cycle over the
+    edges kept before it, a forest, joins the components on that cycle.
+    These are the fundamental cycles of the forest.  Two components on one
+    cycle lie in one block of the graph, whose fundamental cycles are linked
+    by shared edges, and each edge has a component at one end, so the links
+    join them too.
+    """
+    point_of = glue.as_map()
+    adj, links = {}, []
+    for i, (spec, _) in enumerate(comps):
+        if spec is None:
+            continue
+        for point in sorted({point_of[label] for label in spec.ends if label in point_of}):
+            a, b = ("component", i), ("point", point)
+            path = bfs_path(adj, a, b) if a in adj and b in adj else None
+            if path is None:
+                adj.setdefault(a, []).append(b)
+                adj.setdefault(b, []).append(a)
+                continue
+            links += [
+                (spec.repeat_vertices[0], comps[j][0].repeat_vertices[0])
+                for kind, j in path[1:]
+                if kind == "component"
+            ]
+    return links
 
 
 def _remap_edge_set(maps, s: UPEdgeSet) -> UPEdgeSet:
@@ -579,9 +686,9 @@ def spectrum_search(
     """Defect values of all glued bases within the search profile.
 
     profile = (p, q): candidate bases are explicit over p windows and repeat
-    with period q afterwards.  The family splits into structural components;
-    base-ness and defect factor across them, so the component spectra combine
-    by sums, which keeps the enumeration per component.  A period above
+    with period q afterwards.  The family splits into units (module
+    docstring); base-ness and defect factor across them, so the unit spectra
+    combine by sums, which keeps the enumeration per unit.  A period above
     MAX_WINDOW raises ResourceLimitError before the q-fold spec is built.
     """
     glue = _gluing(g, glue)
@@ -597,7 +704,7 @@ def spectrum_search(
         return report
     # value -> (base, fin_base)
     values = {0: (UPEdgeSet(), UPEdgeSet())}
-    for spec, local_glue, up, _ in _components(g, glue):
+    for spec, local_glue, up, _ in _units(g, glue):
         if spec is None:
             # a finite all-prefix piece: its bases are its spanning forests
             add = UPEdgeSet(0, frozenset(_prefix_forest(g, up["pre"].values())))
@@ -719,7 +826,7 @@ def hat_check(
     if q != 1:
         raise InputError("only period-1 profiles are supported here")
     witness = UPEdgeSet()
-    for spec, local_glue, up, down in _components(g, glue):
+    for spec, local_glue, up, down in _units(g, glue):
         if spec is None:
             # B spans the piece, so any edge of s in it closes a cycle with B
             if not s.prefix_present.isdisjoint(down["pre"]):
@@ -727,7 +834,7 @@ def hat_check(
             ids = _prefix_forest(g, down["pre"])
             witness = edge_sets_union(witness, UPEdgeSet(0, frozenset(ids)))
             continue
-        # restrict the fixed set to this component's edges
+        # restrict the fixed set to this unit's edges
         local_s = _remap_edge_set(down, s)
         names = _candidate_bits(spec, p)
         meets = _bits_meeting(names, p, local_s)
@@ -850,13 +957,14 @@ def nearly_finitary_verdict(g: PeriodicGraphSpec, glue: GluingSpec | None = None
     glued ends that carry no ray, no circle exists and the two systems
     coincide.
 
-    Within one structural component the bound is sharper: the sum over glue
+    Within one unit (a structural component, or the components a cycle
+    through glue points joins) the bound is sharper: the sum over glue
     points x of max(0, k_x - 1), k_x the rays into x (_point_widths), as
     the module docstring proves, and the spectrum walk uses that form per
-    component.  The report keeps k itself, the glued ray count that
+    unit.  The report keeps k itself, the glued ray count that
     `rays --glue` prints beside its corridor widths and that a reader can
     check against them; the sharper bound for a whole family is the sum of
-    the per-component ones.
+    the per-unit ones.
     """
     glue = _gluing(g, glue)
     widths = _point_widths(g, glue)

@@ -13,11 +13,11 @@ from .cycles import (
     GluingSpec,
     _bits_meeting,
     _candidate_bits,
-    _components,
     _glued_bases,
     _gluing,
     _prefix_forest,
     _remap_edge_set,
+    _units,
     cycle_independent,
     cycle_is_base,
     edge_set_is_empty,
@@ -164,9 +164,9 @@ def contract_coloops(
     """View of the glued system with the finite edge set t contracted.
 
     Every element of t must lie in every base found within the profile.
-    Bases are unions of one base per structural component, so each component
-    holding part of t is certified on its own, as hat_check walks them; the
-    first component base avoiding part of t is named, in the family's edge
+    Bases are unions of one base per unit (cycles module docstring), so each
+    unit holding part of t is certified on its own, as hat_check walks them;
+    the first unit base avoiding part of t is named, in the family's edge
     indices, inside the error instead.
     """
     glue = _gluing(g, glue)
@@ -174,7 +174,7 @@ def contract_coloops(
     p, q = profile
     if q != 1:
         raise InputError("coloop certificates use period-1 profiles")
-    for spec, local_glue, up, down in _components(g, glue):
+    for spec, local_glue, up, down in _units(g, glue):
         if spec is None:
             # a finite all-prefix piece: an edge lies in every spanning forest
             # exactly when dropping it shrinks the forest

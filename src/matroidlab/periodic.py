@@ -911,18 +911,22 @@ def shift_edge_set(g: PeriodicGraphSpec, s: UPEdgeSet, k: int) -> UPEdgeSet:
     return UPEdgeSet(max(base.p - k, 0), pre, explicit, base.pattern)
 
 
-def split_components(g: PeriodicGraphSpec):
+def split_components(g: PeriodicGraphSpec, links=()):
     """Structural components (lane-level connectivity) as independent specs.
 
     Returns a list of (spec, maps) where maps holds, per edge kind, the list
     of parent indices in the order the component spec declares them; a piece
     without repeat vertices is (None, maps) with its prefix edges alone.  When
     g is one component the list is [(g, maps)], each map list(range(count)).
+    links holds pairs of vertices to keep in one piece as if an edge joined
+    them.
     """
     nodes = list(g.prefix_vertices) + list(g.repeat_vertices)
     rows = _slot_table(g)[0]
     uf = UnionFind()
     for _, _, a, _, b, _, _ in rows:
+        uf.union(a, b)
+    for a, b in links:
         uf.union(a, b)
     groups: dict = {}
     for n in nodes:

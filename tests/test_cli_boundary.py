@@ -620,6 +620,22 @@ def test_minor_of_an_explicit_file_builds_one_family_table(tmp_path, monkeypatch
     assert json.loads(out)["result"]
     assert tables == [5]
 
+def test_circuits_of_an_explicit_file_list_its_members_once(tmp_path, monkeypatch):
+    # loading checks the file's closure on the members it lists, so the
+    # family keeps that list and no down-closure of its bases is built
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(
+        {"ground": ["a", "b", "c"], "kind": "explicit", "independent": [[], [0], [1], [2], [0, 1]]}
+    ))
+    built = []
+    monkeypatch.setattr(matroidlab.core, "down_closure",
+                        lambda tops, real=matroidlab.core.down_closure: built.append(tops) or real(tops))
+    rc, out, err = run_in_process(["circuits", "--system", str(path)])
+    assert rc == 0, err
+    assert json.loads(out)["result"]["circuits"] == [["a", "c"], ["b", "c"]]
+    assert built == []
+
+
 # uniform systems (rank, size) past the default sweep cap of 16 elements
 WIDE = {"u1": (1, 17), "u2": (2, 17), "u16": (16, 17), "u1of18": (1, 18)}
 

@@ -26,10 +26,10 @@ import matroidlab
 from matroidlab import periodic
 from matroidlab.cycles import (
     GluingSpec,
+    _addable,
     _bits_meeting,
     _candidate_bits,
     _component_spectrum,
-    _components,
     _decode,
     _glued_bases,
     _gluing,
@@ -37,6 +37,8 @@ from matroidlab.cycles import (
     _point_widths,
     _prefix_forest,
     _project_glue,
+    _unit_is_base,
+    _units,
     absent_representatives,
     cycle_independent,
     cycle_is_base,
@@ -55,6 +57,7 @@ from matroidlab.cycles import (
 )
 from matroidlab.errors import InputError, ResourceLimitError, StructuralMismatchError
 from matroidlab.families import ContractedSystem, _collect_finite, contract_coloops
+from matroidlab.io import load_family
 from matroidlab.periodic import (
     PeriodicGraphSpec,
     UPEdgeSet,
@@ -67,6 +70,7 @@ from matroidlab.periodic import (
     contains_finite_cycle,
     corridor_width,
     corridors,
+    edges_by_role,
     full_edge_set,
     ladder_family,
     run_machine,
@@ -858,6 +862,7 @@ def test_walk_never_base_tests_an_infinite_defect(g):
     glue = glue_all(g)
     # a warm memo answers without a walk, so the spy would see none
     _component_spectrum.cache_clear()
+    _unit_is_base.cache_clear()
     tested = []
 
     def spy(g_, s, glue_=None):
@@ -1017,7 +1022,7 @@ def glue_point_bound(g, glue):
 
 
 def check_bounded_walk(g, glue):
-    for spec, local_glue, _, _ in _components(g, glue):
+    for spec, local_glue, _, _ in _units(g, glue):
         if spec is None:
             continue
         bound = answer_or_error(glue_point_bound, spec, local_glue)
@@ -1045,6 +1050,7 @@ def check_bounded_walk(g, glue):
 def test_spectrum_walk_base_tests_no_defect_above_the_bound(g):
     # a warm memo answers without a walk, so the spy would see none
     _component_spectrum.cache_clear()
+    _unit_is_base.cache_clear()
     tested = []
 
     def spy(g_, s, glue_=None):
@@ -1104,7 +1110,7 @@ def test_glue_point_bound_matches_the_reference_on_ends_glued_apart():
         g = data.draw(spread_specs())
         glue = _gluing(g, data.draw(spread_gluings(g)))
         check_bounded_walk(g, glue)
-        for spec, local_glue, _, _ in _components(g, glue):
+        for spec, local_glue, _, _ in _units(g, glue):
             if spec is not None:
                 old = answer_or_error(lambda: max(0, nearly_finitary_verdict(spec, local_glue).k - 1))
                 new = answer_or_error(glue_point_bound, spec, local_glue)
@@ -1263,10 +1269,10 @@ def subset(draw, items):
 
 
 @st.composite
-def edge_sets_of(draw, g):
-    """An edge set of g, explicit over 0-2 windows."""
+def edge_sets_of(draw, g, p=None):
+    """An edge set of g, explicit over p windows, or over 0-2 when p is None."""
     slots = sorted(full_edge_set(g).pattern)
-    p = draw(st.integers(0, 2))
+    p = draw(st.integers(0, 2)) if p is None else p
     return UPEdgeSet(
         p,
         subset(draw, range(len(g.prefix_edges))),
@@ -1293,9 +1299,12 @@ def test_tail_window_matches_the_margin_reference():
         glue = data.draw(gluings(g))
         s = data.draw(edge_sets_of(g))
         new = tail_answers(g, glue, s)
+        # base verdicts are memoized, so each side computes its own
+        _unit_is_base.cache_clear()
         with mock.patch.object(matroidlab.cycles, "absent_representatives", ref_absent_representatives), \
                 mock.patch.object(matroidlab.cycles, "present_representatives", ref_present_representatives):
             assert tail_answers(g, glue, s) == new
+        _unit_is_base.cache_clear()
         ok, why = new[0]
         met[why["kind"] if isinstance(why, dict) else ok] += 1
 
@@ -1356,6 +1365,167 @@ def test_tail_start_can_lie_past_the_reference_margin(n):
     assert ("win", 0, n) in reps and ("win", 0, 5) not in ref_absent_representatives(g, s)
     for glue in (glue_all(g), None):
         assert cycle_is_base(g, s, glue) == (True, None)
+        _unit_is_base.cache_clear()
         with mock.patch.object(matroidlab.cycles, "absent_representatives", ref_absent_representatives):
             assert cycle_is_base(g, s, glue) == (True, None)
+        _unit_is_base.cache_clear()
     assert extend_to_fin_base(g, s) == s
+
+
+# ---------------------------------------------------------------------------
+# base tests read their units' memoized verdicts
+
+
+def ref_cycle_is_base(g, s, glue=None):
+    """cycle_is_base as one test on the whole family."""
+    glue = _gluing(g, glue)
+    ok, why = cycle_independent(g, s, glue)
+    if not ok:
+        return False, why
+    rep = _addable(g, s, glue, absent_representatives(g, s))
+    if rep is not None:
+        return False, {"kind": "addable", "edge": rep}
+    return True, None
+
+
+def joined(g, h):
+    """g and h side by side as one family, h's vertices primed."""
+    def name(v):
+        return v + "'"
+
+    def ref(r):
+        return name(r) if isinstance(r, str) else ("r", name(r[1]))
+
+    return PeriodicGraphSpec(
+        prefix_vertices=g.prefix_vertices + tuple(map(name, h.prefix_vertices)),
+        repeat_vertices=g.repeat_vertices + tuple(map(name, h.repeat_vertices)),
+        prefix_edges=g.prefix_edges + tuple((ref(u), ref(v), r) for u, v, r in h.prefix_edges),
+        window_edges=g.window_edges + tuple((name(u), name(v), r) for u, v, r in h.window_edges),
+        splice_edges=g.splice_edges + tuple((name(u), name(v), r) for u, v, r in h.splice_edges),
+        apex_edges=g.apex_edges + tuple((name(a), name(v), r) for a, v, r in h.apex_edges),
+        ends=tuple(f"e{i}" for i in range(len(g.ends) + len(h.ends))),
+    )
+
+
+@st.composite
+def linked_gluings(draw, g):
+    """Two ends of each of two structural components glued pairwise to two
+    points, which puts both components on a cycle through the points; every
+    other end alone, glued or not.  Where no two components have two ends
+    each, any gluing."""
+    ends = [spec.ends for spec, _ in split_components(g) if spec is not None and len(spec.ends) > 1]
+    if len(ends) < 2:
+        return draw(gluings(g))
+    (a1, b1), (a2, b2) = (draw(st.permutations(e))[:2] for e in ends[:2])
+    rest = tuple((e,) for e in g.ends if e not in (a1, b1, a2, b2))
+    psi = (0, 1) + tuple(i + 2 for i in range(len(rest)) if draw(st.booleans()))
+    return GluingSpec(((a1, a2), (b1, b2)) + rest, psi)
+
+
+def grown(s, rep):
+    """s with the instance rep, and with the rest of its slot's tail when
+    rep lies past the explicit zone."""
+    if rep[0] == "pre" or rep[2] < s.p:
+        return s.with_edge(rep)
+    kind, j, w = rep
+    s = s.normalized(w)
+    return UPEdgeSet(w, s.prefix_present, s.explicit, s.pattern | {(kind, j)})
+
+
+def test_base_tests_by_unit_match_the_whole_family_test():
+    # two random specs and a finite piece side by side, lane-moving splices
+    # included, with gluings that join the specs into one unit or leave them
+    # apart (spread_specs gives components two ends to link by); each drawn
+    # set grows along its addable edges (grown), so bases are met too
+    met = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        g = joined(*(data.draw(st.one_of(specs(), spread_specs(), spread_specs())) for _ in range(2)))
+        # a finite all-prefix piece beside them, perhaps with a cycle
+        x = st.sampled_from(("x0", "x1", "x2"))
+        finite = data.draw(st.lists(st.tuples(x, x).filter(lambda e: e[0] != e[1]), max_size=3))
+        g = dataclasses.replace(g, prefix_vertices=g.prefix_vertices + ("x0", "x1", "x2"),
+                                prefix_edges=g.prefix_edges + tuple((u, v, "link") for u, v in finite))
+        glue = _gluing(g, data.draw(st.one_of(gluings(g), linked_gluings(g), linked_gluings(g))))
+        linked = len(_units(g, glue)) < len(split_components(g))
+
+        def compare(s):
+            new = answer_or_error(cycle_is_base, g, s, glue)
+            assert new == answer_or_error(ref_cycle_is_base, g, s, glue)
+            assert answer_or_error(fin_is_base, g, s) == answer_or_error(ref_cycle_is_base, g, s)
+            ok, why = new
+            met[why["kind"] if isinstance(why, dict) else ok] += 1
+            met["linked", ok] += linked
+            return new
+
+        for p in (0, 1):
+            s = data.draw(edge_sets_of(g, p))
+            for _ in range(30):
+                ok, why = compare(s)
+                if not (isinstance(why, dict) and why["kind"] == "addable"):
+                    break
+                s = grown(s, why["edge"])
+            if ok is True:
+                # a base takes no absent edge: each closes a finite cycle or a circle
+                for rep in absent_representatives(g, s)[:4]:
+                    compare(s.with_edge(rep))
+
+    check()
+    assert met["linked", True] and met["addable"] and met["glued-circle"], met
+
+
+def test_a_base_test_runs_the_family_test_once():
+    # a family of one unit answers from the unit's memo, which runs the
+    # family test itself; a family of more runs it on the whole family, for
+    # the obstruction, once a unit fails.  The first ladder of ladder:2 is
+    # ladder:1, so its failing verdict comes from the memo
+    tested = []
+    family_is_base = matroidlab.cycles._family_is_base
+
+    def spy(g_, s, glue_):
+        tested.append(g_)
+        return family_is_base(g_, s, glue_)
+
+    one, two = ladder_family(1), ladder_family(2)
+    _unit_is_base.cache_clear()
+    with mock.patch.object(matroidlab.cycles, "_family_is_base", spy):
+        ok, why = cycle_is_base(one, edges_by_role(one, "top"), glue_all(one))
+        assert not ok and tested == [one]
+        # the memo hands out copies, so changing one leaves the next answer alone
+        why["edge"] = None
+        assert cycle_is_base(one, edges_by_role(one, "top"), glue_all(one)) == (
+            False, {"kind": "addable", "edge": ("win", 0, 0)})
+        assert tested == [one]
+        tested.clear()
+        assert not cycle_is_base(two, edges_by_role(two, "top"), glue_all(two))[0]
+    assert tested == [two]
+
+
+TWO_BEANS = load_family({
+    "prefix": {"vertices": ["v", "u"], "edges": [["v", ["r", "x"], "top"], ["u", ["r", "a"], "top"]]},
+    "repeat": {"vertices": ["x", "y", "a", "b"], "edges": []},
+    "splice": [["x", "x", "top"], ["y", "y", "bottom"], ["a", "a", "top"], ["b", "b", "bottom"]],
+    "apex": [{"vertex": "u", "per_block_edges": [["b", "spoke"]]},
+             {"vertex": "v", "per_block_edges": [["y", "spoke"]]}],
+    "ends": ["t1", "b1", "t2", "b2"],
+})
+TOPS_AND_BOTTOMS = GluingSpec((("t1", "t2"), ("b1", "b2")), (0, 1))
+
+
+def test_glue_linked_components_walk_as_one_unit():
+    # the beans' top ends meet at one point and their bottom ends at another,
+    # so a circle can run through both beans and their bases do not factor:
+    # the value-1 base cuts the u-bean's b rail between windows 0 and 1.
+    # Walked bean by bean, the spectrum read (0,) at prefix 1 and 2
+    g, glue = TWO_BEANS, TOPS_AND_BOTTOMS
+    assert len(split_components(g)) == 2 and len(_units(g, glue)) == 1
+    _component_spectrum.cache_clear()
+    report = spectrum_search(g, glue, (1, 1))
+    assert report.values == (0, 1)
+    assert sorted({d for _, d in _glued_bases(g, glue, 1)}) == [0, 1]
+    for base, fin in report.raw["witnesses"].values():
+        assert cycle_is_base(g, base, glue) == (True, None) and fin_is_base(g, fin) == (True, None)
+    with pytest.raises(ResourceLimitError, match="profile spans 20 free instance choices"):
+        spectrum_search(g, glue, (2, 1))
