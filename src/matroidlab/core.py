@@ -14,21 +14,24 @@ family_masks lists an oracle's independent sets in one pass that extends each
 set by one element.  Uniform, graphic and linear oracles, and their minors,
 truncations and duals, carry a grow pair that takes each step incrementally;
 any other oracle (from_explicit and its wrappers) takes the step with a rank
-call.  A grown oracle is a matroid, so enumerate_bases lists its bases by the
-same pass pruned to the rank r: all bases have r elements, and a set only
-gains elements below its lowest, so a branch with too few of those left is
-dropped without losing a base.  A closed explicit family is stored as its
-bases, the antichain of its maximal members, so its bases, rank and
-deletions come from them and only a reader that needs every member lists
-the down-closure.  The axiom screens, circuit enumeration and the bases of
-any other system read the whole family, and each fact about a family has
-one helper: _family_table for its one-element extensions and closure
-failures (bases, the I and F screens and ops.union read it when the family
-is not stored closed), _maximal for the maximal masks of any set of them,
-_explicit_rank for an explicit family's rank, closed_system for all subsets
-of given sets, and _first_unextended for a pair A, B with no element of B
-extending A.  On a closed family F3 needs only the B one larger than A: a
-failing B has failing subsets of that size, and those come first.
+call.  No set of r elements is extended, r the rank of the ground: the rank is
+monotone, so a set T with |T| > r >= r(T) is dependent.  A grown oracle is a
+matroid, so enumerate_bases lists its bases by the same pass pruned to r: all
+bases have r elements, and a set only gains elements below its lowest, so a
+branch with too few of those left is dropped without losing a base.  A closed
+explicit family is stored as its bases, the antichain of its maximal members,
+so its bases, rank and deletions come from them and only a reader that needs
+every member lists the down-closure.  The axiom screens, circuit enumeration
+and the bases of any other system read the whole family, and each fact about a
+family has one helper: _family_table for its one-element extensions and
+closure failures (bases, the I and F screens and ops.union read it when the
+family is not stored closed), _maximal for the maximal masks of any set of
+them, _explicit_rank for an explicit family's rank, closed_system for all
+subsets of given sets, and _first_unextended for a pair A, B with no element
+of B extending A.  On a closed family F3 needs only the B one larger than A: a
+failing B has failing subsets of that size, and those come first.  B2 finds
+every B2 failing with a pair (B1, x) at once, as the bitset of the bases that
+hold neither x nor any y that B1 - x + y makes a base.
 
 Every powerset sweep is capped at SWEEP_CAP elements, overridden per call by
 passing cap=... where offered; listing a closed family's members sweeps the
@@ -179,18 +182,16 @@ def _maximal(tops) -> frozenset[int]:
 class OracleMatroid:
     """A matroid presented by its rank function on subset masks.
 
-    grow optionally speeds up family_masks and enumerate_bases, whose sweep
-    of a grown oracle visits only sets that can still grow to a base: all
-    bases have the rank's size, and a set only gains elements below its
-    lowest.  grow(cap) returns a pair (state of the empty set, step) where
-    step(state, j) is the state of the set plus element j, or None when j
-    depends on the set.  It is built at sweep time, so building an oracle
-    never sweeps; it returns None instead of a pair when building one would
-    sweep a ground past cap, and family_masks then takes rank calls.  A grow
-    pair is exact only for matroids: uniform, graphic and linear oracles carry
-    one, and delete, contract, truncate_top and dual set one exactly when the
-    oracle they wrap has one; dual's lists the primal's bases.  from_explicit
-    oracles, which may wrap non-matroids, carry none.
+    grow optionally speeds up the sweeps of family_masks and enumerate_bases
+    (module docstring).  grow(cap) returns a pair (state of the empty set,
+    step) where step(state, j) is the state of the set plus element j, or
+    None when j depends on the set.  It is built at sweep time, so building
+    an oracle never sweeps; it returns None instead of a pair when building
+    one would sweep a ground past cap, and family_masks then takes rank
+    calls.  A grow pair is exact only for matroids: uniform, graphic and
+    linear oracles carry one, and delete, contract, truncate_top and dual set
+    one exactly when the oracle they wrap has one; dual's lists the primal's
+    bases.  from_explicit oracles, which may wrap non-matroids, carry none.
 
     primal is set on a dual: the oracle it is the dual of.  delete and
     contract take a minor of a dual as the dual of the primal's minor, so the
@@ -352,7 +353,7 @@ def family_masks(sys_: System, cap: int | None = None) -> list[int]:
     _check_sweep(sys_.ground.size, cap)
     pair = sys_.grow(cap) if sys_.grow is not None else None
     if pair is not None:
-        return _grown_family(sys_.ground.size, *pair)
+        return _grown_family(sys_.ground.size, *pair, _greedy_rank(sys_.ground.size, *pair))
     if not sys_.is_independent(0):
         return []
 
@@ -360,12 +361,12 @@ def family_masks(sys_: System, cap: int | None = None) -> list[int]:
         child = mask | 1 << j
         return child if sys_.is_independent(child) else None
 
-    return _grown_family(sys_.ground.size, 0, step)
+    return _grown_family(sys_.ground.size, 0, step, sys_.full_rank)
 
 
-def _grown_family(size: int, root, step, target: int = 0) -> list[int]:
+def _grown_family(size: int, root, step, rank: int, target: int = 0) -> list[int]:
     """Independent sets that step grows from the empty set, ascending; with
-    target > 0, only those of target elements, none of them grown further.
+    target > 0, only those of target elements.
 
     Each set is reached from mask ^ low, its lowest element removed, by one
     step(state, j), which returns the new set's state or None when it is
@@ -374,15 +375,17 @@ def _grown_family(size: int, root, step, target: int = 0) -> list[int]:
     ascending order.  The visit keeps its path in a list, not on the call
     stack, so no base is too large to reach.  A dependent set is never
     extended, so by downward closure no set with a dependent subset is ever
-    tested.  A set of k elements whose lowest is b gains at most b more, so
-    a child adding j can reach target only when k + 1 + j >= target:
-    start[k] skips smaller j.
+    tested, nor is a set of rank elements, rank being the rank r of the
+    ground: the rank is monotone, so all its children T, with |T| > r >=
+    r(T), are dependent.  A set of k elements whose lowest is b gains at most
+    b more, so a child adding j can reach target only when k + 1 + j >=
+    target: start[k] skips smaller j.
     """
     out = [] if target else [0]
     start = [max(0, target - k - 1) for k in range(size + 1)]
     # the path to the set being extended: per set its mask, state and size,
     # and the elements below its lowest still to try, ascending
-    path = [(0, root, 0, iter(range(start[0], size)))]
+    path = [(0, root, 0, iter(range(start[0], size)))] if rank else []
     while path:
         mask, state, k, todo = path[-1]
         for j in todo:
@@ -391,8 +394,8 @@ def _grown_family(size: int, root, step, target: int = 0) -> list[int]:
                 grown = mask | 1 << j
                 if k + 1 >= target:
                     out.append(grown)
-                    if target:
-                        continue
+                if k + 1 == rank:
+                    continue
                 path.append((grown, child, k + 1, iter(range(start[k + 1], j))))
                 break
         else:
@@ -456,18 +459,17 @@ def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
     A grown oracle is a matroid, whose maximal independent sets all have its
     rank r's size: each extends to a largest one by augmentation.  So its
     bases are the sets _grown_family lists with target r, r read off one
-    greedy pass of step.  That pruned sweep loses no base: it builds a base
-    from its largest element down, and each set on the way has at least as
-    many elements below its lowest as the base still lacks.  It visits only
-    sets with that room, not the whole family.  Any other family may not be
-    closed, not even a rank sweep's: from_explicit of {}, {0}, {2}, {1,2},
-    {0,1,2} sweeps to {0} and {0,1,2} without {0,1}; its bases come from
-    _table_bases.  A closed explicit family is stored as its bases."""
+    greedy pass of step: a sweep of only the sets with room below their
+    lowest element to reach r, not the whole family.  Any other family may
+    not be closed, not even a rank sweep's: from_explicit of {}, {0}, {2},
+    {1,2}, {0,1,2} sweeps to {0} and {0,1,2} without {0,1}; its bases come
+    from _table_bases.  A closed explicit family is stored as its bases."""
     if _is_grown(sys_):
         _check_sweep(sys_.ground.size, cap)
         pair = sys_.grow(cap)
         if pair is not None:
-            return _grown_family(sys_.ground.size, *pair, _greedy_rank(sys_.ground.size, *pair))
+            r = _greedy_rank(sys_.ground.size, *pair)
+            return _grown_family(sys_.ground.size, *pair, r, r)
     if _is_closed(sys_):
         return sorted(sys_.sets)
     fam = family_masks(sys_, cap)
@@ -655,27 +657,29 @@ def _first_unextended(members, candidates, addable) -> dict | None:
 
 def _check_base_exchange(bases) -> dict | None:
     """B2: for bases B1 != B2 and x in B1 - B2, some y in B2 - B1 makes
-    B1 - x + y a base.  Per B1, swaps pairs each x (ascending, as a bit) with
-    the mask of y for which B1 - x + y is a base, so each (B1, B2, x) test is
-    one AND and the first failure is the one a direct search finds first."""
+    B1 - x + y a base.  With the bases indexed in _by_card order and holds[e]
+    the bitset of those holding e, the B2 failing with (B1, x) are those
+    holding neither x nor any y outside B1 that B1 - x + y makes a base, B1
+    itself never among them.  The lowest of them over every x, then the
+    first x it fails with, is the first failure a direct search finds."""
     bases_set = set(bases)
-    span = 0
-    for b in bases:
-        span |= b
     ordered = _by_card(bases)
+    holds = {
+        e: sum(1 << i for i, b in enumerate(ordered) if b >> e & 1)
+        for e in range(max(bases, default=0).bit_length())
+    }
     for b1 in ordered:
-        swaps = []
+        fails = {}
         for x in iter_bits(b1):
-            rest = b1 ^ 1 << x
-            ys = sum(1 << y for y in iter_bits(span & ~b1) if rest | 1 << y in bases_set)
-            swaps.append((1 << x, ys))
-        for b2 in ordered:
-            if b1 == b2:
-                continue
-            fresh = b2 & ~b1
-            for x, ys in swaps:
-                if x & ~b2 and not ys & fresh:
-                    return {"B1": b1, "B2": b2, "x": x}
+            spared = holds[x]
+            for y, held in holds.items():
+                if not b1 >> y & 1 and b1 ^ 1 << x | 1 << y in bases_set:
+                    spared |= held
+            fails[1 << x] = ~spared & (1 << len(ordered)) - 1
+        first = min((f & -f for f in fails.values() if f), default=0)
+        if first:
+            x = next(x for x, f in fails.items() if f & first)
+            return {"B1": b1, "B2": ordered[first.bit_length() - 1], "x": x}
     return None
 
 

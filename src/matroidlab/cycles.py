@@ -211,21 +211,16 @@ def _gluing(g, glue):
 # edge-set algebra
 
 
-def _fieldwise(op, a: UPEdgeSet, b: UPEdgeSet) -> tuple:
-    """(p, prefix, explicit, pattern) of op applied part by part, with both
-    sets widened to one explicit zone first."""
-    p = max(a.p, b.p)
-    a, b = a.normalized(p), b.normalized(p)
-    return (
-        p,
-        op(a.prefix_present, b.prefix_present),
-        op(a.explicit, b.explicit),
-        op(a.pattern, b.pattern),
-    )
+def _fieldwise(op, *sets: UPEdgeSet) -> tuple:
+    """(p, prefix, explicit, pattern) of op applied part by part, with every
+    set widened once to the widest explicit zone first."""
+    p = max((s.p for s in sets), default=0)
+    parts = [(s.prefix_present, s.explicit, s.pattern) for s in (t.normalized(p) for t in sets)]
+    return (p, *(op(*field) for field in zip(*parts)))
 
 
-def edge_sets_union(a: UPEdgeSet, b: UPEdgeSet) -> UPEdgeSet:
-    return UPEdgeSet(*_fieldwise(operator.or_, a, b))
+def edge_sets_union(*sets: UPEdgeSet) -> UPEdgeSet:
+    return UPEdgeSet(*_fieldwise(lambda *part: frozenset().union(*part), *sets))
 
 
 def edge_sets_difference(a: UPEdgeSet, b: UPEdgeSet) -> UPEdgeSet:
@@ -688,7 +683,8 @@ def spectrum_search(
     profile = (p, q): candidate bases are explicit over p windows and repeat
     with period q afterwards.  The family splits into units (module
     docstring); base-ness and defect factor across them, so the unit spectra
-    combine by sums, which keeps the enumeration per unit.  A period above
+    combine by sums, which keeps the enumeration per unit; a value's witness
+    joins the unit witnesses of its first sum by one union.  A period above
     MAX_WINDOW raises ResourceLimitError before the q-fold spec is built.
     """
     glue = _gluing(g, glue)
@@ -702,8 +698,8 @@ def spectrum_search(
         report.bounds["profile_q"] = q
         report.bounds["witness_presentation"] = f"windows grouped {q} at a time"
         return report
-    # value -> (base, fin_base)
-    values = {0: (UPEdgeSet(), UPEdgeSet())}
+    # value -> the (base, fin_base) of each unit so far, after an empty pair
+    values = {0: ((UPEdgeSet(), UPEdgeSet()),)}
     for spec, local_glue, up, _ in _units(g, glue):
         if spec is None:
             # a finite all-prefix piece: its bases are its spanning forests
@@ -719,13 +715,11 @@ def spectrum_search(
                     "a structural component has no base within the profile"
                 )
         combined = {}
-        for d0, (base0, fin0) in values.items():
-            for d1, (base1, fin1) in sub.items():
-                d = d0 + d1
-                if d not in combined:
-                    combined[d] = (edge_sets_union(base0, base1), edge_sets_union(fin0, fin1))
+        for d0, parts in values.items():
+            for d1, part in sub.items():
+                combined.setdefault(d0 + d1, parts + (part,))
         values = combined
-    values = dict(sorted(values.items()))
+    values = {d: tuple(map(edge_sets_union, *parts)) for d, parts in sorted(values.items())}
     return SpectrumReport(
         values=tuple(values),
         witnesses={

@@ -183,6 +183,8 @@ class UPEdgeSet:
         """Same set with the explicit zone widened to p_new windows."""
         if p_new < self.p:
             raise InputError("cannot shrink the explicit zone")
+        if p_new == self.p:
+            return self
         extra = {
             (kind, j, w)
             for (kind, j) in self.pattern

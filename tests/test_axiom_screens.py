@@ -6,13 +6,15 @@ tested, the closure scan runs twice, and circuits are searched over the whole
 powerset.  They run on the rank sweep of each oracle (its grow pair removed),
 so the grow pairs of wrapped oracles are checked at the same time.  Verdicts,
 witnesses and circuit lists must agree exactly, including on unchecked
-explicit families, where I2, I3, B2 and F3 do fail.
+explicit families, where I2, I3, B2 and F3 do fail.  The B2 screen is also
+held to swaps_check_base_exchange, the per-B1 swap-mask search it replaced,
+and family_masks to a test of every subset.
 """
 
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matroidlab import (
@@ -23,6 +25,7 @@ from matroidlab import (
     contract,
     delete,
     dual,
+    enumerate_bases,
     enumerate_circuits,
     explicit_system,
     family_masks,
@@ -31,6 +34,7 @@ from matroidlab import (
     truncate_top,
     uniform_matroid,
 )
+from matroidlab import core
 from matroidlab.core import AXIOM_SETS, AxiomReport, _check_sweep
 from matroidlab.linear import MatrixRep, linear_matroid
 from matroidlab.ops import ch4_inner
@@ -168,6 +172,32 @@ def _check_base_exchange(bases):
     return "pass", None
 
 
+def swaps_check_base_exchange(bases) -> dict | None:
+    """B2: for bases B1 != B2 and x in B1 - B2, some y in B2 - B1 makes
+    B1 - x + y a base.  Per B1, swaps pairs each x (ascending, as a bit) with
+    the mask of y for which B1 - x + y is a base, so each (B1, B2, x) test is
+    one AND and the first failure is the one a direct search finds first."""
+    bases_set = set(bases)
+    span = 0
+    for b in bases:
+        span |= b
+    ordered = _by_card(bases)
+    for b1 in ordered:
+        swaps = []
+        for x in iter_bits(b1):
+            rest = b1 ^ 1 << x
+            ys = sum(1 << y for y in iter_bits(span & ~b1) if rest | 1 << y in bases_set)
+            swaps.append((1 << x, ys))
+        for b2 in ordered:
+            if b1 == b2:
+                continue
+            fresh = b2 & ~b1
+            for x, ys in swaps:
+                if x & ~b2 and not ys & fresh:
+                    return {"B1": b1, "B2": b2, "x": x}
+    return None
+
+
 def _check_augmentation(fam, fam_set):
     by_card = _by_card(fam)
     for a in by_card:
@@ -297,3 +327,59 @@ def test_every_minor_of_small_matroids_grows_exactly():
 
 def _subsets(t):
     return [s for s in range(t + 1) if s & t == s]
+
+
+def every_independent(sys_):
+    return [m for m in range(sys_.ground.full_mask + 1) if sys_.is_independent(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grown_oracles())
+def test_family_sweeps_match_a_test_of_every_subset(sys_):
+    # both sweeps stop at the rank, so each is held to a reference that
+    # stops nowhere
+    want = every_independent(sys_)
+    assert family_masks(sys_) == want
+    assert family_masks(dataclasses.replace(sys_, grow=None)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_families())
+def test_wrapped_family_sweeps_match_a_test_of_every_subset(sys_):
+    # a closed family's rank sweep lists every independent subset; an
+    # unchecked one's lists those it reaches, each S from S less its lowest
+    # element, from the empty set on
+    closed = explicit_system(sys_.ground, {s for t in sys_.independents | {0} for s in _subsets(t)})
+    wrapped = from_explicit(closed)
+    assert family_masks(wrapped) == every_independent(wrapped) == closed.family()
+    raw = from_explicit(sys_)
+    reached = set()
+    for m in every_independent(raw):
+        if m == 0 or m & (m - 1) in reached:
+            reached.add(m)
+    assert family_masks(raw) == sorted(reached)
+
+
+masks_of_mixed_sizes = st.integers(1, 7).flatmap(
+    lambda m: st.lists(st.integers(0, (1 << m) - 1), unique=True, max_size=24).map(sorted)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(masks_of_mixed_sizes)
+def test_base_exchange_matches_the_swap_search(bases):
+    assert core._check_base_exchange(bases) == swaps_check_base_exchange(bases)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_families())
+def test_base_exchange_failures_match_the_swap_search(sys_):
+    # a new element e alone in one member makes {e} a base beside the rest,
+    # so B2 fails whenever another base has two elements
+    m = sys_.size
+    sys_ = explicit_system(GroundSet.of_size(m + 1), sys_.sets | {1 << m}, check=False)
+    bases = enumerate_bases(sys_)
+    want = swaps_check_base_exchange(bases)
+    assume(want is not None)
+    assert core._check_base_exchange(bases) == want
+    assert check_axioms(sys_, "B").witnesses["B2"] == want

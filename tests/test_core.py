@@ -15,6 +15,7 @@ from matroidlab import (
     ExplicitSystem,
     GroundSet,
     InputError,
+    OracleMatroid,
     ResourceLimitError,
     check_axioms,
     contract,
@@ -33,6 +34,7 @@ from matroidlab import (
     truncate_top,
     uniform_matroid,
 )
+from matroidlab import core
 from matroidlab.core import closed_system
 
 
@@ -402,6 +404,45 @@ def test_base_sweep_visits_only_sets_that_can_reach_the_rank():
         want = sorted(sum(1 << i for i in c) for c in itertools.combinations(range(16), r))
         assert enumerate_bases(m) == want
         assert steps[0] <= most
+
+
+def test_family_sweep_never_steps_from_a_base(monkeypatch):
+    # a set of rank elements is a base, and no base has an independent
+    # child; the state of a uniform oracle's step is the set size
+    sweep, states = core._grown_family, []
+
+    def spied(size, root, step, *rest):
+        def spy(n, j):
+            states.append(n)
+            return step(n, j)
+
+        return sweep(size, root, spy, *rest)
+
+    monkeypatch.setattr(core, "_grown_family", spied)
+    for r in range(1, 7):
+        states.clear()
+        want = [s for s in range(1 << 6) if s.bit_count() <= r]
+        assert family_masks(uniform_matroid(r, 6)) == want
+        assert states and max(states) == r - 1
+
+
+def test_rank_sweep_tests_no_set_larger_than_the_rank(monkeypatch):
+    # on the rank-call path a set with more elements than the rank of the
+    # ground is dependent, so it is never tested
+    tested = []
+    is_independent = OracleMatroid.is_independent
+
+    def spy(self, mask):
+        tested.append(mask)
+        return is_independent(self, mask)
+
+    monkeypatch.setattr(OracleMatroid, "is_independent", spy)
+    blocks = closed_system(GroundSet.of_size(6), [0b000111, 0b011100, 0b110001])
+    for m in (dataclasses.replace(uniform_matroid(3, 6), grow=None), from_explicit(blocks)):
+        tested.clear()
+        fam = family_masks(m)
+        assert fam == [s for s in range(1 << 6) if s.bit_count() <= 3 and m.rank(s) == s.bit_count()]
+        assert tested and max(s.bit_count() for s in tested) == 3
 
 
 def test_base_sweep_keeps_the_sweep_cap():
