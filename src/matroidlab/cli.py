@@ -4,6 +4,13 @@ Every run prints one JSON report (or CSV where a table shape exists) built
 from the same envelope: tool version, echoed config, seed.  Exit codes:
 0 success, 2 bad input (including input lacking the structure a certificate
 needs), 3 resource bound hit, 64 usage.
+
+main can answer many queries in one process, and pays for each query's
+plumbing once: argv is scanned by one parser, the CSV table is built only
+under --out csv, and each family, gluing or system file an option names is
+parsed and validated once per distinct content per process (io.load_file).
+Each file is still read on every query, so a changed file is read again, and
+an error is never cached.  Pair, matrix and scan files are loaded afresh.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .io import (
     json_text,
     load_edit,
     load_family,
+    load_file,
     load_gluing,
     load_matrix_family,
     load_nested_pair,
@@ -108,7 +116,7 @@ def _canned_family(text: str):
 
 def _family_arg(text: str):
     fam = _canned_family(text)
-    return fam if fam is not None else load_family(read_json(text))
+    return fam if fam is not None else load_file(load_family, text)
 
 
 def _pair_arg(text: str, cap: int | None) -> NestedPair:
@@ -118,7 +126,7 @@ def _pair_arg(text: str, cap: int | None) -> NestedPair:
 
 def _system_arg(text: str):
     r = _canned_n(text, "ch4")
-    return load_system(read_json(text)) if r is None else ch4_inner(r)
+    return load_file(load_system, text) if r is None else ch4_inner(r)
 
 
 def _glue_arg(text: str, family):
@@ -126,7 +134,7 @@ def _glue_arg(text: str, family):
         return glue_all(family)
     if text == "none":
         return no_glue(family)
-    glue = load_gluing(read_json(text))
+    glue = load_file(load_gluing, text)
     glue.validate_for(family)
     return glue
 
@@ -178,7 +186,8 @@ def _profile(args) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (json payload, csv text or None)
+# subcommand handlers; each returns (json payload, None or a function giving
+# the csv text, called only under --out csv)
 
 
 def cmd_axioms(args):
@@ -225,7 +234,7 @@ def cmd_mk(args):
     if args.family:
         fam = _family_arg(args.family)
         report = mk_spectrum(fam, _glue_arg(args.glue, fam), args.k, _profile(args))
-        return report.to_dict(), spectrum_csv(report)
+        return report.to_dict(), lambda: spectrum_csv(report)
     raise InputError("mk needs --system (finite truncation) or --family (glued system)")
 
 
@@ -248,7 +257,7 @@ def cmd_spectrum(args):
         report = spectrum_search(fam, _glue_arg(args.glue, fam), _profile(args))
     else:
         report = spectrum(_pair_from(args), args.cap)
-    return report.to_dict(), spectrum_csv(report)
+    return report.to_dict(), lambda: spectrum_csv(report)
 
 
 def cmd_smin(args):
@@ -265,7 +274,7 @@ def cmd_ch4(args):
         witness = {key: list(pair.ground.names(mask)) for key, mask in raw.items()}
     else:
         witness = None
-    return {"spectrum": report.to_dict(), "i3_witness": witness}, spectrum_csv(report)
+    return {"spectrum": report.to_dict(), "i3_witness": witness}, lambda: spectrum_csv(report)
 
 
 def cmd_rays(args):
@@ -342,7 +351,7 @@ def cmd_scan(args):
             f'{row["name"]},{" ".join(str(v) for v in body["values"])},'
             f'{str(row["gap"]).lower()}'
         )
-    return {"rows": rows}, "\n".join(table) + "\n"
+    return {"rows": rows}, lambda: "\n".join(table) + "\n"
 
 
 HANDLERS = {
@@ -391,7 +400,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="cmd", metavar="subcommand")
 
     def add(name, help_, parents=(common,), **kwargs):
-        return sub.add_parser(name, help=help_, parents=list(parents), **kwargs)
+        p = sub.add_parser(name, help=help_, parents=list(parents), **kwargs)
+        p.set_defaults(cmd=name)  # so main can parse with p alone
+        return p
 
     p = add("axioms", "axiom conformance report for a system file")
     p.add_argument("--system", required=True)
@@ -463,6 +474,7 @@ def build_parser() -> _Parser:
     p.add_argument("targets", nargs="+", help="family/edit/pair files or canned names")
     p.add_argument("--glue", default="all")
 
+    parser.commands = sub.choices  # subcommand name -> its parser, for _parse_argv
     return parser
 
 
@@ -481,10 +493,19 @@ def _config_echo(args) -> dict:
     return config
 
 
+def _parse_argv(parser: _Parser, argv: list):
+    """parser.parse_args(argv), scanning argv once.  An argv led by a
+    subcommand name is parsed by that subcommand's parser alone, which is
+    what parser.parse_args hands it; only the rest (no name, an unknown one,
+    an option first) needs the top-level scan."""
+    command = parser.commands.get(argv[0]) if argv else None
+    return parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
+
+
 def main(argv=None) -> int:
     parser = _shared_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(parser, sys.argv[1:] if argv is None else list(argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -505,7 +526,7 @@ def main(argv=None) -> int:
         if table is None:
             print(f"error: {args.cmd} has no CSV form", file=sys.stderr)
             return 2
-        sys.stdout.write(table)
+        sys.stdout.write(table())
     else:
         sys.stdout.write(json_text(envelope(payload, config, args.seed)))
     return 0

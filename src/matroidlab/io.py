@@ -1,8 +1,11 @@
 """JSON file formats: systems, matrices, families, gluings, edits, reports.
 
 Loaders take parsed objects (call read_json for a path) and raise InputError
-on malformed input.  Dumpers produce plain JSON-ready objects; json_text
-renders them byte-stably so equal inputs yield equal report files.
+on malformed input.  load_file(loader, path) reads a file and loads it once
+per distinct text per process: the text is read on every call, so a changed
+file is loaded again, and an error is never cached.  Dumpers produce plain
+JSON-ready objects; json_text renders them byte-stably so equal inputs yield
+equal report files.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
+from functools import lru_cache
 from io import StringIO
 from pathlib import Path
 
@@ -23,16 +27,55 @@ from .periodic import PeriodicGraphSpec, UPEdgeSet
 from .util import iter_bits
 
 
-def read_json(path):
+def _read_text(path) -> str:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return fh.read()
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
     except (OSError, ValueError) as exc:  # a directory, a NUL in the name, non-UTF-8 bytes
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _parse(path, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def read_json(path):
+    return _parse(path, _read_text(path))
+
+
+class _Unparsed(Exception):
+    """json.loads refused a file's text; load_file names the path."""
+
+
+@lru_cache(maxsize=256)
+def _loaded(loader, text: str):
+    try:
+        obj = json.loads(text)
+    except ValueError:
+        raise _Unparsed from None
+    return loader(obj)
+
+
+def load_file(loader, path):
+    """loader(read_json(path)), loaded once per distinct (loader, text).
+
+    The file is read on every call, so an edited file is loaded again, and
+    an error is raised afresh each time, never cached.  Every call on one
+    text returns the same object, so loader must build frozen values (specs,
+    gluings, systems), on which only pure cached properties are ever set."""
+    text = _read_text(path)
+    try:
+        return _loaded(loader, text)
+    except _Unparsed:
+        _parse(path, text)  # raises the error read_json would
+        raise
 
 
 def json_text(obj) -> str:

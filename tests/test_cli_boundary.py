@@ -615,6 +615,9 @@ def test_minor_of_an_explicit_file_builds_one_family_table(tmp_path, monkeypatch
         return real(fam)
 
     monkeypatch.setattr(matroidlab.core, "_family_table", spy)
+    # a file loaded before, by this text, is not loaded again, so the spy
+    # would see no table
+    matroidlab.io._loaded.cache_clear()
     rc, out, err = run_in_process(["minor", "--system", str(path), "--delete", "c", "--contract", "a"])
     assert rc == 0, err
     assert json.loads(out)["result"]
@@ -630,6 +633,7 @@ def test_circuits_of_an_explicit_file_list_its_members_once(tmp_path, monkeypatc
     built = []
     monkeypatch.setattr(matroidlab.core, "down_closure",
                         lambda tops, real=matroidlab.core.down_closure: built.append(tops) or real(tops))
+    matroidlab.io._loaded.cache_clear()  # so the file is loaded under the spy
     rc, out, err = run_in_process(["circuits", "--system", str(path)])
     assert rc == 0, err
     assert json.loads(out)["result"]["circuits"] == [["a", "c"], ["b", "c"]]
