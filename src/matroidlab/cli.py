@@ -1,9 +1,10 @@
 """Command line front end: batch subcommands over the library's file formats.
 
 Every run prints one JSON report (or CSV where a table shape exists) built
-from the same envelope: tool version, echoed config, seed.  Exit codes:
-0 success, 2 bad input (including input lacking the structure a certificate
-needs), 3 resource bound hit, 64 usage.
+from the same envelope: tool version and echoed config.  Each subcommand takes
+only the options its handler reads, so any other is a usage error.  Exit
+codes: 0 success, 2 bad input (including input lacking the structure a
+certificate needs), 3 resource bound hit, 64 usage.
 
 main can answer many queries in one process, and pays for each query's
 plumbing once: argv is scanned by one parser, the CSV table is built only
@@ -121,7 +122,7 @@ def _family_arg(text: str):
 
 def _pair_arg(text: str, cap: int | None) -> NestedPair:
     r = _canned_n(text, "ch4")
-    return load_nested_pair(read_json(text), cap) if r is None else ch4_system(r, cap)
+    return load_nested_pair(read_json(text), cap) if r is None else ch4_system(r)
 
 
 def _system_arg(text: str):
@@ -171,8 +172,8 @@ def _vertex_arg(text: str):
 
 
 def _natural(text: str) -> int:
-    """The type of every count, bound and cap option but --seed: anything but
-    a natural number is a usage error."""
+    """The type of every count, bound and cap option: anything but a natural
+    number is a usage error."""
     n = _decimal(text)
     if n is None:
         raise argparse.ArgumentTypeError(f"{text!r} is not a natural number")
@@ -267,7 +268,7 @@ def cmd_smin(args):
 
 
 def cmd_ch4(args):
-    pair = ch4_system(args.r, args.cap)
+    pair = ch4_system(args.r)
     report = spectrum(pair, args.cap)
     if args.r >= 2:
         raw = ch4_i3_witness(args.r)
@@ -317,7 +318,7 @@ def _scan_entry(text: str, glue_text: str, profile: tuple, cap: int | None):
         return (text, fam, _glue_arg(glue_text, fam))
     r = _canned_n(text, "ch4")
     if r is not None:
-        return (text, ch4_system(r, cap))
+        return (text, ch4_system(r))
     obj = read_json(text)
     name = Path(text).stem
     if not isinstance(obj, dict):
@@ -354,36 +355,24 @@ def cmd_scan(args):
     return {"rows": rows}, lambda: "\n".join(table) + "\n"
 
 
-HANDLERS = {
-    "axioms": cmd_axioms,
-    "bases": cmd_bases,
-    "circuits": cmd_circuits,
-    "dual": cmd_dual,
-    "minor": cmd_minor,
-    "union": cmd_union,
-    "mk": cmd_mk,
-    "diff": cmd_diff,
-    "spectrum": cmd_spectrum,
-    "smin": cmd_smin,
-    "ch4": cmd_ch4,
-    "rays": cmd_rays,
-    "dominate": cmd_dominate,
-    "bean": cmd_bean,
-    "psi-spectrum": cmd_spectrum,  # the family branch, with --glue required
-    "thin": cmd_thin,
-    "scan": cmd_scan,
-}
-
-
 # ---------------------------------------------------------------------------
 # wiring
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--out", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--cap", type=_natural, default=None, help="enumeration cap")
+    """Each subcommand, declared once with its handler and the options it reads."""
+    out = _Parser(add_help=False)
+    out.add_argument("--out", choices=("json", "csv"), default="json")
+
+    capped = _Parser(add_help=False)
+    capped.add_argument("--cap", type=_natural, default=None, help="enumeration cap")
+
+    on_system = _Parser(add_help=False, parents=[capped])
+    on_system.add_argument("--system", required=True)
+
+    paired = _Parser(add_help=False)
+    for option in ("--pair", "--inner", "--outer"):
+        paired.add_argument(option)
 
     profiled = _Parser(add_help=False)
     profiled.add_argument("--prefix", type=_natural, default=2, help="prefix block bound")
@@ -399,78 +388,70 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="cmd", metavar="subcommand")
 
-    def add(name, help_, parents=(common,), **kwargs):
-        p = sub.add_parser(name, help=help_, parents=list(parents), **kwargs)
-        p.set_defaults(cmd=name)  # so main can parse with p alone
+    def add(name, help_, handler, *parents):
+        p = sub.add_parser(name, help=help_, parents=[out, *parents])
+        p.set_defaults(cmd=name, handler=handler)  # so main can parse with p alone
         return p
 
-    p = add("axioms", "axiom conformance report for a system file")
-    p.add_argument("--system", required=True)
+    p = add("axioms", "axiom conformance report for a system file", cmd_axioms, on_system)
     p.add_argument("--axioms", choices=("I", "B", "F"), default="I")
+    add("bases", "all maximal independent sets", cmd_bases, on_system)
+    add("circuits", "all minimal dependent sets", cmd_circuits, on_system)
+    add("dual", "dual system, written as an explicit system file", cmd_dual, on_system)
 
-    for name, help_ in (("bases", "all maximal independent sets"),
-                        ("circuits", "all minimal dependent sets"),
-                        ("dual", "dual system, written as an explicit system file")):
-        p = add(name, help_)
-        p.add_argument("--system", required=True)
-
-    p = add("minor", "delete and contract by element labels")
-    p.add_argument("--system", required=True)
+    p = add("minor", "delete and contract by element labels", cmd_minor, on_system)
     p.add_argument("--delete", default="", help="comma separated labels")
     p.add_argument("--contract", default="", help="comma separated labels")
 
-    p = add("union", "independence union of two systems")
+    p = add("union", "independence union of two systems", cmd_union, capped)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 
     p = add("mk", "k-step system: top truncation (--system) or removal spectrum (--family)",
-            parents=(common, profiled))
+            cmd_mk, capped, profiled)
     p.add_argument("--system")
     p.add_argument("--family")
     p.add_argument("--glue", default="all")
     p.add_argument("-k", type=_natural, required=True)
 
-    p = add("diff", "difference system of a nested pair of system files")
+    p = add("diff", "difference system of a nested pair of system files", cmd_diff, capped)
     p.add_argument("--outer", required=True)
     p.add_argument("--inner", required=True)
     p.add_argument("--verify-duality", action="store_true")
 
     p = add("spectrum", "spectrum of a nested pair or a glued family",
-            parents=(common, profiled))
-    p.add_argument("--pair")
-    p.add_argument("--inner")
-    p.add_argument("--outer")
+            cmd_spectrum, capped, profiled, paired)
     p.add_argument("--family")
     p.add_argument("--glue", default="all")
 
-    p = add("smin", "minimal spanning complements of a nested pair")
-    p.add_argument("--pair")
-    p.add_argument("--inner")
-    p.add_argument("--outer")
+    add("smin", "minimal spanning complements of a nested pair", cmd_smin, capped, paired)
 
-    p = add("ch4", "block counterexample: spectrum and exchange-failure witness")
+    p = add("ch4", "block counterexample: spectrum and exchange-failure witness",
+            cmd_ch4, capped)
     p.add_argument("-r", type=_natural, required=True)
 
-    p = add("rays", "ray census of a family; verdict when a gluing is given")
+    p = add("rays", "ray census of a family; verdict when a gluing is given", cmd_rays)
     p.add_argument("--family", required=True)
     p.add_argument("--glue")
 
-    p = add("dominate", "smallest depth giving k disjoint paths from a vertex to the tail")
+    p = add("dominate", "smallest depth giving k disjoint paths from a vertex to the tail",
+            cmd_dominate)
     p.add_argument("--family", required=True)
     p.add_argument("--vertex", required=True, help="prefix name, or lane:window")
     p.add_argument("-k", type=_natural, required=True)
 
-    add("bean", "canonical exchange-failure family, all sub-claims checked")
+    add("bean", "canonical exchange-failure family, all sub-claims checked", cmd_bean)
 
+    # the family branch of cmd_spectrum, which reads no cap
     p = add("psi-spectrum", "spectrum of a family under an explicit gluing file",
-            parents=(common, profiled))
+            cmd_spectrum, profiled)
     p.add_argument("--family", required=True)
     p.add_argument("--glue", required=True)
 
-    p = add("thin", "rows of a periodic column family with growing support")
+    p = add("thin", "rows of a periodic column family with growing support", cmd_thin)
     p.add_argument("--matrix-family", required=True)
 
-    p = add("scan", "batch spectra with gap flags", parents=(common, profiled))
+    p = add("scan", "batch spectra with gap flags", cmd_scan, capped, profiled)
     p.add_argument("targets", nargs="+", help="family/edit/pair files or canned names")
     p.add_argument("--glue", default="all")
 
@@ -487,7 +468,7 @@ def _shared_parser() -> _Parser:
 def _config_echo(args) -> dict:
     config = {"subcommand": args.cmd, "format": args.out}
     for key, value in sorted(vars(args).items()):
-        if key in ("cmd", "out", "seed") or value is None:
+        if key in ("cmd", "out", "handler") or value is None:
             continue
         config[key] = list(value) if isinstance(value, tuple) else value
     return config
@@ -515,7 +496,7 @@ def main(argv=None) -> int:
         return 64
     config = _config_echo(args)
     try:
-        payload, table = HANDLERS[args.cmd](args)
+        payload, table = args.handler(args)
     except (InputError, StructuralMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -528,7 +509,7 @@ def main(argv=None) -> int:
             return 2
         sys.stdout.write(table())
     else:
-        sys.stdout.write(json_text(envelope(payload, config, args.seed)))
+        sys.stdout.write(json_text(envelope(payload, config)))
     return 0
 
 

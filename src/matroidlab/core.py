@@ -35,7 +35,8 @@ hold neither x nor any y that B1 - x + y makes a base.
 
 Every powerset sweep is capped at SWEEP_CAP elements, overridden per call by
 passing cap=... where offered; listing a closed family's members sweeps the
-powerset of its largest base.
+powerset of its largest base.  family_masks and enumerate_bases list each
+system object once (_kept); every call checks its own cap first.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ class ExplicitSystem:
         return mask in self.sets
 
     def family(self) -> list[int]:
-        return sorted(self.independents)
+        return _kept(self, "_family", lambda: sorted(self.independents))
 
     @property
     def size(self) -> int:
@@ -339,8 +340,18 @@ def _check_sweep(n: int, cap: int | None):
         raise ResourceLimitError(f"powerset sweep over {n} elements exceeds cap {cap}")
 
 
+def _kept(sys_: System, key: str, make) -> list[int]:
+    """make() as a fresh list, made on the first call and kept on the object
+    sys_, in its __dict__: oracles compare by ground and label alone, so a
+    listing is never kept by value.  Callers check their cap first."""
+    kept = sys_.__dict__.get(key)
+    if kept is None:
+        kept = sys_.__dict__[key] = tuple(make())
+    return list(kept)
+
+
 def family_masks(sys_: System, cap: int | None = None) -> list[int]:
-    """All independent sets as masks, ascending.
+    """All independent sets as masks, ascending, listed once per system.
 
     Oracles are swept with the pair grow(cap) gives when they have one, else
     with one rank call per candidate set.  A closed explicit family lists the
@@ -351,6 +362,10 @@ def family_masks(sys_: System, cap: int | None = None) -> list[int]:
             _check_sweep(max(map(int.bit_count, sys_.sets), default=0), cap)
         return sys_.family()
     _check_sweep(sys_.ground.size, cap)
+    return _kept(sys_, "_family", lambda: _swept_family(sys_, cap))
+
+
+def _swept_family(sys_: OracleMatroid, cap: int | None) -> list[int]:
     pair = sys_.grow(cap) if sys_.grow is not None else None
     if pair is not None:
         return _grown_family(sys_.ground.size, *pair, _greedy_rank(sys_.ground.size, *pair))
@@ -464,14 +479,18 @@ def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
     not be closed, not even a rank sweep's: from_explicit of {}, {0}, {2},
     {1,2}, {0,1,2} sweeps to {0} and {0,1,2} without {0,1}; its bases come
     from _table_bases.  A closed explicit family is stored as its bases."""
-    if _is_grown(sys_):
-        _check_sweep(sys_.ground.size, cap)
-        pair = sys_.grow(cap)
-        if pair is not None:
-            r = _greedy_rank(sys_.ground.size, *pair)
-            return _grown_family(sys_.ground.size, *pair, r, r)
     if _is_closed(sys_):
         return sorted(sys_.sets)
+    if isinstance(sys_, OracleMatroid):
+        _check_sweep(sys_.ground.size, cap)
+    return _kept(sys_, "_bases", lambda: _swept_bases(sys_, cap))
+
+
+def _swept_bases(sys_: System, cap: int | None) -> list[int]:
+    pair = sys_.grow(cap) if _is_grown(sys_) else None
+    if pair is not None:
+        r = _greedy_rank(sys_.ground.size, *pair)
+        return _grown_family(sys_.ground.size, *pair, r, r)
     fam = family_masks(sys_, cap)
     return _table_bases(fam, *_family_table(fam))
 

@@ -147,7 +147,7 @@ from .periodic import (
     split_components,
     validate_edge_set,
 )
-from .util import INF, bfs_path, iter_bits, spanning_forest
+from .util import INF, closing_paths, iter_bits, spanning_forest
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +311,14 @@ def _find_circle(g, s, glue):
                 "ray_lanes": sorted(lanes[cid, point]),
             }
     # H is simple now: the first edge whose ends are already joined closes a cycle
-    adj = {}
-    for cid, point in sorted(rays):
-        a, b = ("component", cid), ("point", point)
-        path = bfs_path(adj, a, b) if a in adj and b in adj else None
-        if path is not None:
-            return {
-                "kind": "glued-circle",
-                "points": sorted(v for kind, v in path if kind == "point"),
-                "segments": len(path) // 2,
-                "component": sorted(v for kind, v in path if kind == "component"),
-            }
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    edges = ((("component", cid), ("point", point)) for cid, point in sorted(rays))
+    for _, path in closing_paths(edges):
+        return {
+            "kind": "glued-circle",
+            "points": sorted(v for kind, v in path if kind == "point"),
+            "segments": len(path) // 2,
+            "component": sorted(v for kind, v in path if kind == "component"),
+        }
     return None
 
 
@@ -624,23 +619,18 @@ def _glue_links(comps, glue) -> list:
     join them too.
     """
     point_of = glue.as_map()
-    adj, links = {}, []
-    for i, (spec, _) in enumerate(comps):
-        if spec is None:
-            continue
-        for point in sorted({point_of[label] for label in spec.ends if label in point_of}):
-            a, b = ("component", i), ("point", point)
-            path = bfs_path(adj, a, b) if a in adj and b in adj else None
-            if path is None:
-                adj.setdefault(a, []).append(b)
-                adj.setdefault(b, []).append(a)
-                continue
-            links += [
-                (spec.repeat_vertices[0], comps[j][0].repeat_vertices[0])
-                for kind, j in path[1:]
-                if kind == "component"
-            ]
-    return links
+    edges = (
+        (("component", i), ("point", point), spec)
+        for i, (spec, _) in enumerate(comps)
+        if spec is not None
+        for point in sorted({point_of[label] for label in spec.ends if label in point_of})
+    )
+    return [
+        (spec.repeat_vertices[0], comps[j][0].repeat_vertices[0])
+        for (_, _, spec), path in closing_paths(edges)
+        for kind, j in path[1:]
+        if kind == "component"
+    ]
 
 
 def _remap_edge_set(maps, s: UPEdgeSet) -> UPEdgeSet:

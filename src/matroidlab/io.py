@@ -69,7 +69,7 @@ def load_file(loader, path):
     The file is read on every call, so an edited file is loaded again, and
     an error is raised afresh each time, never cached.  Every call on one
     text returns the same object, so loader must build frozen values (specs,
-    gluings, systems), on which only pure cached properties are ever set."""
+    gluings, systems), on which only pure cached values are ever set."""
     text = _read_text(path)
     try:
         return _loaded(loader, text)
@@ -442,12 +442,6 @@ def spectrum_csv(report) -> str:
     return buf.getvalue()
 
 
-def envelope(result, config: dict, seed=None) -> dict:
+def envelope(result, config: dict) -> dict:
     """Uniform report wrapper: tool version, echoed config, then the payload."""
-    return {
-        "tool": "matroidlab",
-        "version": __version__,
-        "config": config,
-        "seed": seed,
-        "result": result,
-    }
+    return {"tool": "matroidlab", "version": __version__, "config": config, "result": result}

@@ -298,13 +298,13 @@ def ch4_inner(r: int) -> ExplicitSystem:
     return closed_system(ground, (ground.full_mask ^ ground.mask(block) for block in ch4_blocks(r)))
 
 
-def ch4_system(r: int, cap: int | None = None) -> NestedPair:
+def ch4_system(r: int) -> NestedPair:
     """ch4_inner(r) nested in the free matroid on its ground; the spectrum is
-    1..r.  The inner bases are the block complements as built, and the free
-    matroid's one base is listed under cap by the spectrum, not the pair."""
+    1..r.  The nesting check reads only the r stored block complements, and
+    the spectrum lists the free matroid's one base under its cap."""
     inner = ch4_inner(r)
     free = uniform_matroid(inner.size, inner.size, labels=inner.ground.labels)
-    return NestedPair(inner, free, cap)
+    return NestedPair(inner, free)
 
 
 def ch4_i3_witness(r: int) -> dict[str, int]:

@@ -95,6 +95,20 @@ def bfs_path(adj, a, b):
     return None
 
 
+def closing_paths(edges) -> Iterator[tuple]:
+    """(edge, path) for each edge (u, v, ...), in order, whose ends the kept
+    edges join, path a shortest u-v path over them; the rest, kept, are a forest."""
+    adj: dict = {}
+    for edge in edges:
+        u, v = edge[0], edge[1]
+        path = bfs_path(adj, u, v) if u in adj and v in adj else None
+        if path is None:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        else:
+            yield edge, path
+
+
 def disjoint_paths(adj, sources, sinks) -> list[list]:
     """As many vertex-disjoint source-to-sink paths as exist (Menger).
 

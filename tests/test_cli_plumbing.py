@@ -15,6 +15,7 @@ import os
 import pytest
 
 import matroidlab.cli
+from matroidlab import core
 from matroidlab.cli import _parse_argv, _shared_parser, _UsageError, build_parser, main
 from matroidlab.core import GroundSet
 from matroidlab.cycles import GluingSpec, glue_all, mk_spectrum, spectrum_search
@@ -65,7 +66,7 @@ VALID = [
     ["axioms", "--system", "s.json", "--axioms", "B"],
     ["bases", "--system", "s.json", "--cap", "9"],
     ["circuits", "--system", "ch4:3"],
-    ["dual", "--system", "s.json", "--seed", "-4"],
+    ["dual", "--system", "s.json", "--cap", "4"],
     ["minor", "--system", "s.json", "--delete", "a,b", "--contract", "c"],
     ["union", "--left", "s.json", "--right", "t.json"],
     ["mk", "--family", "ladder:1", "-k", "1", "--prefix", "1"],
@@ -103,6 +104,7 @@ CORNERS = [
     ["--out", "csv", "spectrum"],  # an option before the subcommand
     ["--", "bean"],
     ["spectrum", "-h", "--bogus"],
+    ["dual", "--system", "s.json", "--seed", "1"],  # an option no subcommand takes
 ]
 CORPUS = VALID + CORNERS + [[name, "-h"] for name in sorted(build_parser().commands)]
 
@@ -120,6 +122,25 @@ def test_the_corpus_covers_every_subcommand_and_outcome():
     kinds = [outcome(build_parser().parse_args, argv)[0][0] for argv in CORPUS]
     assert {"args", "usage", "exit"} <= set(kinds)
     assert all(outcome(build_parser().parse_args, argv)[0][0] == "args" for argv in VALID)
+
+
+# the subcommands whose handler passes --cap on; the others refuse it
+CAPPED = {"axioms", "bases", "circuits", "dual", "minor", "union", "mk", "diff",
+          "spectrum", "smin", "ch4", "scan"}
+
+
+@pytest.mark.parametrize("argv", VALID, ids=" ".join)
+def test_each_subcommand_takes_only_the_options_its_handler_reads(argv):
+    assert run([*argv, "--seed", "1"])[:2] == (64, "")
+    capped = [*argv, "--cap", "3"]
+    if argv[0] in CAPPED:
+        assert outcome(build_parser().parse_args, capped)[0][1]["cap"] == 3
+    else:
+        assert run(capped)[:2] == (64, "")
+
+
+def test_five_subcommands_take_no_cap():
+    assert set(build_parser().commands) - CAPPED == {"rays", "dominate", "bean", "thin", "psi-spectrum"}
 
 
 @pytest.mark.parametrize("argv", [["axioms"], ["spectrum", "--bogus"], ["nope"], [], ["--out", "csv"]])
@@ -155,7 +176,7 @@ def reports(gluing):
         (["psi-spectrum", "--family", "ladder:2", "--glue", gluing],
          spectrum_search(two, GluingSpec((("end0",), ("end1",)), (0,)), (2, 1))),
         (["mk", "--family", "ladder:1", "-k", "1"], mk_spectrum(one, glue_all(one), 1, (2, 1))),
-        (["ch4", "-r", "3"], spectrum(ch4_system(3, None), None)),
+        (["ch4", "-r", "3"], spectrum(ch4_system(3), None)),
     ]
 
 
@@ -261,3 +282,34 @@ def test_the_memo_hands_out_one_object_per_text(tmp_path):
     load = matroidlab.cli._system_arg
     assert load(first) is load(second) is load(first)
     assert load(first).ground == GroundSet.named(["a", "b", "c"])
+
+
+# ---------------------------------------------------------------------------
+# one listing per finite system
+
+
+def test_queries_on_one_system_file_list_its_bases_once(tmp_path, monkeypatch):
+    path = write(tmp_path / "u3_6.json", {"ground": list("abcdef"), "kind": "uniform", "rank": 3})
+    sweep, targets = core._grown_family, []
+    monkeypatch.setattr(core, "_grown_family",
+                        lambda *a: targets.append(a[4:]) or sweep(*a))
+    _loaded.cache_clear()
+    for _ in range(2):
+        for argv in (["bases", "--system", path], ["axioms", "--system", path, "--axioms", "B"],
+                     ["dual", "--system", path]):
+            rc, _, err = run(argv)
+            assert rc == 0, err
+    # one primal base listing (target 3), and a family listing per fresh dual
+    assert [t for t in targets if t] == [(3,)]
+    assert targets.count(()) == 2
+
+
+def test_a_kept_listing_still_checks_each_callers_cap(tmp_path):
+    path = write(tmp_path / "u1_17.json",
+                 {"ground": [f"e{i}" for i in range(17)], "kind": "uniform", "rank": 1})
+    rc, out, err = run(["bases", "--system", path, "--cap", "20"])
+    assert rc == 0, err
+    assert json.loads(out)["result"]["count"] == 17
+    assert run(["bases", "--system", path]) == (
+        3, "", "resource bound: powerset sweep over 17 elements exceeds cap 16\n"
+    )

@@ -609,3 +609,18 @@ def test_a_generator_outside_the_ground_is_rejected():
     with pytest.raises(InputError, match="outside ground"):
         ExplicitSystem(g, frozenset({0b100}), closed=True)
     assert closed_system(g, [0b11]).independents == {0, 0b01, 0b10, 0b11}
+
+
+def test_a_kept_listing_is_handed_out_fresh():
+    # family_masks and enumerate_bases keep a system's listing on it; a
+    # caller that changes the list it got changes no later answer
+    m = graphic_matroid(3, [(0, 1), (1, 2), (2, 0), (0, 1)])
+    explicit = explicit_system(GroundSet.of_size(3), [(), (0,), (1,), (0, 1), (2,)])
+    for listing, sys_ in itertools.product((family_masks, enumerate_bases), (m, explicit)):
+        want = listing(sys_)
+        listing(sys_).clear()
+        listing(sys_).append(1 << 9)
+        assert listing(sys_) == want
+    assert explicit.family() == family_masks(explicit)
+    assert family_masks(dataclasses.replace(m, grow=None)) == family_masks(m)
+
