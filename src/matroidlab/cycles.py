@@ -840,7 +840,7 @@ def hat_check(
 # the engineered exchange failure
 
 
-def verify_i3_violation(g: PeriodicGraphSpec, glue: GluingSpec | None = None):
+def verify_i3_violation(g: PeriodicGraphSpec):
     """Check the five-step maximality exchange failure on a two-rail family.
 
     Steps: (1) both rails form a base; (2) swapping the first top splice for
@@ -850,11 +850,10 @@ def verify_i3_violation(g: PeriodicGraphSpec, glue: GluingSpec | None = None):
     can be added back.  Families where step 5 fails (the broken square lets a
     bottom splice in) raise StructuralMismatchError naming the step.
 
-    With no gluing given, all ends are glued to one point; the open system
-    has no such failure to exhibit.
+    All ends are glued to one point; the open system has no such failure to
+    exhibit.
     """
-    glue = glue_all(g) if glue is None else glue
-    glue.validate_for(g)
+    glue = glue_all(g)
     cross_role = "spoke" if "spoke" in g.roles() else "rung"
     H = edges_by_role(g, {"top", "bottom"})
     TH = edges_by_role(g, "top")

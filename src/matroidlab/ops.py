@@ -21,6 +21,7 @@ from .core import (
     _family_table,
     _is_closed,
     _is_grown,
+    _maximal,
     _table_bases,
     _wrap_grow,
     check_axioms,
@@ -254,14 +255,11 @@ def smin_enumerate(pair: NestedPair, cap: int | None = None) -> list[int]:
     """Minimal sets (E - F) | B over nested base pairs; ascending masks.
 
     These are the minimal spanning complements: remove an outer cobase, keep
-    an inner base disjoint from it.
+    an inner base disjoint from it: the complements of the maximal F - B.
     """
     full = pair.ground.full_mask
-    candidates = {(full ^ f) | b for b, f in _nested_base_pairs(pair, cap)[1]}
-    minimal = [
-        s for s in candidates if not any(t != s and t & s == t for t in candidates)
-    ]
-    return sorted(minimal)
+    complements = (f & ~b for b, f in _nested_base_pairs(pair, cap)[1])
+    return sorted(full ^ c for c in _maximal(complements))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ repeat vertices (one copy per window w = 0, 1, 2, ...).  Four edge kinds:
 * apex edges: from a prefix vertex to a lane, repeated at every window.
 
 Edge instances are addressed as ("pre", i), ("win", j, w), ("spl", j, w)
-(the copy joining w to w+1), ("apx", j, w).  The slot table (_slot_table) is
-the one place where the ends of the four kinds are defined.  An UPEdgeSet
-picks instances explicitly over the first p windows and by a per-window
-pattern afterwards.
+(the copy joining w to w+1), ("apx", j, w).  _slot_table reads the ends of the
+four kinds, _from_rows writes them, and unroll, reblock and split_components
+only map rows; unroll names window w's copy of a lane lane@w, reblock lane%w,
+the separator put in front while a declared vertex holds it (_copy_names).
+An UPEdgeSet picks instances explicitly over the first p windows and by a
+per-window pattern afterwards.
 
 All infinite-graph questions are answered by a window-sweep fixpoint.  The
 state after a window labels the prefix vertices and that window's lanes with
@@ -271,6 +273,34 @@ def _slot_table(g: PeriodicGraphSpec) -> tuple:
     for row in rows[len(g.prefix_edges):]:
         groups.setdefault(row[5], []).append(row)
     return tuple(rows), tuple((h, tuple(groups[h])) for h in sorted(groups))
+
+
+def _from_rows(prefix_vertices, repeat_vertices, rows, ends) -> PeriodicGraphSpec:
+    """The spec whose slots are rows, the inverse of _slot_table: a "pre" row
+    is a prefix edge, its window-0 ends written ("r", lane), and any other
+    row a slot of the recurring kind its offsets name in _OFFSETS."""
+    kind_of = {offsets: kind for kind, offsets in _OFFSETS.items()}
+    out: dict = {kind: [] for kind in ("pre", *_OFFSETS)}
+    for kind, _, a, da, b, db, role in rows:
+        if kind == "pre":
+            out[kind].append((a if da is None else ("r", a), b if db is None else ("r", b), role))
+        else:
+            out[kind_of[da, db]].append((a, b, role))
+    return PeriodicGraphSpec(prefix_vertices, repeat_vertices, *map(tuple, out.values()), ends)
+
+
+def _copy_names(lanes, count, sep, taken) -> dict:
+    """(lane, c) -> the name of lane's copy c < count: lane, sep, c, with sep
+    put in front until neither taken nor an earlier copy holds it."""
+    names, taken = {}, set(taken)
+    for c in range(count):
+        for lane in lanes:
+            name = f"{lane}{sep}{c}"
+            while name in taken:
+                name = sep + name
+            taken.add(name)
+            names[lane, c] = name
+    return names
 
 
 def edges_by_role(g: PeriodicGraphSpec, roles) -> UPEdgeSet:
@@ -872,32 +902,20 @@ def _unrolled(g: PeriodicGraphSpec, k: int) -> tuple[PeriodicGraphSpec, dict]:
 
     rows, heads = _slot_table(g)
     n_pre = len(g.prefix_edges)
+    copy = _copy_names(g.repeat_vertices, k, "@", g.prefix_vertices + g.repeat_vertices)
     # (window, row) per prefix edge, then per instance of windows 0..k-1
     placed = [(0, row) for row in rows[:n_pre]]
     placed += [(w, row) for w in range(k) for _, group in heads for row in group]
-    # an end in an absorbed window becomes the prefix vertex lane@w, and one
-    # in window k the window-0 lane of the result
-    new_prefix_edges = tuple(
-        tuple(
-            x if d is None else f"{x}@{w + d}" if w + d < k else ("r", x)
-            for x, d in ((a, da), (b, db))
-        ) + (role,)
-        for w, (_, _, a, da, b, db, role) in placed
-    )
-    absorbed = {(row[0], row[1], w): i for i, (w, row) in enumerate(placed) if i >= n_pre}
-    new_prefix_vertices = g.prefix_vertices + tuple(
-        f"{lane}@{w}" for w in range(k) for lane in g.repeat_vertices
-    )
-    rolled = PeriodicGraphSpec(
-        prefix_vertices=new_prefix_vertices,
-        repeat_vertices=g.repeat_vertices,
-        prefix_edges=new_prefix_edges,
-        window_edges=g.window_edges,
-        splice_edges=g.splice_edges,
-        apex_edges=g.apex_edges,
-        ends=g.ends,
-    )
-    return rolled, absorbed
+
+    def end(x, d, w):
+        # an absorbed window's end is its copy, and window k's a window-0 lane
+        return (x, d) if d is None else (copy[x, w + d], None) if w + d < k else (x, 0)
+
+    pre = [("pre", i, *end(a, da, w), *end(b, db, w), role)
+           for i, (w, (_, _, a, da, b, db, role)) in enumerate(placed)]
+    rolled = _from_rows(g.prefix_vertices + tuple(copy.values()), g.repeat_vertices,
+                        pre + list(rows[n_pre:]), g.ends)
+    return rolled, {(row[0], row[1], w): i for i, (w, row) in enumerate(placed) if i >= n_pre}
 
 
 def shift_edge_set(g: PeriodicGraphSpec, s: UPEdgeSet, k: int) -> UPEdgeSet:
@@ -938,23 +956,14 @@ def split_components(g: PeriodicGraphSpec, links=()):
     for root in sorted(groups, key=lambda r: sorted(groups[r])[0]):
         names = set(groups[root])
         rep = tuple(l for l in g.repeat_vertices if l in names)
-        ids: dict = {kind: [] for kind in ("pre", *_OFFSETS)}
-        for row in rows:
-            if row[2] in names:
-                ids[row[0]].append(row[1])
+        kept = [row for row in rows if row[2] in names]
+        ids = {kind: [j for k, j, *_ in kept if k == kind] for kind in ("pre", *_OFFSETS)}
         if not rep:
             comps.append((None, {"pre": ids["pre"]}))
             continue
+        pre = tuple(p for p in g.prefix_vertices if p in names)
         ends = tuple(label for label, lanes in end_map.items() if lanes <= names)
-        spec = g if len(groups) == 1 else PeriodicGraphSpec(
-            prefix_vertices=tuple(p for p in g.prefix_vertices if p in names),
-            repeat_vertices=rep,
-            prefix_edges=tuple(g.prefix_edges[i] for i in ids["pre"]),
-            window_edges=tuple(g.window_edges[j] for j in ids["win"]),
-            splice_edges=tuple(g.splice_edges[j] for j in ids["spl"]),
-            apex_edges=tuple(g.apex_edges[j] for j in ids["apx"]),
-            ends=ends,
-        )
+        spec = g if len(groups) == 1 else _from_rows(pre, rep, kept, ends)
         comps.append((spec, ids))
     return comps
 
@@ -968,32 +977,19 @@ def reblock(g: PeriodicGraphSpec, q: int) -> PeriodicGraphSpec:
 
     rows, heads = _slot_table(g)
     n_pre = len(g.prefix_edges)
+    copy = _copy_names(g.repeat_vertices, q, "%", g.prefix_vertices)
     # (window r < q of a block, row) per prefix edge, then per slot of each
     # window of a block
     placed = [(0, row) for row in rows[:n_pre]]
     placed += [(r, row) for _, group in heads for r in range(q) for row in group]
-    kind_of = {offsets: kind for kind, offsets in _OFFSETS.items()}
-    out: dict = {kind: [] for kind in ("pre", *_OFFSETS)}
-    for i, (r, (_, _, a, da, b, db, role)) in enumerate(placed):
-        # lane x of window r + d is lane x%((r + d) % q) of the block (r + d) // q
-        # after the instance's own
-        (a, da), (b, db) = (
-            (x, d) if d is None else (f"{x}%{(r + d) % q}", (r + d) // q)
-            for x, d in ((a, da), (b, db))
-        )
-        if i < n_pre:
-            out["pre"].append((a if da is None else ("r", a), b if db is None else ("r", b), role))
-        else:
-            out[kind_of[da, db]].append((a, b, role))
-    return PeriodicGraphSpec(
-        prefix_vertices=g.prefix_vertices,
-        repeat_vertices=tuple(f"{n}%{r}" for r in range(q) for n in g.repeat_vertices),
-        prefix_edges=tuple(out["pre"]),
-        window_edges=tuple(out["win"]),
-        splice_edges=tuple(out["spl"]),
-        apex_edges=tuple(out["apx"]),
-        ends=g.ends,
-    )
+
+    def end(x, d, r):
+        # window r + d is window (r + d) % q of the block (r + d) // q blocks on
+        return (x, d) if d is None else (copy[x, (r + d) % q], (r + d) // q)
+
+    return _from_rows(g.prefix_vertices, tuple(copy.values()), [
+        (kind, j, *end(a, da, r), *end(b, db, r), role) for r, (kind, j, a, da, b, db, role) in placed
+    ], g.ends)
 
 
 # ---------------------------------------------------------------------------

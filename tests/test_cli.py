@@ -5,6 +5,7 @@ import json
 import pytest
 
 from matroidlab.cli import main
+from matroidlab.families import delete_edges
 from matroidlab.io import dump_family
 from matroidlab.periodic import ladder_family
 
@@ -310,6 +311,60 @@ def test_scan_reads_contract_instances_in_the_base_family(run, tmp_path):
         "error: not a coloop set within bounds: {'prefix_blocks': 1, 'prefix_edges': "
         "[['win', 0, 0]], 'repeat_edges': []} stays outside the base "
     )
+
+
+# a family whose declared names a window copy's name would clash with, the
+# names it renames, and the query, with {} for the family file: the answer
+# is that of the renamed family
+CLASHES = {
+    "a prefix vertex named as a block copy": (
+        {
+            "prefix": {"vertices": ["t%1"], "edges": [["t%1", ["r", "t"]], ["t%1", ["r", "b"]]]},
+            "repeat": {"vertices": ["t", "b"], "edges": [["t", "b", "rung"]]},
+            "splice": [["t", "t", "top"], ["b", "b", "bottom"]],
+            "ends": ["e"],
+        },
+        {"t%1": "h"},
+        ["spectrum", "--family", "{}", "--prefix", "1", "--period", "2"],
+    ),
+    "a lane named as an unrolled copy": (
+        {
+            "repeat": {"vertices": ["a", "a@0"], "edges": [["a", "a@0", "rung"]]},
+            "splice": [["a", "a", "top"], ["a@0", "a@0", "bottom"]],
+            "ends": ["e"],
+        },
+        {"a@0": "b"},
+        ["scan", {"base": "{}", "delete": [["win", 0, 0]]}, "--prefix", "1"],
+    ),
+    "an edit of a family a deletion wrote": (
+        dump_family(delete_edges(ladder_family(1), [("win", 0, 0)])),
+        {"t0@0": "x", "b0@0": "y"},
+        ["scan", {"base": "{}", "delete": [["win", 0, 0]]}, "--prefix", "1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASHES))
+def test_window_copies_take_names_no_declared_vertex_holds(run, tmp_path, case):
+    family, renames, argv = CLASHES[case]
+    renamed = json.dumps(family)
+    for old, new in renames.items():
+        renamed = renamed.replace(json.dumps(old), json.dumps(new))
+    answers = []
+    for name, text in (("clash", json.dumps(family)), ("renamed", renamed)):
+        (tmp_path / f"{name}.json").write_text(text)
+        args = []
+        for arg in argv:
+            if isinstance(arg, dict):
+                edit = tmp_path / f"{name}_edit.json"
+                edit.write_text(json.dumps({**arg, "base": f"{name}.json"}))
+                arg = str(edit)
+            args.append(str(tmp_path / f"{name}.json") if arg == "{}" else arg)
+        rc, out, err = run(*args)
+        assert rc == 0, err
+        result = result_of(out)
+        answers.append(result["rows"][0]["values"] if "rows" in result else result["values"])
+    assert answers[0] == answers[1] == [0, 1]
 
 
 def test_scan_csv_form(run):

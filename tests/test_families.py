@@ -89,6 +89,22 @@ def test_delete_rejects_unknown_edges():
             delete_edges(LADDER, [bad])
 
 
+def test_deletions_chain_at_one_window():
+    # the second deletion's copies of window 0 would take the names t0@0 and
+    # b0@0 of the first one's, so they are named apart; the answer is that
+    # of the same family with the first copies renamed
+    once = delete_edges(LADDER, [("win", 0, 0)])
+    renamed = replace(
+        once,
+        prefix_vertices=("x", "y"),
+        prefix_edges=tuple(({"t0@0": "x", "b0@0": "y"}[u], v, role) for u, v, role in once.prefix_edges),
+    )
+    twice, want = (delete_edges(g, [("win", 0, 0)]) for g in (once, renamed))
+    assert twice.prefix_vertices == ("t0@0", "b0@0", "@t0@0", "@b0@0")
+    assert want.prefix_vertices == ("x", "y", "t0@0", "b0@0")
+    assert spectrum_search(twice, glue_all(twice), (1, 1)) == spectrum_search(want, glue_all(want), (1, 1))
+
+
 def test_delete_caps_the_unrolled_windows():
     assert delete_edges(LADDER, [("win", 0, MAX_WINDOW)]).prefix_vertices
     with pytest.raises(ResourceLimitError):

@@ -18,6 +18,10 @@ COMMANDS = {
     "spectrum_ladder2": ["spectrum", "--family", "ladder:2"],
     "spectrum_bean": ["spectrum", "--family", "bean"],
     "spectrum_ladder1_prefix3": ["spectrum", "--family", "ladder:1", "--prefix", "3"],
+    # a period above 1 reblocks the family, so its declaration order shows
+    # in the witness indices
+    "spectrum_bean_prefix1_period2": ["spectrum", "--family", "bean", "--prefix", "1", "--period", "2"],
+    "spectrum_ladder2_period2": ["spectrum", "--family", "ladder:2", "--prefix", "0", "--period", "2"],
     "mk_ladder1_k1": ["mk", "--family", "ladder:1", "-k", "1"],
     "bean": ["bean"],
     "ch4_r5": ["ch4", "-r", "5"],
