@@ -29,9 +29,11 @@ family is not stored closed), _maximal for the maximal masks of any set of
 them, _explicit_rank for an explicit family's rank, closed_system for all
 subsets of given sets, and _first_unextended for a pair A, B with no element
 of B extending A.  On a closed family F3 needs only the B one larger than A: a
-failing B has failing subsets of that size, and those come first.  B2 finds
-every B2 failing with a pair (B1, x) at once, as the bitset of the bases that
-hold neither x nor any y that B1 - x + y makes a base.
+failing B has failing subsets of that size, and those come first.  I3 and B2
+read _holders, the bitset of the bases that hold each element.  I3 finds
+every B failing with a non-maximal A at once, as the bitset of the bases that
+hold no element of addable[A]; B2 every B2 failing with a pair (B1, x), as the
+bitset of the bases that hold neither x nor any y that B1 - x + y makes a base.
 
 Every powerset sweep is capped at SWEEP_CAP elements, overridden per call by
 passing cap=... where offered; listing a closed family's members sweeps the
@@ -43,7 +45,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Callable, Collection, Iterable
 
 from .errors import InputError, ResourceLimitError
@@ -97,7 +100,7 @@ class GroundSet:
         return m
 
     def elements(self, mask: int) -> tuple[int, ...]:
-        return tuple(iter_bits(mask))
+        return iter_bits(mask)
 
     def names(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in iter_bits(mask))
@@ -587,7 +590,9 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
     has nothing missing, and addable[A] is the union of the bases containing
     A, less A.  With no more bases than elements it builds no table: that
     union, read only for the A the I3 or F3 scan visits, costs no more than
-    the table's pass over the elements of every member.
+    the table's pass over the elements of every member.  I3 and B2 read
+    _holders of the bases in _by_card order, so each A or (B1, x) tests every
+    base with one bitset.
     """
     if system_id not in AXIOM_SETS:
         raise InputError(f"unknown axiom system {system_id!r}; expected I, B, or F")
@@ -626,7 +631,7 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
         maximal = set(bases)
         bases = _by_card(bases)
         non_maximal = [a for a in by_card if a not in maximal]
-        record("I3", _first_unextended(non_maximal, lambda a: bases, addable))
+        record("I3", _first_unaugmented(non_maximal, bases, addable, sys_.ground.size))
         verdicts["I4"] = "vacuous-pass"
         notes["I4"] = (
             "every nonempty finite family has a maximal member; the candidate set "
@@ -674,6 +679,27 @@ def _first_unextended(members, candidates, addable) -> dict | None:
     return None
 
 
+def _holders(ordered: list[int], size: int) -> list[int]:
+    """For each element e below size, the bitset of the indices i with e in
+    ordered[i].  One pass writes each mask in binary below a leading 1 that
+    keeps every digit; read from the last mask to the first, digit column k
+    is holders[size - 1 - k] in binary."""
+    rows = (format(m | 1 << size, "b")[1:] for m in reversed(ordered))
+    return [int("".join(col), 2) for col in zip(*rows)][::-1] or [0] * size
+
+
+def _first_unaugmented(members, bases, addable, size: int) -> dict | None:
+    """_first_unextended against every base, bases in _by_card order: the
+    bases meeting addable[A] are the OR of the _holders of its elements, and
+    the lowest index outside it is the first B that the pair scan finds."""
+    holds, every = _holders(bases, size), (1 << len(bases)) - 1
+    for a in members:
+        free = every & ~reduce(or_, [holds[e] for e in iter_bits(addable[a])], 0)
+        if free:
+            return {"A": a, "B": bases[(free & -free).bit_length() - 1]}
+    return None
+
+
 def _check_base_exchange(bases) -> dict | None:
     """B2: for bases B1 != B2 and x in B1 - B2, some y in B2 - B1 makes
     B1 - x + y a base.  With the bases indexed in _by_card order and holds[e]
@@ -683,15 +709,12 @@ def _check_base_exchange(bases) -> dict | None:
     first x it fails with, is the first failure a direct search finds."""
     bases_set = set(bases)
     ordered = _by_card(bases)
-    holds = {
-        e: sum(1 << i for i, b in enumerate(ordered) if b >> e & 1)
-        for e in range(max(bases, default=0).bit_length())
-    }
+    holds = _holders(ordered, max(bases, default=0).bit_length())
     for b1 in ordered:
         fails = {}
         for x in iter_bits(b1):
             spared = holds[x]
-            for y, held in holds.items():
+            for y, held in enumerate(holds):
                 if not b1 >> y & 1 and b1 ^ 1 << x | 1 << y in bases_set:
                     spared |= held
             fails[1 << x] = ~spared & (1 << len(ordered)) - 1
@@ -762,12 +785,7 @@ def dual(sys_: System) -> System:
             if not _fits(ground.size, cap):
                 return None  # a minor of a truncated dual sweeps a smaller ground
             bases = enumerate_bases(sys_, cap)
-            # one pass writes each base's complement in binary, below a
-            # leading 1 that keeps every digit; read from the last base to
-            # the first, digit column k is without[size - 1 - k] in binary,
-            # whose bit i says that base i misses element size - 1 - k
-            rows = (format(full ^ b | 1 << ground.size, "b")[1:] for b in reversed(bases))
-            without = [int("".join(col), 2) for col in zip(*rows)][::-1]
+            without = _holders([full ^ b for b in bases], ground.size)
             return (1 << len(bases)) - 1, lambda state, j: state & without[j] or None
 
         return OracleMatroid(

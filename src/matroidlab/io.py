@@ -79,7 +79,8 @@ def load_file(loader, path):
 
 
 def json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    # no envelope holds a cycle, so the encoder's per-container id table is waste
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def _require(obj, key, context):

@@ -10,6 +10,8 @@ sweep cap; the symbolic analogues for infinite families live elsewhere.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import reduce
+from operator import and_
 
 from .core import (
     AxiomReport,
@@ -19,6 +21,7 @@ from .core import (
     System,
     _expand,
     _family_table,
+    _holders,
     _is_closed,
     _is_grown,
     _maximal,
@@ -34,6 +37,7 @@ from .core import (
 )
 from .errors import InputError, ResourceLimitError
 from .periodic import MAX_WINDOW
+from .util import iter_bits
 
 
 @dataclass(frozen=True)
@@ -203,9 +207,12 @@ def truncate_top(m: System, k: int, cap: int | None = None) -> System:
 
 def _nested_base_pairs(pair: NestedPair, cap: int | None = None):
     """(outer bases, nested pairs): the pairs (B, F) of an inner base B inside
-    an outer base F, generated B-major, the inner bases read off the pair."""
+    an outer base F, generated B-major, the inner bases read off the pair.
+    The F holding B are the AND of the _holders of B's elements."""
     outer_bases = enumerate_bases(pair.outer, cap)
-    pairs = ((b, f) for b in pair.inner_bases for f in outer_bases if b & ~f == 0)
+    holds, every = _holders(outer_bases, pair.ground.size), (1 << len(outer_bases)) - 1
+    inside = (reduce(and_, [holds[e] for e in iter_bits(b)], every) for b in pair.inner_bases)
+    pairs = ((b, outer_bases[i]) for b, m in zip(pair.inner_bases, inside) for i in iter_bits(m))
     return outer_bases, pairs
 
 

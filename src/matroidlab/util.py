@@ -11,12 +11,26 @@ from typing import Iterator
 INF = math.inf
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _byte_table(offset: int) -> list[tuple[int, ...]]:
+    """The set bit positions plus offset of each byte value, by doubling."""
+    table = [()]
+    for i in range(offset, offset + 8):
+        table += [t + (i,) for t in table]
+    return table
+
+
+_BYTE_BITS = [_byte_table(8 * k) for k in range(4)]
+
+
+def iter_bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of mask, ascending, read a byte at a time: four
+    table lookups below 2^32, else one pass over the nonzero bytes."""
+    if mask >> 32 == 0:
+        b0, b1, b2, b3 = _BYTE_BITS
+        return b0[mask & 255] + b1[mask >> 8 & 255] + b2[mask >> 16 & 255] + b3[mask >> 24]
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    low = _BYTE_BITS[0]
+    return tuple([8 * k + i for k, byte in enumerate(data) if byte for i in low[byte]])
 
 
 def submasks(mask: int) -> Iterator[int]:

@@ -38,10 +38,14 @@ from matroidlab import core
 from matroidlab.core import AXIOM_SETS, AxiomReport, _check_sweep
 from matroidlab.linear import MatrixRep, linear_matroid
 from matroidlab.ops import ch4_inner
-from matroidlab.util import iter_bits
 
 # ---------------------------------------------------------------------------
 # reference: the direct searches, kept as they were
+
+
+def bits(mask):
+    """The set bit positions of mask, ascending, read off its binary digits."""
+    return [i for i, digit in enumerate(reversed(bin(mask))) if digit == "1"]
 
 
 def ref_enumerate_circuits(sys_, cap=None):
@@ -53,7 +57,7 @@ def ref_enumerate_circuits(sys_, cap=None):
     for mask in range(full + 1):
         if mask in fam_set or mask == 0:
             continue
-        if all((mask ^ (1 << e)) in fam_set for e in iter_bits(mask)):
+        if all((mask ^ (1 << e)) in fam_set for e in bits(mask)):
             out.append(mask)
     return out
 
@@ -76,7 +80,7 @@ def ref_check_axioms(sys_, system_id="I", cap=None):
 
     def downward_witness():
         for s in _by_card(fam):
-            for e in iter_bits(s):
+            for e in bits(s):
                 if s ^ (1 << e) not in fam_set:
                     return s, s ^ (1 << e)
         return None
@@ -161,9 +165,9 @@ def _check_base_exchange(bases):
         for b2 in _by_card(bases):
             if b1 == b2:
                 continue
-            for x in iter_bits(b1 & ~b2):
+            for x in bits(b1 & ~b2):
                 ok = False
-                for y in iter_bits(b2 & ~b1):
+                for y in bits(b2 & ~b1):
                     if (b1 ^ (1 << x)) | (1 << y) in bases_set:
                         ok = True
                         break
@@ -184,9 +188,9 @@ def swaps_check_base_exchange(bases) -> dict | None:
     ordered = _by_card(bases)
     for b1 in ordered:
         swaps = []
-        for x in iter_bits(b1):
+        for x in bits(b1):
             rest = b1 ^ 1 << x
-            ys = sum(1 << y for y in iter_bits(span & ~b1) if rest | 1 << y in bases_set)
+            ys = sum(1 << y for y in bits(span & ~b1) if rest | 1 << y in bases_set)
             swaps.append((1 << x, ys))
         for b2 in ordered:
             if b1 == b2:
@@ -205,7 +209,7 @@ def _check_augmentation(fam, fam_set):
         for b in by_card:
             if b.bit_count() <= ca:
                 continue
-            if not any((a | (1 << e)) in fam_set for e in iter_bits(b & ~a)):
+            if not any((a | (1 << e)) in fam_set for e in bits(b & ~a)):
                 return "fail", {"A": a, "B": b}
     return "pass", None
 

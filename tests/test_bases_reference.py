@@ -12,7 +12,8 @@ their wrappers, and on from_explicit wraps of them.  Closed families
 (core.closed_system, and the dual, difference and union of small systems)
 are stored as their bases and read no table at all, so every reader of one
 must agree with the same family listed member by member.  The nesting check
-must name the same first failing mask as the per-set scan.
+must name the same first failing mask as the per-set scan, and a nested pair
+must list the same base pairs, in the same order, as the scan of every pair.
 """
 
 from bisect import bisect_right
@@ -43,14 +44,21 @@ from matroidlab.core import (
     ExplicitSystem,
     OracleMatroid,
     _expand,
-    _first_unextended,
     closed_system,
 )
 from matroidlab.linear import MatrixRep, linear_matroid
-from matroidlab.ops import NestedPair, ch4_inner, ch4_system, difference, spectrum, union
-from matroidlab.util import down_closure, iter_bits
+from matroidlab.ops import (
+    NestedPair,
+    _nested_base_pairs,
+    ch4_inner,
+    ch4_system,
+    difference,
+    spectrum,
+    union,
+)
+from matroidlab.util import down_closure
 
-from test_axiom_screens import grown_oracles, raw_families
+from test_axiom_screens import bits, grown_oracles, raw_families
 
 # ---------------------------------------------------------------------------
 # reference: the three-pass helpers, kept as they were
@@ -95,6 +103,17 @@ def ref_enumerate_bases(sys_, cap=None):
     return _maximal(fam, fam_set, grown or _downward_closed(fam_set))
 
 
+def _first_unextended(members, candidates, addable):
+    """The first A in members and B in candidates(A) with no element of B
+    extending A, as {"A": A, "B": B}; None when there is none."""
+    for a in members:
+        x = addable[a]
+        for b in candidates(a):
+            if b & x == 0:
+                return {"A": a, "B": b}
+    return None
+
+
 def ref_check_axioms(sys_, system_id, cap=None):
     """The I and F screens as they were, the closure witness scanned apart."""
     verdicts, witnesses, notes = {}, {}, {}
@@ -112,7 +131,7 @@ def ref_check_axioms(sys_, system_id, cap=None):
     closed = closure is None
     addable = dict.fromkeys(fam, 0)
     for t in fam:
-        for e in iter_bits(t):
+        for e in bits(t):
             if t ^ 1 << e in addable:
                 addable[t ^ 1 << e] |= 1 << e
     record(system_id + "1", None if 0 in fam_set else {})
@@ -340,6 +359,9 @@ def test_nesting_check_names_the_first_failing_mask(members):
     if first is None:
         pair = NestedPair(inner, outer)
         assert pair.inner_bases == ref_enumerate_bases(inner)
+        outer_bases = ref_enumerate_bases(outer)
+        pairs = [(b, f) for b in pair.inner_bases for f in outer_bases if b & ~f == 0]
+        assert list(_nested_base_pairs(pair)[1]) == pairs
     else:
         with pytest.raises(InputError, match=f"inner-independent mask {first:#x} is"):
             NestedPair(inner, outer)

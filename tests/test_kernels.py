@@ -1,14 +1,16 @@
-"""The graph kernels in util against networkx, and the runtime import boundary."""
+"""The graph kernels in util against networkx, the bit kernels against direct
+reads of the masks, and the runtime import boundary."""
 
 import os
 import subprocess
 import sys
 
 import networkx as nx
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import matroidlab
-from matroidlab.util import bfs_path, disjoint_paths, spanning_forest
+from matroidlab.core import _holders
+from matroidlab.util import bfs_path, disjoint_paths, iter_bits, spanning_forest
 
 
 @st.composite
@@ -93,6 +95,35 @@ def test_spanning_forest_spans_every_component(case):
     F.add_edges_from(edges[i] for i in kept)
     assert nx.is_forest(F) and F.number_of_edges() == len(kept)
     assert nx.number_connected_components(F) == nx.number_connected_components(G)
+
+
+def binary_positions(mask):
+    return tuple(i for i, digit in enumerate(reversed(bin(mask))) if digit == "1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2100).flatmap(lambda n: st.integers(0, (1 << n) - 1)))
+@example(0)
+@example(2**32 - 1)
+@example(2**32)
+@example(2**32 + 1)
+@example((1 << 2080) - 1)
+def test_iter_bits_reads_the_binary_digits(mask):
+    assert iter_bits(mask) == binary_positions(mask)
+
+
+@st.composite
+def sized_masks(draw):
+    size = draw(st.integers(0, 12))
+    return size, draw(st.lists(st.integers(0, (1 << size) - 1), max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sized_masks())
+def test_holders_match_the_per_element_sums(case):
+    size, masks = case
+    want = [sum(1 << i for i, m in enumerate(masks) if m >> e & 1) for e in range(size)]
+    assert _holders(masks, size) == want
 
 
 def test_runtime_imports_leave_networkx_out():
