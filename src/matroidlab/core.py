@@ -27,11 +27,13 @@ family has one helper: _family_table for its one-element extensions and
 closure failures (bases, the I and F screens and ops.union read it when the
 family is not stored closed), _maximal for the maximal masks of any set of
 them, _explicit_rank for an explicit family's rank, closed_system for all
-subsets of given sets, and _first_unextended for a pair A, B with no element
-of B extending A.  On a closed family F3 needs only the B one larger than A: a
-failing B has failing subsets of that size, and those come first.  I3 and B2
-read _holders, the bitset of the bases that hold each element.  I3 finds
-every B failing with a non-maximal A at once, as the bitset of the bases that
+subsets of given sets, and _first_unaugmented for a pair A, B with no element
+of B extending A.  I3 and F3 share that one scan, level by level: I3 pairs
+the non-maximal members with the bases, F3 the members of each size with the
+larger ones, on a closed family only those one larger: a failing B has
+failing subsets of that size, and those come first.  The scan and B2 read
+_holders, the bitset of the candidates that hold each element.  The scan
+finds every B failing with A at once, as the bitset of the candidates that
 hold no element of addable[A]; B2 every B2 failing with a pair (B1, x), as the
 bitset of the bases that hold neither x nor any y that B1 - x + y makes a base.
 
@@ -43,9 +45,9 @@ system object once (_kept); every call checks its own cap first.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
+from itertools import accumulate, groupby
 from operator import or_
 from typing import Callable, Collection, Iterable
 
@@ -246,9 +248,8 @@ def explicit_system(ground: GroundSet, subsets, check: bool = True) -> ExplicitS
     addable, missing = _family_table(masks)
     if missing:
         raise InputError("family is not downward closed")
-    # the bases of a closed family are the members nothing extends, and the
-    # table has just shown that masks lists every member
-    sys_ = closed_system(ground, (s for s, x in addable.items() if not x))
+    # the table has just shown that masks lists every member
+    sys_ = closed_system(ground, _table_bases(masks, addable, missing))
     sys_.__dict__["independents"] = masks
     return sys_
 
@@ -528,11 +529,7 @@ def enumerate_circuits(sys_: System, cap: int | None = None) -> list[int]:
 # axiom conformance
 
 
-AXIOM_SETS = {
-    "I": ("I1", "I2", "I3", "I4"),
-    "B": ("B1", "B2", "B3"),
-    "F": ("F1", "F2", "F3", "F4"),
-}
+AXIOM_SETS = ("I", "B", "F")
 
 
 @dataclass
@@ -583,16 +580,17 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
     B reads only the bases.  I and F share the family and its _family_table:
     the closure witness is the least member by size, then mask, in missing,
     and (A, B) breaks augmentation exactly when B & addable[A] == 0.
-    I3 pairs each non-maximal A with the maximal members, F3 each A with the
-    larger members; in a closed family only those one larger than A, since a
-    failing B has failing subsets of size |A| + 1, all members, and _by_card
-    lists them first: the first witness is the same.  A family stored closed
-    has nothing missing, and addable[A] is the union of the bases containing
-    A, less A.  With no more bases than elements it builds no table: that
-    union, read only for the A the I3 or F3 scan visits, costs no more than
-    the table's pass over the elements of every member.  I3 and B2 read
-    _holders of the bases in _by_card order, so each A or (B1, x) tests every
-    base with one bitset.
+    I3 and F3 share one scan, level by level (_first_unaugmented): I3 has
+    one level, the non-maximal members against the maximal ones; F3 one per
+    size k, the members of size k against the larger members, in a closed
+    family only those of size k + 1, since a failing B has failing subsets
+    of that size, all members, and _by_card lists them first: the first
+    witness is the same.  A family stored closed has nothing missing, and
+    addable[A] is the union of the bases containing A, less A.  With no more
+    bases than elements it builds no table: that union, read only for the A
+    the scan visits, costs no more than the table's pass over the elements
+    of every member.  The scan and B2 read _holders in _by_card order, so
+    each A or (B1, x) tests every candidate with one bitset.
     """
     if system_id not in AXIOM_SETS:
         raise InputError(f"unknown axiom system {system_id!r}; expected I, B, or F")
@@ -629,22 +627,23 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
         if bases is None:
             bases = _table_bases(fam, addable, missing)
         maximal = set(bases)
-        bases = _by_card(bases)
         non_maximal = [a for a in by_card if a not in maximal]
-        record("I3", _first_unaugmented(non_maximal, bases, addable, sys_.ground.size))
+        record("I3", _first_unaugmented([(non_maximal, _by_card(bases))], addable, sys_.size))
         verdicts["I4"] = "vacuous-pass"
         notes["I4"] = (
             "every nonempty finite family has a maximal member; the candidate set "
             "always contains A, so the axiom cannot fail on a finite ground set"
         )
     else:
-        cards = [b.bit_count() for b in by_card]
-
-        def larger(a: int):
-            k = a.bit_count()
-            return by_card[bisect_right(cards, k) : None if missing else bisect_right(cards, k + 1)]
-
-        record("F3", _first_unextended(by_card, larger, addable))
+        # a closed family has every size from 0 up, so sizes[k + 1] holds
+        # the members one larger than those of sizes[k]
+        sizes = [list(g) for _, g in groupby(by_card, int.bit_count)]
+        ends = list(accumulate(map(len, sizes)))
+        levels = (
+            (sizes[k], by_card[ends[k] :] if missing else sizes[k + 1])
+            for k in range(len(sizes) - 1)
+        )
+        record("F3", _first_unaugmented(levels, addable, sys_.size))
         # on a finite ground every subset is finite and contains itself, so the
         # backward direction is automatic and F4 reduces to downward closure
         record("F4", closure)
@@ -667,18 +666,6 @@ class _Spanned:
         return x & ~a
 
 
-def _first_unextended(members, candidates, addable) -> dict | None:
-    """The first A in members and B in candidates(A) with no element of B
-    extending A, as {"A": A, "B": B}; None when there is none.  addable never
-    meets A, so B & addable[A] == 0 is the test."""
-    for a in members:
-        x = addable[a]
-        for b in candidates(a):
-            if b & x == 0:
-                return {"A": a, "B": b}
-    return None
-
-
 def _holders(ordered: list[int], size: int) -> list[int]:
     """For each element e below size, the bitset of the indices i with e in
     ordered[i].  One pass writes each mask in binary below a leading 1 that
@@ -688,15 +675,20 @@ def _holders(ordered: list[int], size: int) -> list[int]:
     return [int("".join(col), 2) for col in zip(*rows)][::-1] or [0] * size
 
 
-def _first_unaugmented(members, bases, addable, size: int) -> dict | None:
-    """_first_unextended against every base, bases in _by_card order: the
-    bases meeting addable[A] are the OR of the _holders of its elements, and
-    the lowest index outside it is the first B that the pair scan finds."""
-    holds, every = _holders(bases, size), (1 << len(bases)) - 1
-    for a in members:
-        free = every & ~reduce(or_, [holds[e] for e in iter_bits(addable[a])], 0)
-        if free:
-            return {"A": a, "B": bases[(free & -free).bit_length() - 1]}
+def _first_unaugmented(levels, addable, size: int) -> dict | None:
+    """The first A and B, levels in turn, with no element of B extending A,
+    as {"A": A, "B": B}; None when there is none.  Each level is a pair
+    (members, candidates), both in _by_card order.  addable never meets A,
+    so the candidates that fail with A are those outside the OR of the
+    _holders of addable[A]'s elements, and the lowest index among them is
+    the first B that a pair scan finds.  A level's holders are built only
+    when the scan reaches it."""
+    for members, candidates in levels:
+        holds, every = _holders(candidates, size), (1 << len(candidates)) - 1
+        for a in members:
+            free = every & ~reduce(or_, [holds[e] for e in iter_bits(addable[a])], 0)
+            if free:
+                return {"A": a, "B": candidates[(free & -free).bit_length() - 1]}
     return None
 
 
@@ -727,36 +719,27 @@ def _check_base_exchange(bases) -> dict | None:
 
 def replay_witness(sys_: System, axiom: str, witness: dict, cap: int | None = None) -> bool:
     """True iff the witness still falsifies the axiom on sys_."""
+    if axiom not in ("I1", "I2", "I3", "B1", "B2", "F1", "F2", "F3", "F4"):
+        raise InputError(f"no replay rule for axiom {axiom!r}")
     fam_set = set(family_masks(sys_, cap))
-
-    def is_max(s):
-        return s in fam_set and all(t == s or t & s != s for t in fam_set)
-
-    if axiom in ("I2", "F2", "F4"):
-        return witness["set"] in fam_set and witness["missing_subset"] not in fam_set
-    if axiom == "I3":
-        a, b = witness["A"], witness["B"]
-        if a not in fam_set or is_max(a) or not is_max(b) or b not in fam_set:
-            return False
-        return all((a | (1 << e)) not in fam_set for e in iter_bits(b & ~a))
-    if axiom == "B2":
-        b1, b2, x = witness["B1"], witness["B2"], witness["x"]
-        if not (is_max(b1) and is_max(b2) and b1 & x):
-            return False
-        return all(
-            ((b1 ^ x) | (1 << y)) not in fam_set or not is_max((b1 ^ x) | (1 << y))
-            for y in iter_bits(b2 & ~b1)
-        )
-    if axiom == "F3":
-        a, b = witness["A"], witness["B"]
-        if a not in fam_set or b not in fam_set or a.bit_count() >= b.bit_count():
-            return False
-        return all((a | (1 << e)) not in fam_set for e in iter_bits(b & ~a))
+    maximal = set(enumerate_bases(sys_, cap))
     if axiom in ("I1", "F1"):
         return 0 not in fam_set
+    if axiom in ("I2", "F2", "F4"):
+        return witness["set"] in fam_set and witness["missing_subset"] not in fam_set
     if axiom == "B1":
-        return not fam_set or all(not is_max(s) for s in fam_set)
-    raise InputError(f"no replay rule for axiom {axiom!r}")
+        return not maximal
+    if axiom == "B2":
+        b1, b2, x = witness["B1"], witness["B2"], witness["x"]
+        if not (b1 in maximal and b2 in maximal and b1 & x):
+            return False
+        return all((b1 ^ x) | (1 << y) not in maximal for y in iter_bits(b2 & ~b1))
+    a, b = witness["A"], witness["B"]
+    if axiom == "I3":
+        fits = a in fam_set and a not in maximal and b in maximal
+    else:
+        fits = a in fam_set and b in fam_set and a.bit_count() < b.bit_count()
+    return fits and all((a | (1 << e)) not in fam_set for e in iter_bits(b & ~a))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ and family_masks to a test of every subset.
 import dataclasses
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from matroidlab import (
@@ -275,6 +275,9 @@ def assert_same_screens(sys_, ref):
 
 @settings(max_examples=300, deadline=None)
 @given(raw_families())
+# F3's first witness is A = {} and B = {1, 2, 3}: no member has two elements,
+# so the scan must read past the members one larger than A
+@example(explicit_system(GroundSet.of_size(4), [0, 0b1, 0b1110], check=False))
 def test_screens_match_reference_on_unchecked_families(sys_):
     assert_same_screens(sys_, sys_)
 
@@ -313,6 +316,20 @@ def test_screens_match_reference_on_block_systems(r):
     assert_same_screens(blocks, blocks)
     wrapped = from_explicit(blocks)
     assert_same_screens(wrapped, wrapped)
+
+
+def test_i_and_f_screens_share_one_scan(monkeypatch):
+    seen = []
+
+    def spy(*args, real=core._first_unaugmented):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_first_unaugmented", spy)
+    blocks = ch4_inner(3)
+    assert check_axioms(blocks, "I").verdicts["I3"] == "fail"
+    assert check_axioms(blocks, "F").verdicts["F3"] == "fail"
+    assert len(seen) == 2
 
 
 def test_every_minor_of_small_matroids_grows_exactly():

@@ -36,9 +36,11 @@ from matroidlab import (
     graphic_matroid,
     is_independent,
     rank_of,
+    replay_witness,
     truncate_top,
     uniform_matroid,
 )
+from matroidlab import core
 from matroidlab.core import (
     AxiomReport,
     ExplicitSystem,
@@ -283,6 +285,27 @@ def test_bases_and_screens_match_the_three_pass_reference(sys_):
         want = ref_check_axioms(sys_, system_id)
         assert got.verdicts == want.verdicts
         assert got.witnesses == want.witnesses
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(raw_families(), grown_oracles(), closed_families(), generated_families()))
+@example(ch4_inner(3))
+def test_every_failing_witness_replays_off_the_kept_bases(sys_):
+    # a replay reads maximality off the system's base listing, once per call
+    reports = [check_axioms(sys_, system_id) for system_id in "IBF"]
+    calls = []
+
+    def spy(s, cap=None, real=core.enumerate_bases):
+        calls.append(s)
+        return real(s, cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "enumerate_bases", spy)
+        for report in reports:
+            for axiom, witness in report.witnesses.items():
+                calls.clear()
+                assert replay_witness(sys_, axiom, witness)
+                assert len(calls) == 1 and calls[0] is sys_
 
 
 @settings(max_examples=200, deadline=None)

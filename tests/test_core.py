@@ -308,6 +308,13 @@ def test_replay_rejects_stale_witness():
     assert not replay_witness(uniform_matroid(2, 4), "I3", w)
 
 
+@pytest.mark.parametrize("axiom", ["I4", "B3", "X9"])
+def test_replay_rejects_an_unknown_axiom_before_it_sweeps(axiom):
+    # U(3,20) is past the sweep cap, so a listing would raise ResourceLimitError
+    with pytest.raises(InputError, match="no replay rule"):
+        replay_witness(uniform_matroid(3, 20), axiom, {})
+
+
 def test_report_serialization_is_sorted():
     g = GroundSet.of_size(4)
     s = explicit_system(g, [[], [0], [1], [2], [3], [0, 1], [2, 3]])
