@@ -24,7 +24,7 @@ print("\ndefect spectrum under the all-ends gluing:", list(rep.values))
 print("search profile:", rep.bounds)
 
 for value in rep.values:
-    base, fin = rep.raw["witnesses"][value]
+    base, fin = rep.witnesses[value]["base"], rep.witnesses[value]["fin_base"]
     print(f"\nwitness base with defect {value}:")
     print("  edges:", base.to_obj())
     print("  recomputed defect:", defect(g, base))

@@ -346,10 +346,9 @@ def cmd_scan(args):
     rows = []
     table = ["name,values,gap"]
     for row in spectrum_scan(entries, profile, args.cap):
-        body = row["report"].to_dict()
-        rows.append({"name": row["name"], "values": body["values"], "gap": row["gap"]})
+        rows.append({"name": row["name"], "values": list(row["values"]), "gap": row["gap"]})
         table.append(
-            f'{row["name"]},{" ".join(str(v) for v in body["values"])},'
+            f'{row["name"]},{" ".join(str(v) for v in row["values"])},'
             f'{str(row["gap"]).lower()}'
         )
     return {"rows": rows}, lambda: "\n".join(table) + "\n"

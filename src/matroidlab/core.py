@@ -721,12 +721,7 @@ def replay_witness(sys_: System, axiom: str, witness: dict, cap: int | None = No
     """True iff the witness still falsifies the axiom on sys_."""
     if axiom not in ("I1", "I2", "I3", "B1", "B2", "F1", "F2", "F3", "F4"):
         raise InputError(f"no replay rule for axiom {axiom!r}")
-    fam_set = set(family_masks(sys_, cap))
     maximal = set(enumerate_bases(sys_, cap))
-    if axiom in ("I1", "F1"):
-        return 0 not in fam_set
-    if axiom in ("I2", "F2", "F4"):
-        return witness["set"] in fam_set and witness["missing_subset"] not in fam_set
     if axiom == "B1":
         return not maximal
     if axiom == "B2":
@@ -734,6 +729,12 @@ def replay_witness(sys_: System, axiom: str, witness: dict, cap: int | None = No
         if not (b1 in maximal and b2 in maximal and b1 & x):
             return False
         return all((b1 ^ x) | (1 << y) not in maximal for y in iter_bits(b2 & ~b1))
+    # the I and F screens read the family, the B screen only the bases
+    fam_set = set(family_masks(sys_, cap))
+    if axiom in ("I1", "F1"):
+        return 0 not in fam_set
+    if axiom in ("I2", "F2", "F4"):
+        return witness["set"] in fam_set and witness["missing_subset"] not in fam_set
     a, b = witness["A"], witness["B"]
     if axiom == "I3":
         fits = a in fam_set and a not in maximal and b in maximal

@@ -709,16 +709,11 @@ def spectrum_search(
             for d1, part in sub.items():
                 combined.setdefault(d0 + d1, parts + (part,))
         values = combined
-    values = {d: tuple(map(edge_sets_union, *parts)) for d, parts in sorted(values.items())}
-    return SpectrumReport(
-        values=tuple(values),
-        witnesses={
-            d: {"base": base.to_obj(), "fin_base": fin.to_obj()}
-            for d, (base, fin) in values.items()
-        },
-        bounds={"profile_p": p, "profile_q": q},
-        raw={"witnesses": values},
-    )
+    witnesses = {
+        d: dict(zip(("base", "fin_base"), map(edge_sets_union, *parts)))
+        for d, parts in sorted(values.items())
+    }
+    return SpectrumReport(tuple(witnesses), witnesses, {"profile_p": p, "profile_q": q})
 
 
 def _project_glue(glue: GluingSpec, local_ends) -> GluingSpec:
@@ -765,32 +760,21 @@ def mk_spectrum(
     glue = _gluing(g, glue)
     base_report = spectrum_search(g, glue, profile)
     witnesses = {}
-    raw_witnesses = {}
-    for v in base_report.values:
-        shifted = v + k
-        base, fin = base_report.raw["witnesses"][v]
-        removed = list(itertools.islice(_instance_stream(base), k))
-        cur = base
+    for v, w in base_report.witnesses.items():
+        removed = list(itertools.islice(_instance_stream(w["base"]), k))
+        cur = w["base"]
         for inst in removed:
             cur = cur.without_edge(inst)
         if len(removed) < k:
             raise InputError(
                 "a base within the profile has fewer edges than the removal count"
             )
-        witnesses[shifted] = {
-            "reduced": cur.to_obj(),
+        witnesses[v + k] = {
+            "reduced": cur,
             "removed": [list(i) for i in removed],
-            "fin_base": fin.to_obj(),
+            "fin_base": w["fin_base"],
         }
-        raw_witnesses[shifted] = (cur, removed, fin)
-    bounds = dict(base_report.bounds)
-    bounds["removed"] = k
-    return SpectrumReport(
-        values=tuple(witnesses),
-        witnesses=witnesses,
-        bounds=bounds,
-        raw={"unshifted": base_report, "witnesses": raw_witnesses},
-    )
+    return SpectrumReport(tuple(witnesses), witnesses, {**base_report.bounds, "removed": k})
 
 
 def hat_check(

@@ -137,22 +137,11 @@ class ContractedSystem:
 
     def spectrum(self) -> SpectrumReport:
         rep = spectrum_search(self.family, self.glue, self.profile)
-        witnesses = {}
-        raw_witnesses = {}
-        for v in rep.values:
-            base, fin = rep.raw["witnesses"][v]
-            reduced = edge_sets_difference(base, self.contracted)
-            fin_red = edge_sets_difference(fin, self.contracted)
-            witnesses[v] = {"base": reduced.to_obj(), "fin_base": fin_red.to_obj()}
-            raw_witnesses[v] = (reduced, fin_red)
-        bounds = dict(rep.bounds)
-        bounds["contracted"] = self.contracted.to_obj()
-        return SpectrumReport(
-            values=rep.values,
-            witnesses=witnesses,
-            bounds=bounds,
-            raw={"parent": rep, "witnesses": raw_witnesses},
-        )
+        witnesses = {
+            v: {k: edge_sets_difference(part, self.contracted) for k, part in w.items()}
+            for v, w in rep.witnesses.items()
+        }
+        return SpectrumReport(rep.values, witnesses, {**rep.bounds, "contracted": self.contracted})
 
 
 def contract_coloops(

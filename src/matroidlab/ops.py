@@ -36,7 +36,7 @@ from .core import (
     uniform_matroid,
 )
 from .errors import InputError, ResourceLimitError
-from .periodic import MAX_WINDOW
+from .periodic import MAX_WINDOW, UPEdgeSet
 from .util import iter_bits
 
 
@@ -79,24 +79,32 @@ class SpectrumReport:
     """Value set of |F - B| over nested base pairs, with one witness per value.
 
     values is sorted ascending, and every value is finite.  witnesses maps
-    each value to a JSON-ready payload; raw keeps the native witness objects
-    (mask pairs here, symbolic edge sets in the periodic engine).  complete is
-    always True: no search stops early with a partial answer, since a search
-    that hits a bound raises ResourceLimitError instead.  The field stays for
-    the "complete_within_bounds" key of the JSON report.
+    each value to its named parts as the search found them: label lists
+    here, UPEdgeSets in the periodic engine ("base" and "fin_base"; mk has
+    "reduced", "fin_base" and the "removed" instances).  to_dict alone
+    writes the parts and the bounds out, an UPEdgeSet through to_obj and
+    anything else as it is.  complete is always True: no search stops early
+    with a partial answer, since a search that hits a bound raises
+    ResourceLimitError instead.  The field stays for the
+    "complete_within_bounds" key of the JSON report.
     """
 
     values: tuple
     witnesses: dict
     bounds: dict
-    raw: dict = field(default_factory=dict, repr=False)
     complete: bool = True
 
     def to_dict(self) -> dict:
+        def written(part):
+            return part.to_obj() if isinstance(part, UPEdgeSet) else part
+
         return {
             "values": list(self.values),
-            "witnesses": {str(v): self.witnesses[v] for v in self.values},
-            "bounds": dict(sorted(self.bounds.items())),
+            "witnesses": {
+                str(v): {k: written(part) for k, part in self.witnesses[v].items()}
+                for v in self.values
+            },
+            "bounds": {k: written(b) for k, b in sorted(self.bounds.items())},
             "complete_within_bounds": self.complete,
         }
 
@@ -254,7 +262,6 @@ def spectrum(pair: NestedPair, cap: int | None = None) -> SpectrumReport:
         values=tuple(sorted(raw)),
         witnesses=witnesses,
         bounds={"inner_bases": len(pair.inner_bases), "outer_bases": len(outer_bases)},
-        raw=raw,
     )
 
 

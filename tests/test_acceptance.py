@@ -224,7 +224,7 @@ def test_01_glued_ladder_unit_spectrum():
     if not rep.complete:
         failures.append("sweep reported incomplete")
     for v in rep.values:
-        base, fin = rep.raw["witnesses"][v]
+        base, fin = rep.witnesses[v]["base"], rep.witnesses[v]["fin_base"]
         ok, why = cycle_is_base(g, base, glue)
         if not ok:
             failures.append(f"witness for {v} is not a base: {why}")

@@ -308,6 +308,21 @@ def test_replay_rejects_stale_witness():
     assert not replay_witness(uniform_matroid(2, 4), "I3", w)
 
 
+def test_b_witnesses_replay_off_the_bases_alone(monkeypatch):
+    # the bases {0..17} and {18, 19} span 2^18 + 3 members, past the sweep
+    # cap, but the B screen and its replay read only the stored bases
+    s = closed_system(GroundSet.of_size(20), [(1 << 18) - 1, 0b11 << 18])
+    rep = check_axioms(s, "B")
+    assert rep.verdicts["B2"] == "fail"
+    listed, family_masks = [], core.family_masks
+    monkeypatch.setattr(
+        core, "family_masks", lambda *args: listed.append(args) or family_masks(*args)
+    )
+    assert replay_witness(s, "B2", rep.witnesses["B2"])
+    assert not replay_witness(s, "B1", {})
+    assert listed == []
+
+
 @pytest.mark.parametrize("axiom", ["I4", "B3", "X9"])
 def test_replay_rejects_an_unknown_axiom_before_it_sweeps(axiom):
     # U(3,20) is past the sweep cap, so a listing would raise ResourceLimitError

@@ -357,7 +357,7 @@ def test_bean_spectrum_under_three_gluings():
 def test_spectrum_witnesses_replay():
     rep = spectrum_search(LADDER, GA, (2, 1))
     for value in rep.values:
-        base, fin = rep.raw["witnesses"][value]
+        base, fin = rep.witnesses[value]["base"], rep.witnesses[value]["fin_base"]
         assert cycle_is_base(LADDER, base, GA)[0]
         assert fin_is_base(LADDER, fin)[0]
         empty = edge_sets_difference(base, fin)
@@ -391,7 +391,8 @@ def test_mk_shifts_pointwise():
 
 def test_mk_witness_is_base_minus_removals():
     rep = mk_spectrum(LADDER, GA, 1)
-    reduced, removed, fin = rep.raw["witnesses"][1]
+    w = rep.witnesses[1]
+    reduced, removed, fin = w["reduced"], w["removed"], w["fin_base"]
     assert len(removed) == 1
     assert cycle_independent(LADDER, reduced, GA)[0]
     assert fin_is_base(LADDER, fin)[0]
@@ -414,7 +415,7 @@ def test_mk_witnesses_replay(g, p, k):
     rep = mk_spectrum(g, glue_all(g), k, (p, 1))
     assert rep.values
     for value in rep.values:
-        reduced, removed, _ = rep.raw["witnesses"][value]
+        reduced, removed = rep.witnesses[value]["reduced"], rep.witnesses[value]["removed"]
         assert len(removed) == k
         assert defect(g, reduced) == value
         if p == 0 and k > len(g.prefix_edges):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from matroidlab.cycles import glue_all, spectrum_search
+from matroidlab.cycles import edge_sets_difference, glue_all, spectrum_search
 from matroidlab.errors import InputError, ResourceLimitError
 from matroidlab.families import (
     ContractedSystem,
@@ -143,6 +143,37 @@ def test_contracted_view_answers_queries():
     assert view.is_independent(UPEdgeSet(pattern=frozenset({("spl", 0)})))
     with pytest.raises(InputError):
         view.is_independent(UPEdgeSet(prefix_present=frozenset({0})))
+
+
+def test_contracted_view_subtracts_the_contraction_from_each_witness_part():
+    pend = pendant_family()
+    view = contract_coloops(pend, glue_all(pend), [("pre", 0)])
+    found = spectrum_search(view.family, view.glue, view.profile).witnesses
+    rep = view.spectrum()
+    for v, parts in rep.witnesses.items():
+        for name, part in parts.items():
+            assert part == edge_sets_difference(found[v][name], view.contracted)
+    four = [["spl", 0, 0], ["spl", 0, 1], ["spl", 1, 0], ["win", 0, 0]]
+    seven = [["spl", 0, 0], ["spl", 0, 1], ["spl", 0, 2], ["spl", 1, 0], ["spl", 1, 2],
+             ["win", 0, 0], ["win", 0, 2]]
+    rungs = {"prefix_blocks": 2, "prefix_edges": four, "repeat_edges": [["spl", 0], ["win", 0]]}
+    rails = {"prefix_blocks": 2, "prefix_edges": four, "repeat_edges": [["spl", 0], ["spl", 1]]}
+    assert rep.to_dict() == {
+        "values": [0, 1],
+        "witnesses": {
+            "0": {"base": rungs, "fin_base": rungs},
+            "1": {
+                "base": rails,
+                "fin_base": {**rails, "prefix_blocks": 3, "prefix_edges": seven},
+            },
+        },
+        "bounds": {
+            "contracted": {"prefix_blocks": 0, "prefix_edges": [["pre", 0]], "repeat_edges": []},
+            "profile_p": 2,
+            "profile_q": 1,
+        },
+        "complete_within_bounds": True,
+    }
 
 
 def test_empty_contraction_is_identity_view():

@@ -57,7 +57,7 @@ from matroidlab.cycles import (
 )
 from matroidlab.errors import InputError, ResourceLimitError, StructuralMismatchError
 from matroidlab.families import ContractedSystem, _collect_finite, contract_coloops
-from matroidlab.io import load_family
+from matroidlab.io import load_edge_set, load_family
 from matroidlab.periodic import (
     PeriodicGraphSpec,
     UPEdgeSet,
@@ -1277,7 +1277,7 @@ def test_bean_glued_apart_stops_at_its_first_base():
     with mock.patch.object(matroidlab.cycles, "_candidate_sweep", spy):
         report = spectrum_search(g, glue, (2, 1))
     assert report.values == (0,)
-    base = report.raw["witnesses"][0][0]
+    base = report.witnesses[0]["base"]
     assert walked[-1] == _bits_meeting(_candidate_bits(g, 2), 2, base)
     assert list(ref_component_spectrum(g, glue, 2)[0]) == [0]
 
@@ -1288,7 +1288,7 @@ def test_bean_glued_apart_stops_at_its_first_base():
 
 def spectrum_answer(g, glue, p):
     report = spectrum_search(g, glue, (p, 1))
-    return report.to_dict(), report.raw["witnesses"]
+    return report.to_dict(), report.witnesses
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -1329,11 +1329,37 @@ def test_changing_a_report_leaves_the_next_answer_alone():
     expected = mk_spectrum(g, glue, 1).to_dict()
     _component_spectrum.cache_clear()
     report = spectrum_search(g, glue)
-    report.witnesses[0]["base"]["repeat_edges"].clear()
-    report.raw["witnesses"][1] = report.raw["witnesses"][0]
+    report.witnesses[0]["base"] = UPEdgeSet()
+    report.witnesses[1] = report.witnesses[0]
     with pytest.raises(TypeError):
         _component_spectrum(g, glue, 2)[0] = None
     assert mk_spectrum(g, glue, 1).to_dict() == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_witness_parts_are_the_edge_sets_to_dict_writes_out(data):
+    # a report keeps the edge sets its search found, and mk the removed
+    # instances as they are; to_dict writes each edge set in the form
+    # load_edge_set reads back
+    g = data.draw(specs())
+    glue = data.draw(gluings(g))
+    profile = (data.draw(st.sampled_from(_walk_profiles(g))), 1)
+    k = data.draw(st.integers(1, 2))
+    for report in (
+        answer_or_error(spectrum_search, g, glue, profile),
+        answer_or_error(mk_spectrum, g, glue, k, profile),
+    ):
+        if isinstance(report, tuple):
+            continue
+        written = report.to_dict()["witnesses"]
+        for v, parts in report.witnesses.items():
+            for name, part in parts.items():
+                if name == "removed":
+                    assert written[str(v)][name] == part
+                else:
+                    assert isinstance(part, UPEdgeSet)
+                    assert load_edge_set(written[str(v)][name]) == part
 
 
 def test_a_walk_bound_is_never_memoized():
@@ -1663,7 +1689,8 @@ def test_glue_linked_components_walk_as_one_unit():
     report = spectrum_search(g, glue, (1, 1))
     assert report.values == (0, 1)
     assert sorted({d for _, d in _glued_bases(g, glue, 1)}) == [0, 1]
-    for base, fin in report.raw["witnesses"].values():
+    for w in report.witnesses.values():
+        base, fin = w["base"], w["fin_base"]
         assert cycle_is_base(g, base, glue) == (True, None) and fin_is_base(g, fin) == (True, None)
     with pytest.raises(ResourceLimitError, match="profile spans 20 free instance choices"):
         spectrum_search(g, glue, (2, 1))
