@@ -51,7 +51,7 @@ from .io import (
     load_nested_pair,
     load_system,
     read_json,
-    spectrum_csv,
+    spectrum_body_csv,
 )
 from .linear import nearly_thin_count
 from .ops import (
@@ -234,8 +234,8 @@ def cmd_mk(args):
         return dump_system(sys_, args.cap), None
     if args.family:
         fam = _family_arg(args.family)
-        report = mk_spectrum(fam, _glue_arg(args.glue, fam), args.k, _profile(args))
-        return report.to_dict(), lambda: spectrum_csv(report)
+        body = mk_spectrum(fam, _glue_arg(args.glue, fam), args.k, _profile(args)).to_dict()
+        return body, lambda: spectrum_body_csv(body)
     raise InputError("mk needs --system (finite truncation) or --family (glued system)")
 
 
@@ -258,7 +258,8 @@ def cmd_spectrum(args):
         report = spectrum_search(fam, _glue_arg(args.glue, fam), _profile(args))
     else:
         report = spectrum(_pair_from(args), args.cap)
-    return report.to_dict(), lambda: spectrum_csv(report)
+    body = report.to_dict()
+    return body, lambda: spectrum_body_csv(body)
 
 
 def cmd_smin(args):
@@ -269,13 +270,13 @@ def cmd_smin(args):
 
 def cmd_ch4(args):
     pair = ch4_system(args.r)
-    report = spectrum(pair, args.cap)
+    body = spectrum(pair, args.cap).to_dict()
     if args.r >= 2:
         raw = ch4_i3_witness(args.r)
         witness = {key: list(pair.ground.names(mask)) for key, mask in raw.items()}
     else:
         witness = None
-    return {"spectrum": report.to_dict(), "i3_witness": witness}, lambda: spectrum_csv(report)
+    return {"spectrum": body, "i3_witness": witness}, lambda: spectrum_body_csv(body)
 
 
 def cmd_rays(args):

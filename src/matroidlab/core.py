@@ -21,12 +21,16 @@ bases have r elements, and a set only gains elements below its lowest, so a
 branch with too few of those left is dropped without losing a base.  A closed
 explicit family is stored as its bases, the antichain of its maximal members,
 so its bases, rank and deletions come from them and only a reader that needs
-every member lists the down-closure.  The axiom screens, circuit enumeration
-and the bases of any other system read the whole family, and each fact about a
-family has one helper: _family_table for its one-element extensions and
-closure failures (bases, the I and F screens and ops.union read it when the
-family is not stored closed), _maximal for the maximal masks of any set of
-them, _explicit_rank for an explicit family's rank, closed_system for all
+every member lists the down-closure.  Its I screen, when it has no more bases
+than elements, reads the bases alone: an A failing I3 with the base c lies in
+a base b, and c misses addable[A], which holds b - A, so b & c lies in A and
+A is (b & c) | X for a proper subset X of b - c; only those sets are
+scanned.  The other axiom screens, circuit enumeration and the bases of any
+other system read the whole family, and each fact about a family has one
+helper: _family_table for its one-element extensions and closure failures
+(bases, the I and F screens and ops.union read it when the family is not
+stored closed), _maximal for the maximal masks of any set of them,
+_explicit_rank for an explicit family's rank, closed_system for all
 subsets of given sets, and _first_unaugmented for a pair A, B with no element
 of B extending A.  I3 and F3 share that one scan, level by level: I3 pairs
 the non-maximal members with the bases, F3 the members of each size with the
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from itertools import accumulate, groupby
+from itertools import accumulate, combinations, groupby
 from operator import or_
 from typing import Callable, Collection, Iterable
 
@@ -479,10 +483,12 @@ def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
     rank r's size: each extends to a largest one by augmentation.  So its
     bases are the sets _grown_family lists with target r, r read off one
     greedy pass of step: a sweep of only the sets with room below their
-    lowest element to reach r, not the whole family.  Any other family may
-    not be closed, not even a rank sweep's: from_explicit of {}, {0}, {2},
-    {1,2}, {0,1,2} sweeps to {0} and {0,1,2} without {0,1}; its bases come
-    from _table_bases.  A closed explicit family is stored as its bases."""
+    lowest element to reach r, not the whole family; once family_masks has
+    kept its family, they are its largest members, read with no sweep.  Any
+    other family may not be closed, not even a rank sweep's: from_explicit
+    of {}, {0}, {2}, {1,2}, {0,1,2} sweeps to {0} and {0,1,2} without
+    {0,1}; its bases come from _table_bases.  A closed explicit family is
+    stored as its bases."""
     if _is_closed(sys_):
         return sorted(sys_.sets)
     if isinstance(sys_, OracleMatroid):
@@ -491,10 +497,15 @@ def enumerate_bases(sys_: System, cap: int | None = None) -> list[int]:
 
 
 def _swept_bases(sys_: System, cap: int | None) -> list[int]:
-    pair = sys_.grow(cap) if _is_grown(sys_) else None
-    if pair is not None:
-        r = _greedy_rank(sys_.ground.size, *pair)
-        return _grown_family(sys_.ground.size, *pair, r, r)
+    if _is_grown(sys_):
+        kept = sys_.__dict__.get("_family")
+        if kept is not None:
+            r = max(map(int.bit_count, kept), default=0)
+            return [s for s in kept if s.bit_count() == r]
+        pair = sys_.grow(cap)
+        if pair is not None:
+            r = _greedy_rank(sys_.ground.size, *pair)
+            return _grown_family(sys_.ground.size, *pair, r, r)
     fam = family_masks(sys_, cap)
     return _table_bases(fam, *_family_table(fam))
 
@@ -589,8 +600,16 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
     addable[A] is the union of the bases containing A, less A.  With no more
     bases than elements it builds no table: that union, read only for the A
     the scan visits, costs no more than the table's pass over the elements
-    of every member.  The scan and B2 read _holders in _by_card order, so
-    each A or (B1, x) tests every candidate with one bitset.
+    of every member.  Its I screen lists no member either: the empty set is
+    one when there is a base, none misses a subset, and I3 scans only the
+    sets (b & c) | X, b != c bases and X a proper subset of b - c
+    (_intersection_levels).  If a non-maximal A fails with the base c, a
+    base b holds A, and c misses addable[A], which holds b - A; so c != b
+    and b & c lies in A, a proper subset of b: A is one of those sets, all
+    non-maximal members, and the scan meets the same first A and B.  The
+    cap still applies to the largest base.  The scan and B2 read _holders
+    in _by_card order, so each A or (B1, x) tests every candidate with one
+    bitset.
     """
     if system_id not in AXIOM_SETS:
         raise InputError(f"unknown axiom system {system_id!r}; expected I, B, or F")
@@ -611,44 +630,67 @@ def check_axioms(sys_: System, system_id: str = "I", cap: int | None = None) -> 
         notes["B3"] = "subsets of maximal members form a finite family; see I4 note"
         return AxiomReport(system_id, sys_.ground, verdicts, witnesses, notes)
 
-    fam = family_masks(sys_, cap)
     bases = enumerate_bases(sys_) if _is_closed(sys_) else None
-    if bases is not None and len(bases) <= sys_.size:
-        addable, missing = _Spanned(bases), {}
+    spanned = bases is not None and len(bases) <= sys_.size
+    if spanned and system_id == "I":
+        # the members are the subsets of the bases: the empty set is one when
+        # there is a base, none misses a subset, and I3 reads the base pairs
+        _check_sweep(max(map(int.bit_count, bases), default=0), cap)
+        has_empty, closure = bool(bases), None
+        addable, levels = _Spanned(bases), _intersection_levels(bases)
     else:
-        addable, missing = _family_table(fam)
-    by_card = _by_card(fam)
-    # the first member by size, then mask, that misses a one-smaller subset
-    first = min(missing, key=lambda s: (s.bit_count(), s), default=None)
-    closure = None if first is None else {"set": first, "missing_subset": missing[first]}
-    record(system_id + "1", None if fam[:1] == [0] else {})
+        fam = family_masks(sys_, cap)
+        addable, missing = (_Spanned(bases), {}) if spanned else _family_table(fam)
+        by_card = _by_card(fam)
+        # the first member by size, then mask, that misses a one-smaller subset
+        first = min(missing, key=lambda s: (s.bit_count(), s), default=None)
+        closure = None if first is None else {"set": first, "missing_subset": missing[first]}
+        has_empty = fam[:1] == [0]
+        if system_id == "I":
+            if bases is None:
+                bases = _table_bases(fam, addable, missing)
+            maximal = set(bases)
+            levels = [([a for a in by_card if a not in maximal], _by_card(bases))]
+        else:
+            # a closed family has every size from 0 up, so sizes[k + 1] holds
+            # the members one larger than those of sizes[k]
+            sizes = [list(g) for _, g in groupby(by_card, int.bit_count)]
+            ends = list(accumulate(map(len, sizes)))
+            levels = (
+                (sizes[k], by_card[ends[k] :] if missing else sizes[k + 1])
+                for k in range(len(sizes) - 1)
+            )
+    record(system_id + "1", None if has_empty else {})
     record(system_id + "2", closure)
+    record(system_id + "3", _first_unaugmented(levels, addable, sys_.size))
     if system_id == "I":
-        if bases is None:
-            bases = _table_bases(fam, addable, missing)
-        maximal = set(bases)
-        non_maximal = [a for a in by_card if a not in maximal]
-        record("I3", _first_unaugmented([(non_maximal, _by_card(bases))], addable, sys_.size))
         verdicts["I4"] = "vacuous-pass"
         notes["I4"] = (
             "every nonempty finite family has a maximal member; the candidate set "
             "always contains A, so the axiom cannot fail on a finite ground set"
         )
     else:
-        # a closed family has every size from 0 up, so sizes[k + 1] holds
-        # the members one larger than those of sizes[k]
-        sizes = [list(g) for _, g in groupby(by_card, int.bit_count)]
-        ends = list(accumulate(map(len, sizes)))
-        levels = (
-            (sizes[k], by_card[ends[k] :] if missing else sizes[k + 1])
-            for k in range(len(sizes) - 1)
-        )
-        record("F3", _first_unaugmented(levels, addable, sys_.size))
         # on a finite ground every subset is finite and contains itself, so the
         # backward direction is automatic and F4 reduces to downward closure
         record("F4", closure)
         notes["F4"] = "finite ground: equivalent to downward closure"
     return AxiomReport(system_id, sys_.ground, verdicts, witnesses, notes)
+
+
+def _intersection_levels(bases: list[int]):
+    """The I3 levels of the down-closure of bases (check_axioms): for each
+    size k in turn, the sets (b & c) | X of k elements, b != c bases and X
+    a proper subset of b - c, ascending, against the bases in _by_card
+    order.  A level is built only when the scan reaches it."""
+    ordered = _by_card(bases)
+    meets = {(b & c, b & ~c) for b in bases for c in bases if b != c}
+    pairs = [(meet, meet.bit_count(), [1 << e for e in iter_bits(rest)]) for meet, rest in meets]
+    for k in range(max(map(int.bit_count, bases), default=0)):
+        level = set()
+        for meet, n, rest in pairs:
+            if 0 <= k - n < len(rest):
+                level.update(meet + sum(x) for x in combinations(rest, k - n))
+        yield sorted(level), ordered
 
 
 class _Spanned:
@@ -729,18 +771,22 @@ def replay_witness(sys_: System, axiom: str, witness: dict, cap: int | None = No
         if not (b1 in maximal and b2 in maximal and b1 & x):
             return False
         return all((b1 ^ x) | (1 << y) not in maximal for y in iter_bits(b2 & ~b1))
-    # the I and F screens read the family, the B screen only the bases
-    fam_set = set(family_masks(sys_, cap))
+    # the I and F screens read membership: a closed family's off its bases,
+    # any other's off its listed family
+    if _is_closed(sys_):
+        member = sys_.is_independent
+    else:
+        member = set(family_masks(sys_, cap)).__contains__
     if axiom in ("I1", "F1"):
-        return 0 not in fam_set
+        return not member(0)
     if axiom in ("I2", "F2", "F4"):
-        return witness["set"] in fam_set and witness["missing_subset"] not in fam_set
+        return member(witness["set"]) and not member(witness["missing_subset"])
     a, b = witness["A"], witness["B"]
     if axiom == "I3":
-        fits = a in fam_set and a not in maximal and b in maximal
+        fits = member(a) and a not in maximal and b in maximal
     else:
-        fits = a in fam_set and b in fam_set and a.bit_count() < b.bit_count()
-    return fits and all((a | (1 << e)) not in fam_set for e in iter_bits(b & ~a))
+        fits = member(a) and member(b) and a.bit_count() < b.bit_count()
+    return fits and not any(member(a | 1 << e) for e in iter_bits(b & ~a))
 
 
 # ---------------------------------------------------------------------------

@@ -434,7 +434,11 @@ def load_edit(obj, base_dir=None):
 
 
 def spectrum_csv(report) -> str:
-    body = report.to_dict()
+    return spectrum_body_csv(report.to_dict())
+
+
+def spectrum_body_csv(body: dict) -> str:
+    """The value,witness table of a spectrum report's to_dict() body."""
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["value", "witness"])

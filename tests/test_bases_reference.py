@@ -308,6 +308,46 @@ def test_every_failing_witness_replays_off_the_kept_bases(sys_):
                 assert len(calls) == 1 and calls[0] is sys_
 
 
+@st.composite
+def few_based_families(draw):
+    """Closed families on 1 to 12 elements with no more bases than elements,
+    drawn as random sets or as complements of random sets, as the block
+    systems are."""
+    m = draw(st.integers(1, 12))
+    tops = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=m))
+    if draw(st.booleans()):
+        tops = [(1 << m) - 1 ^ t for t in tops]
+    return closed_system(GroundSet.of_size(m), tops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(few_based_families())
+@example(ch4_inner(4))
+def test_i_screen_off_the_base_pairs_matches_the_reference(sys_):
+    # the I screen reads only the bases: it lists no member, and its
+    # verdicts and witnesses are those of the scan of every member
+    listed = "_family" in sys_.__dict__
+    got = check_axioms(sys_, "I")
+    assert ("_family" in sys_.__dict__) == listed
+    want = ref_check_axioms(sys_, "I")
+    assert got.verdicts == want.verdicts
+    assert got.witnesses == want.witnesses
+
+
+def test_block_system_i3_witness_is_pinned():
+    # A = {1..7} misses the last block {11..15} and meets the fourth, {7..10},
+    # so only 8, 9 and 10 extend it; B, the fourth block's complement, holds
+    # none of them.  A is the least failing set by size, then mask
+    sys_ = ch4_inner(5)
+    report = check_axioms(sys_, "I")
+    assert report.verdicts == {"I1": "pass", "I2": "pass", "I3": "fail", "I4": "vacuous-pass"}
+    assert report.witnesses == {"I3": {"A": 127, "B": 31807}}
+    assert report.to_dict()["witnesses"]["I3"] == {
+        "A": ["1", "2", "3", "4", "5", "6", "7"],
+        "B": ["1", "2", "3", "4", "5", "6", "11", "12", "13", "14", "15"],
+    }
+
+
 @settings(max_examples=200, deadline=None)
 @given(systems, systems)
 def test_union_matches_the_three_pass_reference(m1, m2):

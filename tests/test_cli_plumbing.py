@@ -21,7 +21,7 @@ from matroidlab.core import GroundSet
 from matroidlab.cycles import GluingSpec, glue_all, mk_spectrum, spectrum_search
 from matroidlab.io import _loaded, spectrum_csv
 from matroidlab.ops import ch4_system, spectrum
-from matroidlab.periodic import ladder_family
+from matroidlab.periodic import UPEdgeSet, ladder_family
 
 LADDER = {
     "repeat": {"vertices": ["t", "b"], "edges": [["t", "b", "rung"]]},
@@ -182,7 +182,7 @@ def reports(gluing):
 
 def test_json_output_never_builds_a_csv_table(gluing, monkeypatch):
     built = []
-    monkeypatch.setattr(matroidlab.cli, "spectrum_csv", lambda report: built.append(report) or "")
+    monkeypatch.setattr(matroidlab.cli, "spectrum_body_csv", lambda body: built.append(body) or "")
     for argv, _ in reports(gluing):
         rc, out, err = run(argv)
         assert rc == 0, err
@@ -199,6 +199,22 @@ def test_csv_output_is_the_library_reports_table(gluing):
         assert rc == 0, err
         assert out == spectrum_csv(report)
         assert out.startswith("value,witness\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["spectrum", "--family", "ladder:3", "--prefix", "1"], ["mk", "--family", "ladder:1", "-k", "1"]]
+)
+def test_csv_output_writes_each_witness_once(argv, monkeypatch):
+    # the table is written from the body the handler built, not a second one
+    writes, to_obj = [], UPEdgeSet.to_obj
+    monkeypatch.setattr(UPEdgeSet, "to_obj", lambda self: writes.append(self) or to_obj(self))
+    counts = []
+    for out in ("json", "csv"):
+        writes.clear()
+        rc, _, err = run([*argv, "--out", out])
+        assert rc == 0, err
+        counts.append(len(writes))
+    assert counts[0] > 0 and counts[1] == counts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +318,24 @@ def test_queries_on_one_system_file_list_its_bases_once(tmp_path, monkeypatch):
     # one primal base listing (target 3), and a family listing per fresh dual
     assert [t for t in targets if t] == [(3,)]
     assert targets.count(()) == 2
+
+
+def test_a_listed_matroid_reads_its_bases_off_the_listing(tmp_path, monkeypatch):
+    # the I screen lists the family of a rank-3 linear system; its bases are
+    # the largest members of that listing, so no sweep with target 3 follows
+    matrix = {"field": "q", "rows": ["r0", "r1", "r2"], "cols": ["la", "lb", "lc", "ld", "le"],
+              "entries": [["r0", "la", 1], ["r1", "lb", 1], ["r2", "lc", 1], ["r0", "ld", 1],
+                          ["r1", "ld", 1], ["r1", "le", 1], ["r2", "le", 2]]}
+    path = write(tmp_path / "linear.json", {"ground": matrix["cols"], "kind": "linear", "matrix": matrix})
+    sweep, targets = core._grown_family, []
+    monkeypatch.setattr(core, "_grown_family",
+                        lambda *a: targets.append(a[4:]) or sweep(*a))
+    _loaded.cache_clear()
+    for argv in (["axioms", "--system", path, "--axioms", "I"], ["bases", "--system", path]):
+        rc, out, err = run(argv)
+        assert rc == 0, err
+    assert json.loads(out)["result"]["count"] == 8
+    assert targets == [()]
 
 
 def test_a_kept_listing_still_checks_each_callers_cap(tmp_path):

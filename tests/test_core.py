@@ -36,6 +36,7 @@ from matroidlab import (
 )
 from matroidlab import core
 from matroidlab.core import closed_system
+from matroidlab.ops import ch4_inner
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +322,20 @@ def test_b_witnesses_replay_off_the_bases_alone(monkeypatch):
     assert replay_witness(s, "B2", rep.witnesses["B2"])
     assert not replay_witness(s, "B1", {})
     assert listed == []
+
+
+def test_closed_i_witnesses_replay_off_the_bases_alone(monkeypatch):
+    # ch4_inner(5) spans 23,003 members; replaying its I-screen witnesses on
+    # a fresh copy tests membership against its 5 stored bases, listing none
+    rep = check_axioms(ch4_inner(5), "I")
+    s = ch4_inner(5)
+    built = []
+    monkeypatch.setattr(core, "down_closure",
+                        lambda tops, real=core.down_closure: built.append(tops) or real(tops))
+    assert rep.witnesses
+    for axiom, witness in rep.witnesses.items():
+        assert replay_witness(s, axiom, witness)
+    assert built == []
 
 
 @pytest.mark.parametrize("axiom", ["I4", "B3", "X9"])
