@@ -58,6 +58,29 @@ coloop certificate compare the candidate's bits with those that meet their
 edge sets.  Only a candidate that reaches the base test is built as an edge
 set.
 
+The walk decides each block of candidates once.  A block is the set of masks
+with one pattern part (their high bits); the rest of a mask, its low part,
+names finitely many edges: prefix edges and explicit instances below window
+p, one edge a bit.  The block's head, its mask with low part 0, is a subset
+of every member, and a member M is the head plus the popcount(low) edges of
+its low part.  The defect of a set counts its components beyond those of
+the graph, and adding one edge to a set joins at most two of its
+components, so it lowers that count by at most one.  Hence, for every M:
+(1) if the head holds a finite cycle, so does M, which contains it;
+(2) if the head's defect is infinite, so is M's: finitely many edges leave
+infinitely many surplus components; (3) if the head's defect is d, M's is
+at least d - popcount(low).  Once the head is swept, its block's floor is
+INF in cases 1 and 2, else d, and the walk passes over a member unswept
+when the floor is INF or the floor minus the member's popcount(low) is above
+the walk's defect bound (below): its sweep would have passed it over for a
+finite cycle, an infinite defect or a defect above the bound.  The caller's
+filter is still asked of every mask, in order, so its errors surface where
+they did, and a head the filter passes over leaves its block without a
+floor, every member swept.  The candidate order does not change, so
+wherever the walk that sweeps every mask finishes, this one yields the same
+list, and a member passed over unswept cannot hit the window bound that its
+own sweep might.
+
 A spectrum walk also stops early, by a bound on the defect.  Take one unit,
 and let k_x be the summed width of its corridors glued to the point x
 (nearly_finitary_verdict sums them over every point).  Every glued base B
@@ -561,24 +584,41 @@ def _glued_bases(g, glue, p, skip=None, known=(), bound=INF):
     """(base, defect) for the glued bases within p, in candidate order.
 
     A candidate's index in the walk is its bit mask (_candidate_bits).
-    skip(mask), when given, is asked first, so an error it raises surfaces
-    before any base test; a true answer passes the candidate over, as does a
-    finite cycle, an infinite defect (never a base's, see the module
-    docstring), a defect above bound or one already in known.  Candidates
-    are swept on their masks (_candidate_sweep), and only a candidate that
-    reaches the base test is built as an edge set.
+    skip(mask), when given, is asked first, for every mask in order, so an
+    error it raises surfaces before any base test; a true answer passes the
+    candidate over, as does a finite cycle, an infinite defect (never a
+    base's, see the module docstring), a defect above bound or one already
+    in known.  Candidates are swept on their masks (_candidate_sweep), and
+    only a candidate that reaches the base test is built as an edge set.
+
+    The walk reads the masks in blocks of one pattern part, each headed by
+    the mask with no lower bit.  When skip lets that head through, its sweep
+    sets the block's floor: INF for a finite cycle or an infinite defect,
+    else its defect d.  A later member with lower bits low is passed over
+    unswept when the floor is INF or d - popcount(low) is above bound; the
+    module docstring proves that the sweep would pass it over too.
     """
     names = _candidate_bits(g, p)
     sweep = _candidate_sweep(g, p, names)
+    lows = (1 << len(names) - len(full_edge_set(g).pattern)) - 1
     whole = None  # the sweep of g's full edge set, read at the first defect
+    floor = None  # the block's defect floor, None while its head is unswept
     for mask in range(1 << len(names)):
+        low = mask & lows
+        if not low:
+            floor = None
         if skip is not None and skip(mask):
+            continue
+        if floor is not None and (floor is INF or floor - low.bit_count() > bound):
             continue
         res = sweep(mask)
         if res.cycle_event is not None:
-            continue
-        whole = whole or run_machine(g, full_edge_set(g))
-        d = _excess(res, whole)
+            d = INF
+        else:
+            whole = whole or run_machine(g, full_edge_set(g))
+            d = _excess(res, whole)
+        if not low:
+            floor = d
         if d is not INF and d <= bound and d not in known:
             cand = _decode(names, p, mask)
             if cycle_is_base(g, cand, glue)[0]:

@@ -11,6 +11,7 @@ both name the same circle.
 """
 
 import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -31,6 +32,7 @@ from matroidlab.cycles import (
     _candidate_bits,
     _component_spectrum,
     _decode,
+    _excess,
     _glued_bases,
     _gluing,
     _independent,
@@ -52,9 +54,11 @@ from matroidlab.cycles import (
     hat_check,
     mk_spectrum,
     nearly_finitary_verdict,
+    no_glue,
     spectrum_search,
     verify_i3_violation,
 )
+from matroidlab.cli import main
 from matroidlab.errors import InputError, ResourceLimitError, StructuralMismatchError
 from matroidlab.families import ContractedSystem, _collect_finite, contract_coloops
 from matroidlab.io import load_edge_set, load_family
@@ -1119,6 +1123,156 @@ def test_hat_check_filters_its_candidates_without_run_machine():
             mock.patch.object(matroidlab.cycles, "run_machine", counted):
         assert hat_check(g, glue_all(g), UPEdgeSet(), (3, 1))[0]
     assert len(calls) <= 1000
+
+
+# ---------------------------------------------------------------------------
+# the walk decides each pattern block once
+
+
+def ref_sweeping_walk(g, glue, p, skip=None, known=(), bound=INF):
+    """_glued_bases before it read the masks in blocks: every mask skip lets
+    through is swept."""
+    names = _candidate_bits(g, p)
+    sweep = matroidlab.cycles._candidate_sweep(g, p, names)
+    whole = None  # the sweep of g's full edge set, read at the first defect
+    for mask in range(1 << len(names)):
+        if skip is not None and skip(mask):
+            continue
+        res = sweep(mask)
+        if res.cycle_event is not None:
+            continue
+        whole = whole or run_machine(g, full_edge_set(g))
+        d = _excess(res, whole)
+        if d is not INF and d <= bound and d not in known:
+            cand = _decode(names, p, mask)
+            if cycle_is_base(g, cand, glue)[0]:
+                yield cand, d
+
+
+def counted_walk(fn, g, glue, p, skip, bound):
+    """(yields, error or None, masks skip was asked, masks swept) of a walk."""
+    asked, swept = [], []
+    candidate_sweep = matroidlab.cycles._candidate_sweep
+
+    def spy(*args):
+        sweep = candidate_sweep(*args)
+        return lambda mask: swept.append(mask) or sweep(mask)
+
+    def asking(mask):
+        asked.append(mask)
+        return skip(mask)
+
+    out, error = [], None
+    with mock.patch.object(matroidlab.cycles, "_candidate_sweep", spy):
+        try:
+            out.extend(fn(g, glue, p, asking, bound=bound))
+        except (InputError, ResourceLimitError, StructuralMismatchError) as exc:
+            error = exc
+    return out, error, asked, swept
+
+
+def check_block_walk(g, glue, skips, bound):
+    for p in _walk_profiles(g):
+        lows = (1 << len(_candidate_bits(g, p)) - len(full_edge_set(g).pattern)) - 1
+        # the second skip passes over every block head, so no block gets a floor
+        for skip in (lambda mask: False, lambda mask: not mask & lows, *skips(p)):
+            ref, ref_error, ref_asked, ref_swept = counted_walk(
+                ref_sweeping_walk, g, glue, p, skip, bound)
+            got, error, asked, swept = counted_walk(_glued_bases, g, glue, p, skip, bound)
+            if ref_error is None:
+                assert error is None and got == ref
+                assert asked == ref_asked and set(swept) <= set(ref_swept)
+            else:
+                assert all(cycle_is_base(g, cand, glue)[0] for cand, _ in got)
+
+
+# ray-census spec 132 at seed 1: the spectrum walk met masks whose sweep never
+# settles in blocks whose heads had already ruled them out
+CENSUS_132_FILE = {
+    "prefix": {"vertices": ["p"], "edges": [["p", ["r", "a"], "link"]]},
+    "repeat": {"vertices": ["a", "b", "c"], "edges": [["a", "b", "rung"]]},
+    "splice": [["b", "a", "top"], ["a", "b", "bottom"], ["a", "c", "top"]],
+    "ends": ["e0"],
+}
+CENSUS_132 = load_family(CENSUS_132_FILE)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [ladder_family(1), ladder_family(2), bean_family(), SWAP_LINK, CENSUS_132],
+    ids=["ladder", "ladder2", "bean", "swap-link", "census-132"],
+)
+@pytest.mark.parametrize("bound", [INF, 0, 1], ids=["unbounded", "bound0", "bound1"])
+def test_block_walk_matches_the_sweeping_walk_on_canned_specs(g, bound):
+    for glue in (glue_all(g), no_glue(g)):
+        check_block_walk(g, glue, lambda p: (lambda mask: mask % 3 == 1,), bound)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_block_walk_matches_the_sweeping_walk(data):
+    # where the walk that sweeps every mask finishes, the block walk yields
+    # its list, asks skip the same masks and sweeps a subset of its masks;
+    # where it hits a bound, every block-walk yield is still a base
+    g = data.draw(specs())
+    glue = _gluing(g, data.draw(gluings(g)))
+    bound = data.draw(st.sampled_from([INF, 0, 1, 2]))
+    slots = sorted(full_edge_set(g).pattern)
+    fixed = UPEdgeSet(
+        2,
+        frozenset(),
+        frozenset(data.draw(st.sets(st.sampled_from([(kind, j, w) for w in range(2)
+                                                     for kind, j in slots]), max_size=2))),
+        frozenset(data.draw(st.sets(st.sampled_from(slots), max_size=1))),
+    )
+
+    def skips(p):
+        # hat_check's filter: avoid fixed and stay finite-cycle-free beside it
+        names = _candidate_bits(g, p)
+        meets = _bits_meeting(names, p, fixed)
+        joint = matroidlab.cycles._candidate_sweep(g, p, names, fixed)
+        return (lambda mask: mask & meets or joint(mask).cycle_event is not None,)
+
+    check_block_walk(g, glue, skips, bound)
+
+
+def test_census_spec_132_answers_its_prefix_0_spectrum(tmp_path, capsys):
+    # the spectrum exited 3 ("window sweep repeats every 2 windows") from
+    # sweeps of masks whose block heads hold a finite cycle or have infinite
+    # defect; e0 is not glued
+    family, gluing = tmp_path / "spec.json", tmp_path / "glue.json"
+    family.write_text(json.dumps(CENSUS_132_FILE))
+    gluing.write_text(json.dumps({"groups": [["e0"]], "psi": []}))
+    argv = ["spectrum", "--family", str(family), "--glue", str(gluing), "--prefix", "0"]
+    assert main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["values"] == [0]
+    glue = GluingSpec((("e0",),), ())
+    base = load_edge_set(result["witnesses"]["0"]["base"])
+    fin = load_edge_set(result["witnesses"]["0"]["fin_base"])
+    assert cycle_is_base(CENSUS_132, base, glue)[0] and fin_is_base(CENSUS_132, fin)[0]
+    assert defect(CENSUS_132, base, glue) == 0
+
+
+def test_block_walk_sweeps_under_half_of_its_masks():
+    # ladder:2 at profile (1, 1) has two units of 64 candidate masks each;
+    # its walks sweep 26 of the 128, against 88 while every mask that the
+    # walk reached was swept
+    g = ladder_family(2)
+    _component_spectrum.cache_clear()
+    swept = []
+    candidate_sweep = matroidlab.cycles._candidate_sweep
+
+    def spy(*args):
+        sweep = candidate_sweep(*args)
+        return lambda mask: swept.append(mask) or sweep(mask)
+
+    with mock.patch.object(matroidlab.cycles, "_candidate_sweep", spy):
+        assert spectrum_search(g, glue_all(g), (1, 1)).values == (0, 1, 2)
+    masks = sum(1 << len(_candidate_bits(spec, 1))
+                for spec, _, _, _ in _units(g, glue_all(g)) if spec is not None)
+    assert masks == 128
+    assert len(swept) < masks / 2
 
 
 # ---------------------------------------------------------------------------
